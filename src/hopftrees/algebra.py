@@ -93,7 +93,8 @@ class LinearCombination:
         return sorted(self._terms.items(), key=lambda item: item[0].encode())
 
     def __iter__(self) -> Iterator[tuple[Any, Fraction]]:
-        return iter(self.terms())
+        """Terms in no particular order; use :meth:`terms` for the sorted list."""
+        return iter(self._terms.items())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -103,9 +104,6 @@ class LinearCombination:
 
     def coefficient(self, basis: Any) -> Fraction:
         return self._terms.get(basis, Fraction(0))
-
-    def support(self) -> set[Any]:
-        return set(self._terms)
 
     def total_multiplicity(self) -> Fraction:
         """Sum of the absolute values of all coefficients.
@@ -211,10 +209,3 @@ def format_fraction(value: Fraction) -> str:
     """``p/q`` with the ``/q`` omitted for integers."""
     value = Fraction(value)
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"invalid rational {text!r}", text, 0) from exc

@@ -92,7 +92,7 @@ def _algebra_for(args, elements: list[Tree]) -> TreeHopfAlgebra:
 
 def _combination_payload(combo: LinearCombination) -> dict:
     terms = []
-    for basis, coeff in combo:
+    for basis, coeff in combo.terms():
         if isinstance(basis, TensorPair):
             encoded: object = [basis.left.encode(), basis.right.encode()]
         else:
@@ -246,7 +246,7 @@ def _cmd_psi(args) -> int:
             _emit(args, expansion.report(), payload)
         else:
             lines = [expansion.report()] + [
-                f"{format_fraction(c)}*{t.encode()}" for t, c in expansion.surviving
+                f"{format_fraction(c)}*{t.encode()}" for t, c in expansion.surviving.terms()
             ]
             _emit(args, "\n".join(lines), payload)
         return 0

@@ -12,18 +12,28 @@ An ordered labeled subtree turns into a single derivation by folding its
 children through the connection, first child outermost; a whole tree (root
 unlabeled, child subtrees s_1..s_m) acts on a polynomial f as the m-th
 covariant differential of f evaluated on the subtree derivations, in child
-order.  With zero Christoffel data the action collapses to the flat
-multi-index expansion of labeled trees.
+order (Munthe-Kaas-Wright, FoCM 2008).  The tree action and the covariant
+derivatives and differentials here are thin callers of the bottom-up
+evaluator in :mod:`hopftrees.diff_ops`, which builds each covariant
+differential one level at a time and contracts it with the child
+derivations; with zero Christoffel data it is the flat tree action.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Mapping, Sequence
 
-from .diff_ops import Derivation, DerivationEnv, Polynomial, apply_tree_operator, parse_polynomial
+from .diff_ops import (
+    Derivation,
+    DerivationEnv,
+    Polynomial,
+    _covariant_contraction,
+    _subtree_derivation,
+    _tree_action,
+    parse_polynomial,
+)
 from .grossman_larson import TreeHopfAlgebra
-from .trees import Tree, canonicalize
+from .trees import Tree
 
 
 class Connection:
@@ -68,29 +78,11 @@ class Connection:
             gamma[(i, j, k)] = parse_polynomial(str(value), n)
         return cls(n, gamma)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Connection":
-        return cls.from_dict(json.loads(text))
-
 
 def covariant_derivative(conn: Connection, lower: Derivation, upper: Derivation) -> Derivation:
-    """``nabla_lower upper`` in coordinates."""
-    n = conn.num_vars
-    if lower.num_vars != n or upper.num_vars != n:
-        raise ValueError("variable counts differ")
-    comps = []
-    for k in range(1, n + 1):
-        comp = Polynomial.zero(n)
-        upper_k = upper.coeffs[k - 1]
-        for mu in range(1, n + 1):
-            comp = comp + lower.coeffs[mu - 1] * upper_k.derivative(mu)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                gamma = conn.christoffel(i, j, k)
-                if gamma:
-                    comp = comp + gamma * lower.coeffs[i - 1] * upper.coeffs[j - 1]
-        comps.append(comp)
-    return Derivation(tuple(comps))
+    """``nabla_lower upper`` in coordinates: the first covariant differential of ``upper``."""
+    _check_vars(conn.num_vars, lower, upper)
+    return Derivation(_covariant_contraction(upper.coeffs, [lower], conn._gamma, vector=True))
 
 
 def vector_covariant_differential(
@@ -99,36 +91,19 @@ def vector_covariant_differential(
     """The m-th covariant differential of a vector field, ``(nabla^m E)(X_1..X_m)``:
 
     ``nabla_{X_1}((nabla^{m-1} E)(X_2,..)) - sum_i (nabla^{m-1} E)(X_2,.., nabla_{X_1} X_i, ..)``.
-
-    The correction terms stop the argument fields from being differentiated,
-    so with zero Christoffel data the components are the plain higher partials
-    of ``E``'s coefficients contracted against the argument components.
     """
     if not fields:
         return field
-    head, tail = fields[0], list(fields[1:])
-    result = covariant_derivative(conn, head, vector_covariant_differential(field, tail, conn))
-    for i in range(len(tail)):
-        corrected = list(tail)
-        corrected[i] = covariant_derivative(conn, head, tail[i])
-        result = result - vector_covariant_differential(field, corrected, conn)
-    return result
+    _check_vars(conn.num_vars, field, *fields)
+    return Derivation(_covariant_contraction(field.coeffs, fields, conn._gamma, vector=True))
 
 
 def subtree_derivation(subtree: Tree, env: DerivationEnv, conn: Connection) -> Derivation:
-    """Fold a labeled subtree into one derivation.
-
-    A leaf labeled E is E itself; a node labeled E with children
-    ``u_1 .. u_k`` is the k-th covariant differential of E evaluated on the
-    child derivations in order.  On a single child this is ``nabla_{theta(u_1)} E``.
-    """
-    if not isinstance(subtree.label, str):
-        raise ValueError("every node below the root must carry a derivation symbol")
-    base = env[subtree.label]
-    if not subtree.children:
-        return base
-    fields = [subtree_derivation(u, env, conn) for u in subtree.children]
-    return vector_covariant_differential(base, fields, conn)
+    """Fold a labeled subtree into one derivation: a leaf labeled E is E itself;
+    a node labeled E with children ``u_1 .. u_k`` is the k-th covariant
+    differential of E evaluated on the child derivations in order."""
+    _check_vars(env.num_vars, conn)
+    return _subtree_derivation(subtree, env, conn._gamma)
 
 
 def covariant_differential(
@@ -140,15 +115,8 @@ def covariant_differential(
     """
     if not fields:
         return f
-    head, tail = fields[0], list(fields[1:])
-    if head.num_vars != f.num_vars:
-        raise ValueError("variable counts differ")
-    result = head.apply(covariant_differential(f, tail, conn))
-    for i in range(len(tail)):
-        corrected = list(tail)
-        corrected[i] = covariant_derivative(conn, head, tail[i])
-        result = result - covariant_differential(f, corrected, conn)
-    return result
+    _check_vars(f.num_vars, conn, *fields)
+    return _covariant_contraction((f,), fields, conn._gamma, vector=False)[0]
 
 
 def apply_connection_operator(
@@ -157,8 +125,13 @@ def apply_connection_operator(
     """Action of an ordered labeled tree on ``f`` through the connection."""
     if t.label is not None:
         raise ValueError("the root of an operator tree must be unlabeled")
-    fields = [subtree_derivation(s, env, conn) for s in t.children]
-    return covariant_differential(f, fields, conn)
+    _check_vars(env.num_vars, conn, f)
+    return _tree_action(t, env, conn._gamma, f)
+
+
+def _check_vars(num_vars: int, *objects) -> None:
+    if any(x.num_vars != num_vars for x in objects):
+        raise ValueError("variable counts differ")
 
 
 def check_module_law(
@@ -177,19 +150,3 @@ def check_module_law(
         right = apply_connection_operator(pair.right, env, conn, b)
         rhs = rhs + coeff * (left * right)
     return lhs == rhs
-
-
-def flat_action_matches_tree_operator(
-    t: Tree, env: DerivationEnv, f: Polynomial
-) -> bool:
-    """With zero Christoffel data the connection action must reproduce the flat
-    multi-index expansion of the underlying unordered tree."""
-    flat = Connection.flat(env.num_vars)
-    via_connection = apply_connection_operator(t, env, flat, f)
-    forgotten = canonicalize(_forget_order(t))
-    via_expansion = apply_tree_operator(forgotten, env, f)
-    return via_connection == via_expansion
-
-
-def _forget_order(t: Tree) -> Tree:
-    return Tree(t.label, tuple(_forget_order(c) for c in t.children), False)

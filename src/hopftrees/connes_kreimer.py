@@ -119,6 +119,7 @@ def monomial_product(a: Forest, b: Forest) -> Forest:
 
 def forest_coproduct(m: Forest) -> LinearCombination:
     """Admissible-cut coproduct, extended multiplicatively to monomials."""
+    _check_unlabeled(m.trees)
     out = LinearCombination.single(TensorPair(Forest(), Forest()))
     for t in m.trees:
         single = _tree_coproduct(t)
@@ -144,6 +145,12 @@ def _pairwise_union(a: LinearCombination, b: LinearCombination) -> LinearCombina
     return out
 
 
+def _check_unlabeled(trees) -> None:
+    for t in trees:
+        if any(label is not None for label in t.labels()):
+            raise ValueError(f"the forest algebra takes unlabeled trees, got {t.encode()}")
+
+
 def forest_counit(m: Forest) -> Fraction:
     return Fraction(1 if not m.trees else 0)
 
@@ -152,17 +159,9 @@ def symmetry_factor(t: Tree) -> int:
     """Order of the automorphism group of a rooted tree.
 
     The product over nodes of ``prod_k (multiplicity of the k-th isomorphism
-    class of child subtrees)!``.
+    class of child subtrees)!``: the automorphism count of the root's forest.
     """
-    t = canonicalize(t)
-    factor = 1
-    counts: dict[str, int] = {}
-    for child in t.children:
-        counts[child.encode()] = counts.get(child.encode(), 0) + 1
-        factor *= symmetry_factor(child)
-    for mult in counts.values():
-        factor *= math.factorial(mult)
-    return factor
+    return forest_symmetry_factor(strip_root(t))
 
 
 def forest_symmetry_factor(f: Forest) -> int:
@@ -186,6 +185,7 @@ def dual_pairing(t: Tree, a: Forest) -> Fraction:
     """
     if t.ordered:
         raise ValueError("the pairing is defined on unordered trees")
+    _check_unlabeled((t,) + a.trees)
     stripped = Forest.canonical(strip_root(canonicalize(t)).trees)
     if stripped != Forest.canonical(a.trees):
         return Fraction(0)

@@ -1,11 +1,11 @@
 """Sparse exact polynomials, derivations, and the tree-to-operator expansion.
 
-A labeled tree encodes a higher-order differential operator: number the
-non-root nodes ``1..k``, pick a summation index ``i_j in {1..n}`` for each,
-and multiply one factor per node — the root contributes ``f`` differentiated
-by its children's indices, and a node labeled ``E`` contributes the ``i_j``-th
-coefficient of ``E`` differentiated by its children's indices.  Summing over
-all index assignments gives the operator's value on ``f``.
+A labeled tree encodes a higher-order differential operator, evaluated bottom
+up: a node labeled E with children ``u_1 .. u_k`` becomes the k-th
+differential of E contracted with the children's derivations (a leaf is E),
+and the root does the same with ``f`` -- the elementary differentials of
+B-series.  One evaluator serves flat trees here and ordered trees under a
+connection (:mod:`hopftrees.connection`); no Christoffel data means flat.
 
 Words in the derivation symbols expand to combinations of labeled trees via
 the grafting product, and the expansion composes: the tree operator of a word
@@ -62,10 +62,6 @@ class Polynomial:
     @classmethod
     def zero(cls, num_vars: int) -> "Polynomial":
         return cls(num_vars)
-
-    @classmethod
-    def constant(cls, num_vars: int, value: Scalar) -> "Polynomial":
-        return cls(num_vars, {(0,) * num_vars: Fraction(value)})
 
     @classmethod
     def variable(cls, num_vars: int, index: int) -> "Polynomial":
@@ -140,9 +136,6 @@ class Polynomial:
             lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
             out[lowered] = out.get(lowered, Fraction(0)) + coeff * exps[i]
         return Polynomial(self.num_vars, out)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
 
     def render(self) -> str:
         if not self._terms:
@@ -363,27 +356,68 @@ def apply_tree_operator(t: Tree, env: DerivationEnv, f: Polynomial) -> Polynomia
         raise ValueError("the root of an operator tree must be unlabeled")
     if f.num_vars != env.num_vars:
         raise ValueError("variable counts differ")
-    root_children, info = _number_nodes(t)
-    for j, (label, _) in info.items():
+    for j, (label, _) in _number_nodes(t)[1].items():
         if not isinstance(label, str) or label not in env:
             raise KeyError(f"unknown derivation symbol {label!r} at node {j}")
-    n = env.num_vars
-    k = len(info)
-    total = Polynomial.zero(n)
-    for assignment in itertools.product(range(1, n + 1), repeat=k):
-        index = dict(zip(range(1, k + 1), assignment))
-        term = f
-        for child in root_children:
-            term = term.derivative(index[child])
-        for j, (label, children) in info.items():
-            factor = env[label].coeffs[index[j] - 1]
-            for child in children:
-                factor = factor.derivative(index[child])
-            term = term * factor
-            if not term:
-                break
-        total = total + term
-    return total
+    return _tree_action(t, env, {}, f)
+
+
+def _tree_action(t: Tree, env: DerivationEnv, gamma: Mapping, f: Polynomial) -> Polynomial:
+    """``(nabla^m f)(theta(s_1), .., theta(s_m))`` for the root's child subtrees ``s_i``."""
+    fields = [_subtree_derivation(s, env, gamma) for s in t.children]
+    return _covariant_contraction((f,), fields, gamma, vector=False)[0]
+
+
+def _subtree_derivation(node: Tree, env: DerivationEnv, gamma: Mapping) -> Derivation:
+    """``theta(node) = (nabla^k E)(theta(u_1), .., theta(u_k))`` for a node
+    labeled E with children ``u_i``; a leaf is E itself."""
+    if not isinstance(node.label, str):
+        raise ValueError("every node below the root must carry a derivation symbol")
+    field = env[node.label]
+    fields = [_subtree_derivation(u, env, gamma) for u in node.children]
+    return Derivation(_covariant_contraction(field.coeffs, fields, gamma, vector=True))
+
+
+def _covariant_contraction(
+    components: Sequence[Polynomial], fields: Sequence[Derivation], gamma: Mapping, vector: bool
+) -> tuple[Polynomial, ...]:
+    """``(nabla^m F)(X_1, .., X_m)`` for a function ``F`` (one component) or a
+    vector field, given Christoffel data ``gamma`` (empty: flat).  The tensor
+    ``T^k[a_1, .., a_j]`` grows one index per level from ``T_0 = F``:
+
+        T_j^k[a, b..] = d_a T_{j-1}^k[b..] + sum_i gamma[a,i,k] T_{j-1}^i[b..]
+                        - sum_l sum_c gamma[a,b_l,c] T_{j-1}^k[b.. c ..]
+
+    (middle term for vector fields only), then ``a_i`` is contracted with ``X_i``.
+    """
+    n = components[0].num_vars
+    tensor = {(k,): p for k, p in enumerate(components, start=1)}
+    for _ in fields:
+        raised: dict[tuple[int, ...], Polynomial] = {}
+        for key, p in tensor.items():
+            k, rest = key[0], key[1:]
+            for a in range(1, n + 1):
+                _accumulate(raised, (k, a) + rest, p.derivative(a))
+            for (a, b, c), g in gamma.items():
+                if vector and b == k:
+                    _accumulate(raised, (c, a) + rest, g * p)
+                for slot, index in enumerate(rest):
+                    if index == c:
+                        bent = rest[:slot] + (b,) + rest[slot + 1 :]
+                        _accumulate(raised, (k, a) + bent, -(g * p))
+        tensor = raised
+    for field in reversed(fields):
+        contracted: dict[tuple[int, ...], Polynomial] = {}
+        for key, p in tensor.items():
+            _accumulate(contracted, key[:-1], field.coeffs[key[-1] - 1] * p)
+        tensor = contracted
+    zero = Polynomial.zero(n)
+    return tuple(tensor.get((k,), zero) for k in range(1, len(components) + 1))
+
+
+def _accumulate(acc: dict, key: tuple[int, ...], p: Polynomial) -> None:
+    if p:
+        acc[key] = acc[key] + p if key in acc else p
 
 
 def word_to_trees(word: Sequence[str], symbols: Iterable[str] | None = None) -> LinearCombination:

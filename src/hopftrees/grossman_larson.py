@@ -72,10 +72,13 @@ class TreeHopfAlgebra:
             raise ValueError(f"tree {t.encode()} has the wrong ordered/unordered flavor")
         if self.heap and not is_standard_heap_tree(t):
             raise ValueError(f"tree {t.encode()} is not a standard heap-ordered tree")
-        if self.symbols:
-            bad = [x for x in t.labels()[1:] if x not in self.symbols]
+        if not self.heap:
+            root, *rest = t.labels()
+            bad = [x for x in rest if x not in (self.symbols or (None,))]
+            if root is not None:
+                bad.insert(0, root)
             if bad:
-                raise ValueError(f"unknown labels {bad} in {t.encode()}")
+                raise ValueError(f"labels {bad} in {t.encode()} do not belong to the {self.describe()}")
 
     def product(self, t1: Tree, t2: Tree) -> LinearCombination:
         """Attach the root-subtrees of ``t1`` to the nodes of ``t2`` in all ways."""

@@ -24,6 +24,11 @@ Label = str | int | None
 DEFAULT_DEGREE_CAP = 8
 HEAP_DEGREE_CAP = 6
 
+# Deepest node (edges from the root) the parser accepts: the tree functions
+# recurse per level, and under Python's default limit of 1000 frames a chain
+# 330 deep already ends in RecursionError.
+MAX_TREE_DEPTH = 300
+
 
 @dataclass(frozen=True)
 class Tree:
@@ -48,9 +53,12 @@ class Tree:
 
     def labels(self) -> list[Label]:
         """Labels of all nodes in preorder (root first)."""
-        out: list[Label] = [self.label]
-        for c in self.children:
-            out.extend(c.labels())
+        out: list[Label] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append(node.label)
+            stack.extend(reversed(node.children))
         return out
 
     def __str__(self) -> str:
@@ -372,16 +380,18 @@ class _TreeParser:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse_tree(self) -> Tree:
+    def parse_tree(self, depth: int = 0) -> Tree:
         if self.peek() != "(":
             raise self.error("expected '('")
+        if depth > MAX_TREE_DEPTH:
+            raise self.error(f"tree nested deeper than {MAX_TREE_DEPTH} levels")
         self.pos += 1
         label = self._parse_label()
         children: list[Tree] = []
         if self.peek() == ";":
             self.pos += 1
             while self.peek() == "(":
-                children.append(self.parse_tree())
+                children.append(self.parse_tree(depth + 1))
         if self.peek() != ")":
             raise self.error("expected ')'")
         self.pos += 1

@@ -3,7 +3,10 @@
 The oracles here deliberately avoid the library's own algorithms: tree
 isomorphism classes are counted through parent arrays and nested tuples,
 automorphism counts through plane-representation counting, and cuts through
-edge-subset filtering.
+edge-subset filtering.  Trees act on polynomials here through the two
+textbook definitions the library replaces by one contraction: the flat sum
+over all index assignments of a tree's nodes, and the recursive m-th
+covariant differentials of a connection.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 import random
 from fractions import Fraction
 
-from hopftrees import LinearCombination, Polynomial, Tree, parse_tree
+from hopftrees import Derivation, LinearCombination, Polynomial, Tree, parse_tree
 
 
 def t(text: str) -> Tree:
@@ -101,3 +104,99 @@ def automorphisms_by_plane_count(tree: Tree) -> int:
     plane = len(set(_plane_forms(tree)))
     assert total_orderings % plane == 0
     return total_orderings // plane
+
+
+# ---------------------------------------------------------------------------
+# oracle: the flat tree action as a sum over all n^k index assignments
+
+
+def tree_operator_by_index_sum(tree: Tree, env, f: Polynomial) -> Polynomial:
+    """Number the non-root nodes 1..k, pick an index in 1..n for each, and
+    multiply one factor per node: the root gives ``f`` and a node labeled E
+    gives the chosen coefficient of E, each differentiated by its children's
+    indices.  Child order plays no part, so ordered trees work too.
+    """
+    info: dict[int, tuple[str, list[int]]] = {}  # node number -> (label, child numbers)
+    counter = itertools.count(1)
+
+    def walk(node: Tree) -> list[int]:
+        numbers = []
+        for child in node.children:
+            j = next(counter)
+            numbers.append(j)
+            info[j] = (child.label, walk(child))
+        return numbers
+
+    root_children = walk(tree)
+    total = Polynomial.zero(env.num_vars)
+    for assignment in itertools.product(range(1, env.num_vars + 1), repeat=len(info)):
+        index = dict(zip(range(1, len(info) + 1), assignment))
+        term = f
+        for child in root_children:
+            term = term.derivative(index[child])
+        for j, (label, children) in info.items():
+            factor = env[label].coeffs[index[j] - 1]
+            for child in children:
+                factor = factor.derivative(index[child])
+            term = term * factor
+        total = total + term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# oracle: covariant differentials by their defining recursions (m! calls)
+
+
+def covariant_derivative_by_formula(conn, lower: Derivation, upper: Derivation) -> Derivation:
+    """``(nabla_X Y)^k = sum_mu X^mu dY^k/dx_mu + sum_{i,j} gamma[i,j,k] X^i Y^j``."""
+    n = conn.num_vars
+    comps = []
+    for k in range(1, n + 1):
+        comp = Polynomial.zero(n)
+        for mu in range(1, n + 1):
+            comp = comp + lower.coeffs[mu - 1] * upper.coeffs[k - 1].derivative(mu)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                comp = comp + conn.christoffel(i, j, k) * lower.coeffs[i - 1] * upper.coeffs[j - 1]
+        comps.append(comp)
+    return Derivation(tuple(comps))
+
+
+def vector_covariant_differential_by_recursion(field: Derivation, fields, conn) -> Derivation:
+    """``nabla_{X_1}((nabla^{m-1} E)(X_2,..)) - sum_i (nabla^{m-1} E)(X_2,.., nabla_{X_1} X_i, ..)``."""
+    if not fields:
+        return field
+    head, tail = fields[0], list(fields[1:])
+    result = covariant_derivative_by_formula(
+        conn, head, vector_covariant_differential_by_recursion(field, tail, conn)
+    )
+    for i in range(len(tail)):
+        corrected = list(tail)
+        corrected[i] = covariant_derivative_by_formula(conn, head, tail[i])
+        result = result - vector_covariant_differential_by_recursion(field, corrected, conn)
+    return result
+
+
+def covariant_differential_by_recursion(f: Polynomial, fields, conn) -> Polynomial:
+    """``X_1((nabla^{m-1} f)(X_2,..)) - sum_i (nabla^{m-1} f)(X_2,.., nabla_{X_1} X_i, ..)``."""
+    if not fields:
+        return f
+    head, tail = fields[0], list(fields[1:])
+    result = head.apply(covariant_differential_by_recursion(f, tail, conn))
+    for i in range(len(tail)):
+        corrected = list(tail)
+        corrected[i] = covariant_derivative_by_formula(conn, head, tail[i])
+        result = result - covariant_differential_by_recursion(f, corrected, conn)
+    return result
+
+
+def subtree_derivation_by_recursion(subtree: Tree, env, conn) -> Derivation:
+    fields = [subtree_derivation_by_recursion(u, env, conn) for u in subtree.children]
+    return vector_covariant_differential_by_recursion(env[subtree.label], fields, conn)
+
+
+def connection_action_by_recursion(tree: Tree, env, conn, f: Polynomial) -> Polynomial:
+    """Curved action of an ordered labeled tree: the root's covariant
+    differential of ``f`` on its children's folded derivations, in order."""
+    fields = [subtree_derivation_by_recursion(s, env, conn) for s in tree.children]
+    return covariant_differential_by_recursion(f, fields, conn)

@@ -1,10 +1,17 @@
 """Command-line surface: example invocations, JSON round trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hopftrees.cli import main
+from hopftrees.trees import MAX_TREE_DEPTH
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -25,6 +32,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out.strip(), captured.err.strip()
+
+
+def run_module(*argv, stdin=""):
+    """Run ``python -m hopftrees.cli`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "hopftrees.cli", *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def assert_clean_error(result):
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+def chain(depth: int) -> str:
+    return "(;" * depth + "()" + ")" * depth
 
 
 def test_gl_mul_worked_example(capsys):
@@ -184,3 +210,29 @@ def test_json_combination_schema(capsys):
     for term in payload["terms"]:
         assert set(term) == {"coeff", "basis"}
         assert isinstance(term["basis"], list) and len(term["basis"]) == 2
+
+
+def test_tree_flavors_reject_foreign_labels():
+    assert_clean_error(run_module("gl", "mul", "(;(7))", "(;(1))"))
+    assert_clean_error(run_module("gl", "--flavor", "ordered", "coprod", "(;(E1))"))
+    assert_clean_error(run_module("gl", "--flavor", "labeled", "coprod", "(E1;(E2))"))
+
+
+def test_forest_algebra_rejects_labeled_trees():
+    assert_clean_error(run_module("ck", "pair", "(;(E1))", "(E1)"))
+    assert_clean_error(run_module("ck", "coprod", "(E1)*()"))
+
+
+@pytest.mark.parametrize("operation", ["coprod", "antipode"])
+def test_deepest_accepted_chain_runs(operation):
+    result = run_module("gl", operation, "-", stdin=chain(MAX_TREE_DEPTH))
+    assert result.returncode == 0, result.stderr
+    assert chain(MAX_TREE_DEPTH) in result.stdout
+
+
+@pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 1200])
+def test_too_deep_chain_is_a_parse_error(depth):
+    result = run_module("gl", "coprod", "-", stdin=chain(depth))
+    assert_clean_error(result)
+    position = 2 * (MAX_TREE_DEPTH + 1)
+    assert f"nested deeper than {MAX_TREE_DEPTH} levels at position {position}" in result.stderr

@@ -16,9 +16,18 @@ from hopftrees import (
     ordered_labeled_trees,
     parse_polynomial,
     subtree_derivation,
+    vector_covariant_differential,
 )
-from hopftrees.connection import flat_action_matches_tree_operator
-from helpers import ot, random_polynomial
+from helpers import (
+    connection_action_by_recursion,
+    covariant_derivative_by_formula,
+    covariant_differential_by_recursion,
+    ot,
+    random_polynomial,
+    subtree_derivation_by_recursion,
+    tree_operator_by_index_sum,
+    vector_covariant_differential_by_recursion,
+)
 
 
 ENV1 = DerivationEnv.from_dict({"n": 1, "E1": ["x1"], "E2": ["x1^2"]})
@@ -129,7 +138,45 @@ def test_flat_action_reduces_to_tree_operator():
     for degree in range(4):
         for tree in ordered_labeled_trees(degree, ("E1", "E2")):
             f = random_polynomial(rng, 2, 3)
-            assert flat_action_matches_tree_operator(tree, env, f), tree.encode()
+            flat = apply_connection_operator(tree, env, Connection.flat(2), f)
+            assert flat == tree_operator_by_index_sum(tree, env, f), tree.encode()
+
+
+def test_curved_action_matches_recursive_oracle():
+    # every ordered labeled tree of degree <= 3 over {E1, E2}, for n = 1, 2
+    rng = random.Random(43)
+    for n in (1, 2):
+        conn = _random_connection(rng, n)
+        env = DerivationEnv(n, {s: _random_derivation(rng, n) for s in ("E1", "E2")})
+        for degree in range(4):
+            for tree in ordered_labeled_trees(degree, ("E1", "E2")):
+                f = random_polynomial(rng, n, 3)
+                expected = connection_action_by_recursion(tree, env, conn, f)
+                assert apply_connection_operator(tree, env, conn, f) == expected, (n, tree.encode())
+                for sub in tree.children:
+                    assert subtree_derivation(sub, env, conn) == subtree_derivation_by_recursion(
+                        sub, env, conn
+                    ), (n, sub.encode())
+
+
+def test_covariant_differentials_match_recursive_oracles():
+    rng = random.Random(47)
+    for n in (1, 2, 3):
+        conn = _random_connection(rng, n)
+        for m in range(4):
+            field = _random_derivation(rng, n)
+            fields = [_random_derivation(rng, n) for _ in range(m)]
+            f = random_polynomial(rng, n, 3)
+            assert covariant_differential(f, fields, conn) == covariant_differential_by_recursion(
+                f, fields, conn
+            ), (n, m)
+            assert vector_covariant_differential(
+                field, fields, conn
+            ) == vector_covariant_differential_by_recursion(field, fields, conn), (n, m)
+        lower, upper = _random_derivation(rng, n), _random_derivation(rng, n)
+        assert covariant_derivative(conn, lower, upper) == covariant_derivative_by_formula(
+            conn, lower, upper
+        )
 
 
 def test_module_law_flat_connection():

@@ -20,7 +20,7 @@ from hopftrees import (
     verify_composition,
     word_to_trees,
 )
-from helpers import lc, random_polynomial, t
+from helpers import lc, random_polynomial, t, tree_operator_by_index_sum
 
 
 ENV1 = DerivationEnv.from_dict({"n": 1, "E1": ["x1"], "E2": ["x1^2"]})
@@ -108,6 +108,26 @@ def test_tree_operator_sibling_value_and_composition_split():
 def test_tree_operator_rejects_unknown_labels():
     with pytest.raises(KeyError):
         apply_tree_operator(t("(;(E9))"), ENV1, CUBE)
+
+
+def test_unknown_label_error_names_the_preorder_node():
+    with pytest.raises(KeyError, match="unknown derivation symbol 'E9' at node 3"):
+        apply_tree_operator(t("(;(E1;(E2))(E9))"), ENV1, CUBE)
+
+
+def test_tree_operator_matches_index_sum_oracle():
+    # every labeled tree of degree <= 4 over {E1, E2}, for n = 1, 2, 3
+    rng = random.Random(41)
+    for n in (1, 2, 3):
+        env = DerivationEnv(n, {
+            s: Derivation(tuple(random_polynomial(rng, n, 2) for _ in range(n)))
+            for s in ("E1", "E2")
+        })
+        for degree in range(5):
+            for tree in labeled_trees(degree, ("E1", "E2")):
+                f = random_polynomial(rng, n, 4)
+                expected = tree_operator_by_index_sum(tree, env, f)
+                assert apply_tree_operator(tree, env, f) == expected, (n, tree.encode())
 
 
 def test_word_to_trees_generator():
