@@ -21,6 +21,23 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, runtime
 Scalar = Fraction | int
 """Anything accepted where a coefficient is expected."""
 
+MAX_TERMS = 250_000
+"""Most terms one enumeration may generate before they merge.
+
+Products and coproducts predict their raw term count (the multiset
+placements of a grafting product, 2^r root splits, C(a+b, a) interleavings,
+(n+1)^r heap-product assignments) and refuse to start above this, so an
+oversized job fails at once instead of running for hours.  At the limit a
+shuffle product holds about 150 MB and takes a few seconds; the tests, demos
+and benchmark stay below 20,000.
+"""
+
+
+def check_budget(count: int, what: str) -> None:
+    """Raise ``ValueError`` if an enumeration of ``count`` terms is over :data:`MAX_TERMS`."""
+    if count > MAX_TERMS:
+        raise ValueError(f"{what} would enumerate {count} terms, more than the limit of {MAX_TERMS}")
+
 
 class ParseError(ValueError):
     """Malformed textual input, annotated with the offending position."""
@@ -179,12 +196,20 @@ class LinearCombination:
         return f"LinearCombination({self.render()})"
 
 
+def _sum_scaled(pieces: Iterable[tuple[Scalar, LinearCombination]]) -> LinearCombination:
+    """``sum c * combo`` accumulated in one dict, zero coefficients purged."""
+    out: dict[Any, Fraction] = {}
+    for scale, combo in pieces:
+        for basis, coeff in combo._terms.items():
+            out[basis] = out.get(basis, 0) + scale * coeff
+    result = LinearCombination.zero()
+    result._terms = {basis: coeff for basis, coeff in out.items() if coeff}
+    return result
+
+
 def extend_linear(fn: Callable[[Any], LinearCombination], combo: LinearCombination) -> LinearCombination:
     """Apply a basis-level map to a combination by linearity."""
-    out = LinearCombination.zero()
-    for basis, coeff in combo:
-        out = out + coeff * fn(basis)
-    return out
+    return _sum_scaled((coeff, fn(basis)) for basis, coeff in combo)
 
 
 def extend_bilinear(
@@ -193,11 +218,7 @@ def extend_bilinear(
     b: LinearCombination,
 ) -> LinearCombination:
     """Apply a basis-level binary map to two combinations bilinearly."""
-    out = LinearCombination.zero()
-    for x, cx in a:
-        for y, cy in b:
-            out = out + (cx * cy) * fn(x, y)
-    return out
+    return _sum_scaled((cx * cy, fn(x, y)) for x, cx in a for y, cy in b)
 
 
 def tensor(a: LinearCombination, b: LinearCombination) -> LinearCombination:

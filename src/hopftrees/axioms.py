@@ -25,7 +25,16 @@ class GradedBialgebra(Protocol):
     def counit(self, element: Any) -> Fraction: ...
 
 
-@functools.lru_cache(maxsize=None)
+ANTIPODE_CACHE_SIZE = 1024
+"""Most (algebra, element) antipodes :func:`graded_antipode` keeps.
+
+The cache is shared by every algebra in the process, so it is bounded; the
+least recently used entries go first.  The axiom sweeps of every algebra at
+the degrees the tests use need fewer than 200 entries.
+"""
+
+
+@functools.lru_cache(maxsize=ANTIPODE_CACHE_SIZE)
 def graded_antipode(alg: Any, element: Any) -> LinearCombination:
     """Antipode by the recursion available in any graded connected bialgebra.
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LinearCombination, TensorPair, tensor
+from .algebra import LinearCombination, TensorPair, extend_bilinear, tensor
 from .axioms import AxiomCheck, VerificationReport
 from .trees import Forest, Tree, canonicalize, rooted_trees, strip_root
 
@@ -135,14 +135,12 @@ def _tree_coproduct(t: Tree) -> LinearCombination:
 
 
 def _pairwise_union(a: LinearCombination, b: LinearCombination) -> LinearCombination:
-    out = LinearCombination.zero()
-    for x, cx in a:
-        for y, cy in b:
-            pair = TensorPair(
-                monomial_product(x.left, y.left), monomial_product(x.right, y.right)
-            )
-            out = out + LinearCombination.single(pair, cx * cy)
-    return out
+    def union(x: TensorPair, y: TensorPair) -> LinearCombination:
+        return LinearCombination.single(
+            TensorPair(monomial_product(x.left, y.left), monomial_product(x.right, y.right))
+        )
+
+    return extend_bilinear(union, a, b)
 
 
 def _check_unlabeled(trees) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import axioms
-from .algebra import LinearCombination, TensorPair
+from .algebra import LinearCombination, TensorPair, check_budget
 from .trees import (
     Forest,
     Tree,
@@ -93,6 +93,7 @@ class TreeHopfAlgebra:
         """Split the root's children over all position subsets; cocommutative."""
         self._check_member(t)
         children = t.children
+        check_budget(2 ** len(children), "root split")
         terms: list[tuple[TensorPair, int]] = []
         for mask in range(1 << len(children)):
             kept = tuple(c for i, c in enumerate(children) if mask >> i & 1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import axioms
-from .algebra import LinearCombination, ParseError, TensorPair
+from .algebra import LinearCombination, ParseError, TensorPair, check_budget
 from .trees import Tree, canonicalize, is_standard_heap_tree
 
 
@@ -132,6 +132,7 @@ def heap_product(s: CyclePermutation, t: CyclePermutation) -> LinearCombination:
         raise ValueError("heap product expects permutations of {1..n}")
     n = t.size
     shifted = shift(s, n).cycles  # heads strictly decreasing
+    check_budget((n + 1) ** len(shifted), "heap product")
     letters = [
         (ci, pi) for ci, cycle in enumerate(t.cycles) for pi in range(len(cycle))
     ]

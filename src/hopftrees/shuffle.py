@@ -10,10 +10,11 @@ number of words of a given total degree is computed by a small recurrence.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LinearCombination, ParseError, TensorPair
+from .algebra import LinearCombination, ParseError, TensorPair, check_budget
 from . import axioms
 
 
@@ -39,6 +40,7 @@ EMPTY_WORD = Word()
 def shuffle_product(u: Word, v: Word) -> LinearCombination:
     """Sum over all ``C(|u|+|v|, |u|)`` interleavings preserving both orders."""
     total = len(u) + len(v)
+    check_budget(math.comb(total, len(u)), "shuffle product")
     out: list[tuple[Word, int]] = []
     for u_slots in itertools.combinations(range(total), len(u)):
         letters: list[str | None] = [None] * total

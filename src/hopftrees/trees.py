@@ -14,10 +14,11 @@ is ``(E1)``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import attrgetter
 
-from .algebra import LinearCombination, ParseError
+from .algebra import LinearCombination, ParseError, check_budget
 
 Label = str | int | None
 
@@ -29,27 +30,74 @@ HEAP_DEGREE_CAP = 6
 # 330 deep already ends in RecursionError.
 MAX_TREE_DEPTH = 300
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class Tree:
-    """A finite rooted tree. Immutable; use :func:`canonicalize` after surgery."""
+    """A finite rooted tree. Immutable; use :func:`canonicalize` after surgery.
 
-    label: Label = None
-    children: tuple["Tree", ...] = ()
-    ordered: bool = False
+    Each tree computes its derived facts once and keeps them: the node count
+    at construction, the encoding on first use (the hash is the encoding's,
+    which Python keeps on the string), and its canonical form once
+    :func:`canonicalize` has seen it.  Trees are equal when they have the same
+    flavor and the same encoding.
+    """
+
+    __slots__ = ("label", "children", "ordered", "_size", "_code", "_canon")
+
+    def __init__(self, label: Label = None, children: tuple["Tree", ...] = (), ordered: bool = False):
+        _set(self, "label", label)
+        _set(self, "children", children)
+        _set(self, "ordered", ordered)
+        _set(self, "_size", 1 + sum([c._size for c in children]))
+        _set(self, "_code", None)
+        _set(self, "_canon", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Tree is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Tree is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Tree, (self.label, self.children, self.ordered)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return self.ordered == other.ordered and (self._code or self.encode()) == (
+            other._code or other.encode()
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._code or self.encode())
+
+    def __repr__(self) -> str:
+        return f"Tree({self.encode()!r}, ordered={self.ordered})"
 
     def encode(self) -> str:
-        head = "" if self.label is None else str(self.label)
-        if not self.children:
-            return f"({head})"
-        return f"({head};" + "".join(c.encode() for c in self.children) + ")"
+        if self._code is None:
+            # Post-order without recursion: products can be deeper than the
+            # parser's limit.  A node with an encoding has encoded descendants.
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                pending = [c for c in node.children if c._code is None]
+                if pending:
+                    stack.extend(pending)
+                else:
+                    stack.pop()
+                    _set(node, "_code", _join(node.label, node.children))
+        return self._code
 
     def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
+        return self._size
 
     def degree(self) -> int:
         """Number of non-root nodes."""
-        return self.node_count() - 1
+        return self._size - 1
 
     def labels(self) -> list[Label]:
         """Labels of all nodes in preorder (root first)."""
@@ -63,6 +111,25 @@ class Tree:
 
     def __str__(self) -> str:
         return self.encode()
+
+
+_code = attrgetter("_code")
+
+
+def _join(label: Label, children) -> str:
+    """Encoding of a node from its children's (already computed) encodings."""
+    head = "" if label is None else str(label)
+    if not children:
+        return f"({head})"
+    return f"({head};" + "".join([c._code for c in children]) + ")"
+
+
+def _canonical_node(label: Label, children: tuple[Tree, ...], ordered: bool) -> Tree:
+    """A node over encoded canonical children, in order, marked canonical."""
+    node = Tree(label, children, ordered)
+    _set(node, "_code", _join(label, children))
+    _set(node, "_canon", node)
+    return node
 
 
 @dataclass(frozen=True)
@@ -93,11 +160,23 @@ class Forest:
 
 
 def canonicalize(t: Tree) -> Tree:
-    """Sort unordered children recursively by encoding; identity on ordered trees."""
+    """Sort unordered children recursively by encoding; identity on ordered trees.
+
+    The result is recorded on ``t`` and marked canonical, so a second call on
+    either tree is a lookup.
+    """
     if t.ordered:
         return t
-    fixed = sorted((canonicalize(c) for c in t.children), key=Tree.encode)
-    return Tree(t.label, tuple(fixed), False)
+    if t._canon is not None:
+        return t._canon
+    children = tuple(sorted(map(canonicalize, t.children), key=Tree.encode))
+    if all(a is b for a, b in zip(children, t.children)):
+        _set(t, "_code", t._code or _join(t.label, children))
+        _set(t, "_canon", t)
+        return t
+    result = _canonical_node(t.label, children, False)
+    _set(t, "_canon", result)
+    return result
 
 
 def strip_root(t: Tree) -> Forest:
@@ -115,38 +194,96 @@ def _check_same_flavor(f: Forest, t: Tree) -> None:
         raise ValueError("forest and target tree have different ordered/unordered flavor")
 
 
-def _graft(t: Tree, index: int, placement: dict[int, list[Tree]]) -> tuple[Tree, int]:
-    # Rebuild t with the assigned subtrees prepended to each node's children.
-    # Nodes are indexed in preorder; returns the next free index.
-    nxt = index + 1
-    rebuilt: list[Tree] = []
-    for c in t.children:
-        nc, nxt = _graft(c, nxt, placement)
-        rebuilt.append(nc)
-    block = placement.get(index, [])
-    return Tree(t.label, tuple(block) + tuple(rebuilt), t.ordered), nxt
+def _prepared(t: Tree) -> Tree:
+    """``t`` in canonical form, with every node's encoding computed."""
+    if not (t.ordered or t._canon is t):
+        t = canonicalize(t)
+    t.encode()
+    return t
+
+
+def _preorder(t: Tree) -> tuple[list[Tree], list[list[int]], list[tuple[int, ...]]]:
+    """The nodes of ``t`` in preorder, the indices of each node's children, and
+    each node's path of indices from the root (itself last)."""
+    nodes: list[Tree] = []
+    kids: list[list[int]] = []
+    paths: list[tuple[int, ...]] = []
+    stack: list[tuple[Tree, tuple[int, ...]]] = [(t, ())]
+    while stack:
+        node, above = stack.pop()
+        path = above + (len(nodes),)
+        if above:
+            kids[above[-1]].append(path[-1])
+        nodes.append(node)
+        kids.append([])
+        paths.append(path)
+        stack.extend((c, path) for c in reversed(node.children))
+    return nodes, kids, paths
+
+
+def _graft_blocks(nodes, kids, paths, blocks: dict[int, list[Tree]], ordered: bool) -> Tree:
+    """Prepend ``blocks[i]`` to the children of preorder node ``i``.
+
+    Only the nodes on the paths from the root to the receiving nodes are
+    rebuilt; every other subtree is reused.  With canonical, encoded inputs the
+    result is canonical and marked so.
+    """
+    touched: set[int] = set()
+    for i in blocks:
+        touched.update(paths[i])
+    rebuilt: dict[int, Tree] = {}
+    for i in sorted(touched, reverse=True):  # children before their parents
+        children = blocks.get(i, []) + [rebuilt.get(c, nodes[c]) for c in kids[i]]
+        if not ordered:
+            children.sort(key=_code)
+        rebuilt[i] = _canonical_node(nodes[i].label, tuple(children), ordered)
+    return rebuilt.get(0, nodes[0])
+
+
+def _multinomial(combo: tuple[int, ...]) -> int:
+    """Ways to deal ``len(combo)`` equal members onto the sorted nodes ``combo``."""
+    weight = math.factorial(len(combo))
+    for _, group in itertools.groupby(combo):
+        weight //= math.factorial(len(list(group)))
+    return weight
 
 
 def attach_all(f: Forest, t: Tree) -> LinearCombination:
     """Sum over all ways of attaching each forest member below a node of ``t``.
 
-    Each of the ``r`` members independently picks one of the ``n+1`` nodes of
-    ``t``, giving ``(n+1)^r`` summands counted with multiplicity.  For ordered
-    trees a member becomes the leftmost child of its node; members sharing a
-    node form a block in forest order.  (Per-slot insertion would break
+    Each of the ``r`` members picks one of the ``n+1`` nodes of ``t``, so the
+    sum has ``(n+1)^r`` summands counted with multiplicity.  For ordered trees
+    a member becomes the leftmost child of its node; members sharing a node
+    form a block in forest order.  (Per-slot insertion would break
     associativity of the grafting product.)
+
+    Equal members that stand next to each other (in an unordered forest, which
+    is sorted, all equal members do) are placed together: a run of ``k``
+    copies goes to a multiset of ``k`` nodes, weighted by the multinomial
+    ``k!/prod(m_i!)`` over the copies ``m_i`` each node gets.  That enumerates
+    ``prod C(n+k, k)`` placements instead of ``(n+1)^r``.  Each placement
+    rebuilds only the paths from the root to the nodes that receive members.
     """
     _check_same_flavor(f, t)
-    members = f.trees
-    n_nodes = t.node_count()
-    out: dict[Tree, Fraction] = {}
-    for assignment in itertools.product(range(n_nodes), repeat=len(members)):
-        placement: dict[int, list[Tree]] = {}
-        for member, node in zip(members, assignment):
-            placement.setdefault(node, []).append(member)
-        grafted, _ = _graft(t, 0, placement)
-        key = canonicalize(grafted)
-        out[key] = out.get(key, Fraction(0)) + 1
+    nodes, kids, paths = _preorder(_prepared(t))
+    runs = [(m, len(list(g))) for m, g in itertools.groupby(map(_prepared, f.trees))]
+    size = len(nodes)
+    check_budget(math.prod(math.comb(size + k - 1, k) for _, k in runs), "grafting product")
+    choices = [
+        [(member, combo, _multinomial(combo))
+         for combo in itertools.combinations_with_replacement(range(size), k)]
+        for member, k in runs
+    ]
+    out: dict[Tree, int] = {}
+    for placement in itertools.product(*choices):
+        blocks: dict[int, list[Tree]] = {}
+        weight = 1
+        for member, combo, ways in placement:
+            weight *= ways
+            for i in combo:
+                blocks.setdefault(i, []).append(member)
+        key = canonicalize(_graft_blocks(nodes, kids, paths, blocks, t.ordered))
+        out[key] = out.get(key, 0) + weight
     return LinearCombination(out)
 
 
@@ -296,13 +433,14 @@ def heap_ordered_trees(degree: int, cap: int | None = None) -> list[Tree]:
     count is ``n!``.
     """
     _check_degree(degree, cap, HEAP_DEGREE_CAP)
-    trees = [Tree()]
+    trees = [canonicalize(Tree())]
     for k in range(1, degree + 1):
+        leaf = canonicalize(Tree(label=k))
         grown: list[Tree] = []
         for t in trees:
-            for node in range(t.node_count()):
-                grafted, _ = _graft(t, 0, {node: [Tree(label=k)]})
-                grown.append(canonicalize(grafted))
+            nodes, kids, paths = _preorder(t)
+            for i in range(len(nodes)):
+                grown.append(_graft_blocks(nodes, kids, paths, {i: [leaf]}, False))
         trees = grown
     return trees
 

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms: tree
 isomorphism classes are counted through parent arrays and nested tuples,
-automorphism counts through plane-representation counting, and cuts through
-edge-subset filtering.  Trees act on polynomials here through the two
+grafting products through every one of the (n+1)^r assignments, automorphism
+counts through plane-representation counting, and cuts through edge-subset
+filtering.  Trees act on polynomials here through the two
 textbook definitions the library replaces by one contraction: the flat sum
 over all index assignments of a tree's nodes, and the recursive m-th
 covariant differentials of a connection.
@@ -16,7 +17,7 @@ import math
 import random
 from fractions import Fraction
 
-from hopftrees import Derivation, LinearCombination, Polynomial, Tree, parse_tree
+from hopftrees import Derivation, Forest, LinearCombination, Polynomial, Tree, parse_tree
 
 
 def t(text: str) -> Tree:
@@ -40,6 +41,42 @@ def random_polynomial(rng: random.Random, num_vars: int, max_degree: int) -> Pol
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + coeff
     return Polynomial(num_vars, terms)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the grafting sum over all (n+1)^r assignments
+
+
+def canonical_by_sorting(tree: Tree) -> Tree:
+    """A fresh copy with unordered children sorted by encoding at every level."""
+    children = tuple(canonical_by_sorting(c) for c in tree.children)
+    if not tree.ordered:
+        children = tuple(sorted(children, key=Tree.encode))
+    return Tree(tree.label, children, tree.ordered)
+
+
+def attach_all_by_assignments(forest: Forest, target: Tree) -> LinearCombination:
+    """Each member independently picks a node of ``target`` (nodes in preorder);
+    members sharing a node go in front of its children in forest order."""
+
+    def graft(node: Tree, index: int, placement) -> tuple[Tree, int]:
+        nxt = index + 1
+        rebuilt = []
+        for child in node.children:
+            new_child, nxt = graft(child, nxt, placement)
+            rebuilt.append(new_child)
+        block = tuple(placement.get(index, ()))
+        return Tree(node.label, block + tuple(rebuilt), node.ordered), nxt
+
+    out: dict[Tree, int] = {}
+    nodes = target.node_count()
+    for assignment in itertools.product(range(nodes), repeat=len(forest.trees)):
+        placement: dict[int, list[Tree]] = {}
+        for member, node in zip(forest.trees, assignment):
+            placement.setdefault(node, []).append(member)
+        key = canonical_by_sorting(graft(target, 0, placement)[0])
+        out[key] = out.get(key, 0) + 1
+    return LinearCombination(out)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hopftrees.algebra import MAX_TERMS
 from hopftrees.cli import main
 from hopftrees.trees import MAX_TREE_DEPTH
 
@@ -236,3 +237,26 @@ def test_too_deep_chain_is_a_parse_error(depth):
     assert_clean_error(result)
     position = 2 * (MAX_TREE_DEPTH + 1)
     assert f"nested deeper than {MAX_TREE_DEPTH} levels at position {position}" in result.stderr
+
+
+def test_cut_coproduct_of_the_deepest_accepted_chain():
+    # 301 admissible cuts (the empty cut and one per edge) plus t (x) 1
+    result = run_module("ck", "coprod", "--format", "json", "-", stdin=chain(MAX_TREE_DEPTH))
+    assert result.returncode == 0, result.stderr
+    assert len(json.loads(result.stdout)["terms"]) == MAX_TREE_DEPTH + 2
+
+
+COROLLA_12 = "(;" + "()" * 12 + ")"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gl", "mul", COROLLA_12, COROLLA_12],  # C(24, 12) multiset placements
+        ["shuffle", "mul", ".".join("abcdefghijkl"), ".".join("mnopqrstuvwx")],  # C(24, 12)
+    ],
+)
+def test_over_budget_enumeration_is_refused(argv):
+    result = run_module(*argv)
+    assert_clean_error(result)
+    assert f"more than the limit of {MAX_TERMS}" in result.stderr

@@ -8,16 +8,24 @@ from hopftrees import (
     HEAP_ORDERED,
     ORDERED,
     ROOTED,
+    CyclePermutation,
     LinearCombination,
+    ShuffleHopfAlgebra,
     TensorPair,
+    Word,
     extend_bilinear,
     extend_linear,
+    graded_antipode,
+    heap_product,
     labeled_algebra,
     ordered_trees,
     rooted_trees,
+    shuffle_product,
     tensor,
     word_count,
 )
+from hopftrees.algebra import MAX_TERMS, check_budget
+from hopftrees.axioms import ANTIPODE_CACHE_SIZE
 from helpers import lc, ot, t
 
 
@@ -200,3 +208,35 @@ def test_graded_dimension_duality_with_words():
                 alphabet.append((tree.encode(), degree))
     for degree in range(6):
         assert word_count(alphabet, degree) == len(ordered_trees(degree))
+
+
+def test_antipode_cache_stays_within_its_bound():
+    alg = ShuffleHopfAlgebra(tuple(f"a{i}" for i in range(ANTIPODE_CACHE_SIZE + 50)))
+    assert graded_antipode.cache_info().maxsize == ANTIPODE_CACHE_SIZE
+    for letter in alg.letters:
+        word = Word((letter,))
+        assert graded_antipode(alg, word) == lc((word, -1))
+        assert graded_antipode.cache_info().currsize <= ANTIPODE_CACHE_SIZE
+    assert graded_antipode.cache_info().currsize == ANTIPODE_CACHE_SIZE
+    graded_antipode.cache_clear()  # drop the filler words
+
+
+def test_budget_boundary():
+    check_budget(MAX_TERMS, "test")
+    with pytest.raises(ValueError, match=f"more than the limit of {MAX_TERMS}"):
+        check_budget(MAX_TERMS + 1, "test")
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        # C(24, 12) multiset placements of twelve equal leaves on 13 nodes
+        lambda: ROOTED.product(t("(;" + "()" * 12 + ")"), t("(;" + "()" * 12 + ")")),
+        lambda: ROOTED.coproduct(t("(;" + "()" * 18 + ")")),  # 2^18 root splits
+        lambda: shuffle_product(Word(tuple("abcdefghijkl")), Word(tuple("mnopqrstuvwx"))),
+        lambda: heap_product(CyclePermutation.identity(7), CyclePermutation.identity(5)),  # 6^7
+    ],
+)
+def test_over_budget_enumerations_are_refused(job):
+    with pytest.raises(ValueError, match="more than the limit"):
+        job()

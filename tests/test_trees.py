@@ -1,8 +1,10 @@
 """Tree surgery, canonical forms, and exhaustive enumeration."""
 
+import itertools
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hopftrees import (
     Forest,
@@ -18,9 +20,17 @@ from hopftrees import (
     parse_forest,
     parse_tree,
     rooted_trees,
+    shift_labels,
     strip_root,
 )
-from helpers import count_rooted_shapes_by_parent_arrays, lc, ot, t
+from helpers import (
+    attach_all_by_assignments,
+    canonical_by_sorting,
+    count_rooted_shapes_by_parent_arrays,
+    lc,
+    ot,
+    t,
+)
 
 
 LEAF = t("()")
@@ -147,3 +157,120 @@ def test_forest_parsing():
     assert parse_forest("1") == Forest()
     assert parse_forest("()*(;())") == Forest((LEAF, CHAIN2))
     assert parse_forest("(;())*()") == Forest((LEAF, CHAIN2))  # canonical sort
+
+
+# ---------------------------------------------------------------------------
+# grafting against the (n+1)^r assignment oracle
+
+
+@pytest.mark.parametrize(
+    "flavor, basis",
+    [
+        ("rooted", [x for d in range(5) for x in rooted_trees(d)]),
+        ("ordered", [x for d in range(4) for x in ordered_trees(d)]),
+        ("labeled", [x for d in range(4) for x in labeled_trees(d, ("E1", "E2"))]),
+        ("heap", [x for d in range(4) for x in heap_ordered_trees(d)]),
+    ],
+)
+def test_attach_all_matches_assignment_oracle(flavor, basis):
+    for a, b in itertools.product(basis, repeat=2):
+        members = strip_root(a).trees
+        if flavor == "heap":
+            members = tuple(shift_labels(s, b.degree()) for s in members)
+        forest = Forest(members)
+        assert attach_all(forest, b) == attach_all_by_assignments(forest, b), (a, b)
+
+
+def test_attach_all_ordered_forest_with_non_adjacent_equal_members():
+    x, y = ot("(;())"), ot("()")
+    for target in (ot("()"), ot("(;())"), ot("(;()(;()))"), ot("(;(;())())")):
+        for members in ((x, y, x), (y, x, y, x), (x, x, y)):
+            forest = Forest(members)
+            result = attach_all(forest, target)
+            assert result == attach_all_by_assignments(forest, target)
+            assert result.total_multiplicity() == target.node_count() ** len(members)
+
+
+def test_attach_all_non_canonical_inputs():
+    unsorted_v = Tree(None, (V, LEAF))  # canonical order is (LEAF, V)
+    assert canonicalize(unsorted_v) != unsorted_v
+    targets = (unsorted_v, Tree(None, (unsorted_v, CHAIN2, LEAF)))
+    forests = (
+        Forest((CHAIN2, LEAF, CHAIN2)),  # unsorted, equal members apart
+        Forest((unsorted_v, LEAF, unsorted_v)),
+        Forest((LEAF, LEAF, unsorted_v)),
+    )
+    for target in targets:
+        for forest in forests:
+            assert attach_all(forest, target) == attach_all_by_assignments(forest, target)
+
+
+def test_attach_all_reuses_untouched_subtrees():
+    target = t("(;(;()())(;(;())))")
+    result = attach_all(Forest((LEAF,)), target)
+    untouched = set(map(id, target.children))
+    for tree, _ in result:
+        assert any(id(c) in untouched for c in tree.children)
+
+
+# ---------------------------------------------------------------------------
+# cached encodings, equality, hashing and canonical forms
+
+LABELS = st.sampled_from([None, None, "E1", "E2", 1, 2])
+
+
+def random_trees(ordered: bool):
+    return st.recursive(
+        st.builds(lambda label: Tree(label, (), ordered), LABELS),
+        lambda kids: st.builds(
+            lambda label, cs: Tree(label, tuple(cs), ordered), LABELS, st.lists(kids, max_size=3)
+        ),
+        max_leaves=10,
+    )
+
+
+def _reversed_copy(tree: Tree) -> Tree:
+    return Tree(tree.label, tuple(_reversed_copy(c) for c in reversed(tree.children)), tree.ordered)
+
+
+@given(random_trees(False), random_trees(False))
+def test_equal_trees_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+    mirror = _reversed_copy(a)
+    assert canonicalize(mirror) == canonicalize(a)
+    assert hash(canonicalize(mirror)) == hash(canonicalize(a))
+    assert (mirror == a) == (mirror.encode() == a.encode())
+
+
+@given(random_trees(False))
+def test_canonicalize_is_idempotent_and_marks_its_result(tree):
+    fixed = canonicalize(tree)
+    assert canonicalize(fixed) is fixed
+    assert canonicalize(tree) is fixed
+    assert fixed == canonical_by_sorting(tree)
+    assert fixed.node_count() == tree.node_count()
+
+
+@given(random_trees(False))
+def test_parse_encode_round_trip_unordered(tree):
+    fixed = canonicalize(tree)
+    assert parse_tree(fixed.encode()) == fixed
+    assert parse_tree(tree.encode()) == fixed
+
+
+@given(random_trees(True))
+def test_parse_encode_round_trip_ordered(tree):
+    assert parse_tree(tree.encode(), ordered=True) == tree
+    assert canonicalize(tree) is tree
+
+
+def test_flavors_with_the_same_text_are_unequal():
+    assert Tree() != Tree(ordered=True)
+    assert ot("(;()(;()))") != t("(;()(;()))")
+    assert ot("(;()(;()))").encode() == t("(;()(;()))").encode()
+
+
+def test_trees_are_immutable():
+    with pytest.raises(AttributeError):
+        LEAF.label = "E1"
