@@ -2,8 +2,11 @@
 
 Every algebraic object in this library is either a basis element (a tree, a
 forest, a word, a permutation, a tensor pair of those) or a
-:class:`LinearCombination` of basis elements.  Coefficients are always
-``fractions.Fraction``; nothing in the library ever touches floating point.
+:class:`LinearCombination` of basis elements.  Coefficients are exact: an
+``int`` stays an ``int`` (every structure constant of the Hopf algebras here
+is one), and anything else becomes a ``fractions.Fraction``, so a coefficient
+turns rational only where a division happens.  Nothing in the library ever
+touches floating point.
 
 A basis element must be immutable, hashable, and expose ``encode() -> str``
 returning its canonical text form.  Two basis elements are equal exactly when
@@ -13,9 +16,8 @@ results are deterministic across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
 
 
 Scalar = Fraction | int
@@ -60,12 +62,49 @@ class BasisElement(Protocol):
     def encode(self) -> str: ...
 
 
-@dataclass(frozen=True)
-class TensorPair:
-    """A pure tensor ``left (x) right`` of two basis elements."""
+_set = object.__setattr__
 
-    left: Any
-    right: Any
+
+def _exact(coeff: Scalar) -> Scalar:
+    """``coeff`` itself when it is an ``int``, else as a ``Fraction``."""
+    return coeff if type(coeff) is int else Fraction(coeff)
+
+
+class TensorPair:
+    """A pure tensor ``left (x) right`` of two basis elements.
+
+    Immutable; the hash is computed once at construction, because tensor
+    pairs are dictionary keys in every coproduct and nest in iterated ones.
+    """
+
+    __slots__ = ("left", "right", "_hash")
+
+    def __init__(self, left: Any, right: Any):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((left, right)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TensorPair is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TensorPair is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return TensorPair, (self.left, self.right)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, TensorPair):
+            return NotImplemented
+        return self._hash == other._hash and self.left == other.left and self.right == other.right
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"TensorPair({self.left!r}, {self.right!r})"
 
     def encode(self) -> str:
         return f"{self.left.encode()} (x) {self.right.encode()}"
@@ -75,7 +114,7 @@ class TensorPair:
 
 
 class LinearCombination:
-    """A finite formal sum ``sum_i c_i * b_i`` with nonzero Fraction coefficients.
+    """A finite formal sum ``sum_i c_i * b_i`` with nonzero exact coefficients.
 
     Immutable.  Supports ``+``, ``-``, unary ``-`` and multiplication by a
     scalar on either side.  Zero coefficients are purged on construction.
@@ -83,11 +122,11 @@ class LinearCombination:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Any, Scalar] | Iterable[tuple[Any, Scalar]] = ()):
-        data: dict[Any, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: dict[Any, Scalar] | Iterable[tuple[Any, Scalar]] = ()):
+        data: dict[Any, Scalar] = {}
+        items = terms.items() if isinstance(terms, dict) else terms
         for basis, coeff in items:
-            c = Fraction(coeff)
+            c = _exact(coeff)
             if not c:
                 continue
             c += data.get(basis, 0)
@@ -105,11 +144,11 @@ class LinearCombination:
     def single(cls, basis: Any, coeff: Scalar = 1) -> "LinearCombination":
         return cls(((basis, coeff),))
 
-    def terms(self) -> list[tuple[Any, Fraction]]:
+    def terms(self) -> list[tuple[Any, Scalar]]:
         """Terms sorted by the basis elements' canonical encodings."""
         return sorted(self._terms.items(), key=lambda item: item[0].encode())
 
-    def __iter__(self) -> Iterator[tuple[Any, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Any, Scalar]]:
         """Terms in no particular order; use :meth:`terms` for the sorted list."""
         return iter(self._terms.items())
 
@@ -119,17 +158,17 @@ class LinearCombination:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def coefficient(self, basis: Any) -> Fraction:
-        return self._terms.get(basis, Fraction(0))
+    def coefficient(self, basis: Any) -> Scalar:
+        return self._terms.get(basis, 0)
 
-    def total_multiplicity(self) -> Fraction:
+    def total_multiplicity(self) -> Scalar:
         """Sum of the absolute values of all coefficients.
 
         For combinations produced by counting constructions (all coefficients
         positive integers) this is the raw number of generated terms before
         merging.
         """
-        return sum((abs(c) for c in self._terms.values()), Fraction(0))
+        return sum(abs(c) for c in self._terms.values())
 
     def map_basis(self, fn: Callable[[Any], Any]) -> "LinearCombination":
         """Relabel basis elements through ``fn`` (coefficients merge)."""
@@ -156,7 +195,7 @@ class LinearCombination:
         return (-1) * self
 
     def __rmul__(self, scalar: Scalar) -> "LinearCombination":
-        c = Fraction(scalar)
+        c = _exact(scalar)
         if not c:
             return LinearCombination.zero()
         result = LinearCombination.zero()
@@ -198,7 +237,7 @@ class LinearCombination:
 
 def _sum_scaled(pieces: Iterable[tuple[Scalar, LinearCombination]]) -> LinearCombination:
     """``sum c * combo`` accumulated in one dict, zero coefficients purged."""
-    out: dict[Any, Fraction] = {}
+    out: dict[Any, Scalar] = {}
     for scale, combo in pieces:
         for basis, coeff in combo._terms.items():
             out[basis] = out.get(basis, 0) + scale * coeff
@@ -226,7 +265,7 @@ def tensor(a: LinearCombination, b: LinearCombination) -> LinearCombination:
     return extend_bilinear(lambda x, y: LinearCombination.single(TensorPair(x, y)), a, b)
 
 
-def format_fraction(value: Fraction) -> str:
+def format_fraction(value: Scalar) -> str:
     """``p/q`` with the ``/q`` omitted for integers."""
     value = Fraction(value)
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"

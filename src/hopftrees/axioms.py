@@ -4,16 +4,29 @@ Every Hopf algebra in this library (trees of any flavor, words, permutations)
 is graded with a one-dimensional degree-0 part, so a single antipode recursion
 and a single axiom sweep work for all of them.  The sweep reports what it
 checked; failures are data, not exceptions.
+
+A sweep asks for the same products, coproducts and antipodes many times over
+(a degree-4 sweep of rooted trees makes over a thousand product calls on fewer
+than a hundred distinct pairs), so it reads the algebra through a
+:class:`_SweepMemo`: plain dicts keyed by basis elements, created for one
+:func:`verify_hopf_axioms` call and dropped when it returns.  Nothing the
+sweep computes outlives it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
-from .algebra import LinearCombination, TensorPair, extend_bilinear, extend_linear, tensor
+from .algebra import (
+    LinearCombination,
+    TensorPair,
+    _sum_scaled,
+    extend_bilinear,
+    extend_linear,
+    tensor,
+)
 
 
 class GradedBialgebra(Protocol):
@@ -22,36 +35,82 @@ class GradedBialgebra(Protocol):
     def basis(self, degree: int) -> list[Any]: ...
     def product(self, a: Any, b: Any) -> LinearCombination: ...
     def coproduct(self, element: Any) -> LinearCombination: ...
-    def counit(self, element: Any) -> Fraction: ...
+    def counit(self, element: Any) -> int: ...
 
 
 ANTIPODE_CACHE_SIZE = 1024
 """Most (algebra, element) antipodes :func:`graded_antipode` keeps.
 
 The cache is shared by every algebra in the process, so it is bounded; the
-least recently used entries go first.  The axiom sweeps of every algebra at
-the degrees the tests use need fewer than 200 entries.
+least recently used entries go first.  Axiom sweeps do not use it: they keep
+their antipodes in their own memo.
 """
 
 
-@functools.lru_cache(maxsize=ANTIPODE_CACHE_SIZE)
-def graded_antipode(alg: Any, element: Any) -> LinearCombination:
-    """Antipode by the recursion available in any graded connected bialgebra.
+def _antipode(
+    alg: GradedBialgebra, element: Any, antipode: Callable[[Any], LinearCombination]
+) -> LinearCombination:
+    """The antipode recursion, taking the antipodes of lower degrees from ``antipode``.
 
     ``S(e) = e`` and, for positive degree,
     ``S(x) = -x - sum S(x') * x''`` over the proper part of the coproduct.
     """
-    if alg.degree(element) == 0:
-        return LinearCombination.single(element)
-    out = LinearCombination.single(element, -1)
     deg = alg.degree(element)
+    if deg == 0:
+        return LinearCombination.single(element)
+    pieces = [(-1, LinearCombination.single(element))]
     for pair, coeff in alg.coproduct(element):
         left, right = pair.left, pair.right
-        if alg.degree(left) == 0 or alg.degree(left) == deg:
+        if alg.degree(left) in (0, deg):
             continue
-        for s_term, s_coeff in graded_antipode(alg, left):
-            out = out - (coeff * s_coeff) * alg.product(s_term, right)
-    return out
+        pieces.extend(
+            (-coeff * s_coeff, alg.product(s_term, right)) for s_term, s_coeff in antipode(left)
+        )
+    return _sum_scaled(pieces)
+
+
+@functools.lru_cache(maxsize=ANTIPODE_CACHE_SIZE)
+def graded_antipode(alg: Any, element: Any) -> LinearCombination:
+    """Antipode by the recursion available in any graded connected bialgebra."""
+    return _antipode(alg, element, lambda x: graded_antipode(alg, x))
+
+
+def memoize(fn: Callable) -> Callable:
+    """``fn`` with its values kept in a dict keyed by the arguments.
+
+    The dict lives exactly as long as the returned function.
+    """
+    values: dict = {}
+
+    def memoized(*args):
+        value = values.get(args)
+        if value is None:
+            value = values[args] = fn(*args)
+        return value
+
+    return memoized
+
+
+class _SweepMemo:
+    """An algebra whose products, coproducts and antipodes are each computed once.
+
+    Made for one sweep and dropped with it.  The antipode is the recursion of
+    :func:`graded_antipode`, reading its products and coproducts through the
+    memo.
+    """
+
+    def __init__(self, alg: GradedBialgebra):
+        self.unit, self.degree, self.basis = alg.unit, alg.degree, alg.basis
+        self.counit = alg.counit
+        self.product = memoize(alg.product)
+        self.coproduct = memoize(alg.coproduct)
+        self._antipodes: dict[Any, LinearCombination] = {}
+
+    def antipode(self, element: Any) -> LinearCombination:
+        value = self._antipodes.get(element)
+        if value is None:
+            value = self._antipodes[element] = _antipode(self, element, self.antipode)
+        return value
 
 
 @dataclass
@@ -93,14 +152,42 @@ def _tensor_product(alg, a: LinearCombination, b: LinearCombination) -> LinearCo
     return extend_bilinear(pairwise, a, b)
 
 
+def coassociativity_sides(
+    coproduct: Callable[[Any], LinearCombination], delta: LinearCombination
+) -> tuple[LinearCombination, LinearCombination]:
+    """``(Delta (x) id) delta`` and ``(id (x) Delta) delta``, both over ``(a (x) b) (x) c``."""
+    left = extend_linear(
+        lambda pair: coproduct(pair.left).map_basis(lambda p: TensorPair(p, pair.right)), delta
+    )
+    right = extend_linear(
+        lambda pair: coproduct(pair.right).map_basis(
+            lambda p: TensorPair(TensorPair(pair.left, p.left), p.right)
+        ),
+        delta,
+    )
+    return left, right
+
+
+def counit_sides(
+    counit: Callable[[Any], int], delta: LinearCombination
+) -> tuple[LinearCombination, LinearCombination]:
+    """``(counit (x) id) delta`` and ``(id (x) counit) delta``."""
+    left = LinearCombination((pair.right, coeff * counit(pair.left)) for pair, coeff in delta)
+    right = LinearCombination((pair.left, coeff * counit(pair.right)) for pair, coeff in delta)
+    return left, right
+
+
 def verify_hopf_axioms(alg: GradedBialgebra, max_degree: int, name: str) -> VerificationReport:
     """Exhaustively check the Hopf axioms on small basis elements.
 
     Per-element checks (counit, coassociativity, antipode) run on every basis
     element of degree <= ``max_degree``; pair and triple checks (compatibility,
     associativity) run on tuples of positive-degree elements whose degrees sum
-    to at most ``max_degree + 1``.
+    to at most ``max_degree + 1``.  Each product, coproduct and antipode is
+    computed once per call (see :class:`_SweepMemo`); the antipode is the
+    recursion of :func:`graded_antipode`.
     """
+    alg = _SweepMemo(alg)
     basis_by_degree = {d: list(alg.basis(d)) for d in range(max_degree + 1)}
     elements = [b for d in range(max_degree + 1) for b in basis_by_degree[d]]
     unit = alg.unit()
@@ -138,20 +225,7 @@ def verify_hopf_axioms(alg: GradedBialgebra, max_degree: int, name: str) -> Veri
     fails, count = [], 0
     for b in elements:
         count += 1
-        delta = alg.coproduct(b)
-        left = LinearCombination.zero()
-        for pair, coeff in delta:
-            left = left + coeff * tensor(
-                alg.coproduct(pair.left), LinearCombination.single(pair.right)
-            )
-        right = LinearCombination.zero()
-        for pair, coeff in delta:
-            inner = tensor(
-                LinearCombination.single(pair.left), alg.coproduct(pair.right)
-            )
-            right = right + coeff * inner.map_basis(
-                lambda p: TensorPair(TensorPair(p.left, p.right.left), p.right.right)
-            )
+        left, right = coassociativity_sides(alg.coproduct, alg.coproduct(b))
         if left != right:
             fails.append(b.encode())
     record("coassociativity", fails, count)
@@ -161,11 +235,7 @@ def verify_hopf_axioms(alg: GradedBialgebra, max_degree: int, name: str) -> Veri
     for b in elements:
         count += 1
         single = LinearCombination.single(b)
-        left = LinearCombination.zero()
-        right = LinearCombination.zero()
-        for pair, coeff in alg.coproduct(b):
-            left = left + (coeff * alg.counit(pair.left)) * LinearCombination.single(pair.right)
-            right = right + (coeff * alg.counit(pair.right)) * LinearCombination.single(pair.left)
+        left, right = counit_sides(alg.counit, alg.coproduct(b))
         if left != single or right != single:
             fails.append(b.encode())
     record("counit", fails, count)
@@ -187,15 +257,17 @@ def verify_hopf_axioms(alg: GradedBialgebra, max_degree: int, name: str) -> Veri
     for b in elements:
         count += 1
         target = alg.counit(b) * unit_lc
-        left = LinearCombination.zero()
-        right = LinearCombination.zero()
-        for pair, coeff in alg.coproduct(b):
-            left = left + coeff * extend_linear(
-                lambda s: alg.product(s, pair.right), graded_antipode(alg, pair.left)
-            )
-            right = right + coeff * extend_linear(
-                lambda s: alg.product(pair.left, s), graded_antipode(alg, pair.right)
-            )
+        delta = alg.coproduct(b)
+        left = _sum_scaled(
+            (coeff * s_coeff, alg.product(s, pair.right))
+            for pair, coeff in delta
+            for s, s_coeff in alg.antipode(pair.left)
+        )
+        right = _sum_scaled(
+            (coeff * s_coeff, alg.product(pair.left, s))
+            for pair, coeff in delta
+            for s, s_coeff in alg.antipode(pair.right)
+        )
         if left != target or right != target:
             fails.append(b.encode())
     record("antipode", fails, count)

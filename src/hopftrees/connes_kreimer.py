@@ -20,10 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import LinearCombination, TensorPair, extend_bilinear, tensor
-from .axioms import AxiomCheck, VerificationReport
+from .algebra import LinearCombination, TensorPair, extend_bilinear
+from .axioms import AxiomCheck, VerificationReport, coassociativity_sides, counit_sides, memoize
 from .trees import Forest, Tree, canonicalize, rooted_trees, strip_root
 
 ForestMonomial = Forest
@@ -149,8 +148,8 @@ def _check_unlabeled(trees) -> None:
             raise ValueError(f"the forest algebra takes unlabeled trees, got {t.encode()}")
 
 
-def forest_counit(m: Forest) -> Fraction:
-    return Fraction(1 if not m.trees else 0)
+def forest_counit(m: Forest) -> int:
+    return 1 if not m.trees else 0
 
 
 def symmetry_factor(t: Tree) -> int:
@@ -175,7 +174,7 @@ def forest_symmetry_factor(f: Forest) -> int:
     return factor
 
 
-def dual_pairing(t: Tree, a: Forest) -> Fraction:
+def dual_pairing(t: Tree, a: Forest) -> int:
     """Pairing of a tree against a forest monomial.
 
     Nonzero only when the root-stripped forest of ``t`` is isomorphic to ``a``,
@@ -186,8 +185,8 @@ def dual_pairing(t: Tree, a: Forest) -> Fraction:
     _check_unlabeled((t,) + a.trees)
     stripped = Forest.canonical(strip_root(canonicalize(t)).trees)
     if stripped != Forest.canonical(a.trees):
-        return Fraction(0)
-    return Fraction(forest_symmetry_factor(stripped))
+        return 0
+    return forest_symmetry_factor(stripped)
 
 
 def forest_monomials(total_nodes: int) -> list[Forest]:
@@ -216,9 +215,12 @@ def forest_monomials(total_nodes: int) -> list[Forest]:
 def verify_forest_algebra(max_degree: int) -> VerificationReport:
     """Sweep: commutativity/associativity/unit of the monomial product,
     coassociativity and counit of the cut coproduct, and the duality identity
-    against the grafting product on trees."""
+    against the grafting product on trees.  Each coproduct and pairing is
+    computed once per call."""
     from .grossman_larson import ROOTED
 
+    coproduct = memoize(forest_coproduct)
+    pairing = memoize(dual_pairing)
     report = VerificationReport("forest algebra with cut coproduct")
     monomials = [m for d in range(max_degree + 1) for m in forest_monomials(d)]
     trees_small = [t for d in range(max_degree + 1) for t in rooted_trees(d)]
@@ -260,17 +262,7 @@ def verify_forest_algebra(max_degree: int) -> VerificationReport:
     for t in trees_small:
         count += 1
         m = Forest.canonical([t])
-        delta = forest_coproduct(m)
-        left = LinearCombination.zero()
-        right = LinearCombination.zero()
-        for pair, coeff in delta:
-            left = left + coeff * tensor(
-                forest_coproduct(pair.left), LinearCombination.single(pair.right)
-            )
-            inner = tensor(LinearCombination.single(pair.left), forest_coproduct(pair.right))
-            right = right + coeff * inner.map_basis(
-                lambda p: TensorPair(TensorPair(p.left, p.right.left), p.right.right)
-            )
+        left, right = coassociativity_sides(coproduct, coproduct(m))
         if left != right:
             fails.append(m.encode())
     record("coassociativity", fails, count)
@@ -279,11 +271,7 @@ def verify_forest_algebra(max_degree: int) -> VerificationReport:
     for m in monomials:
         count += 1
         single = LinearCombination.single(m)
-        left = LinearCombination.zero()
-        right = LinearCombination.zero()
-        for pair, coeff in forest_coproduct(m):
-            left = left + (coeff * forest_counit(pair.left)) * LinearCombination.single(pair.right)
-            right = right + (coeff * forest_counit(pair.right)) * LinearCombination.single(pair.left)
+        left, right = counit_sides(forest_counit, coproduct(m))
         if left != single or right != single:
             fails.append(m.encode())
     record("counit", fails, count)
@@ -292,19 +280,13 @@ def verify_forest_algebra(max_degree: int) -> VerificationReport:
     half = max(0, max_degree // 2)
     small_trees = [t for d in range(half + 1) for t in rooted_trees(d)]
     for t1, t2 in itertools.product(small_trees, repeat=2):
-        target_degree = t1.degree() + t2.degree()
-        for a in forest_monomials(target_degree):
+        product = ROOTED.product(t1, t2)
+        for a in forest_monomials(t1.degree() + t2.degree()):
             count += 1
-            lhs = sum(
-                (coeff * dual_pairing(s, a) for s, coeff in ROOTED.product(t1, t2)),
-                Fraction(0),
-            )
+            lhs = sum(coeff * pairing(s, a) for s, coeff in product)
             rhs = sum(
-                (
-                    coeff * dual_pairing(t1, pair.left) * dual_pairing(t2, pair.right)
-                    for pair, coeff in forest_coproduct(a)
-                ),
-                Fraction(0),
+                coeff * pairing(t1, pair.left) * pairing(t2, pair.right)
+                for pair, coeff in coproduct(a)
             )
             if lhs != rhs:
                 fails.append(f"({t1.encode()}, {t2.encode()}; {a.encode()})")

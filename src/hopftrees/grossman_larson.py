@@ -16,7 +16,6 @@ that basis elements stay in standard form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import axioms
 from .algebra import LinearCombination, TensorPair, check_budget
@@ -106,9 +105,9 @@ class TreeHopfAlgebra:
             terms.append((TensorPair(left, right), 1))
         return LinearCombination(terms)
 
-    def counit(self, t: Tree) -> Fraction:
+    def counit(self, t: Tree) -> int:
         self._check_member(t)
-        return Fraction(1 if t.degree() == 0 else 0)
+        return 1 if t.degree() == 0 else 0
 
     def antipode(self, t: Tree) -> LinearCombination:
         self._check_member(t)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import axioms
 from .algebra import LinearCombination, ParseError, TensorPair, check_budget
@@ -137,7 +136,7 @@ def heap_product(s: CyclePermutation, t: CyclePermutation) -> LinearCombination:
         (ci, pi) for ci, cycle in enumerate(t.cycles) for pi in range(len(cycle))
     ]
     points: list[tuple] = list(letters) + [_STANDALONE]
-    out: list[tuple[CyclePermutation, int]] = []
+    counts: dict[CyclePermutation, int] = {}
     for assignment in itertools.product(points, repeat=len(shifted)):
         blocks: dict[tuple, list[tuple[int, ...]]] = {}
         standalone: list[tuple[int, ...]] = []
@@ -156,8 +155,9 @@ def heap_product(s: CyclePermutation, t: CyclePermutation) -> LinearCombination:
                     grown.extend(string)
             new_cycles.append(tuple(grown))
         new_cycles.extend(standalone)
-        out.append((CyclePermutation(_standardize(new_cycles)), 1))
-    return LinearCombination(out)
+        p = CyclePermutation(_standardize(new_cycles))
+        counts[p] = counts.get(p, 0) + 1
+    return LinearCombination(counts)
 
 
 def cycle_coproduct(p: CyclePermutation) -> LinearCombination:
@@ -171,8 +171,8 @@ def cycle_coproduct(p: CyclePermutation) -> LinearCombination:
     return LinearCombination(terms)
 
 
-def perm_counit(p: CyclePermutation) -> Fraction:
-    return Fraction(1 if not p.cycles else 0)
+def perm_counit(p: CyclePermutation) -> int:
+    return 1 if not p.cycles else 0
 
 
 def symmetric_group(n: int) -> list[CyclePermutation]:
@@ -263,7 +263,7 @@ class PermutationHopfAlgebra:
     def coproduct(self, p: CyclePermutation) -> LinearCombination:
         return cycle_coproduct(p)
 
-    def counit(self, p: CyclePermutation) -> Fraction:
+    def counit(self, p: CyclePermutation) -> int:
         return perm_counit(p)
 
     def antipode(self, p: CyclePermutation) -> LinearCombination:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import LinearCombination, ParseError, TensorPair, check_budget
 from . import axioms
@@ -41,15 +40,15 @@ def shuffle_product(u: Word, v: Word) -> LinearCombination:
     """Sum over all ``C(|u|+|v|, |u|)`` interleavings preserving both orders."""
     total = len(u) + len(v)
     check_budget(math.comb(total, len(u)), "shuffle product")
-    out: list[tuple[Word, int]] = []
+    counts: dict[Word, int] = {}
     for u_slots in itertools.combinations(range(total), len(u)):
         letters: list[str | None] = [None] * total
         for letter, slot in zip(u.letters, u_slots):
             letters[slot] = letter
         it = iter(v.letters)
-        merged = tuple(x if x is not None else next(it) for x in letters)
-        out.append((Word(merged), 1))
-    return LinearCombination(out)
+        word = Word(tuple(x if x is not None else next(it) for x in letters))
+        counts[word] = counts.get(word, 0) + 1
+    return LinearCombination(counts)
 
 
 def deconcatenation(w: Word) -> LinearCombination:
@@ -61,8 +60,8 @@ def deconcatenation(w: Word) -> LinearCombination:
     return LinearCombination(terms)
 
 
-def word_counit(w: Word) -> Fraction:
-    return Fraction(1 if not w.letters else 0)
+def word_counit(w: Word) -> int:
+    return 1 if not w.letters else 0
 
 
 def shuffle_antipode(w: Word) -> LinearCombination:
@@ -109,7 +108,7 @@ class ShuffleHopfAlgebra:
     def coproduct(self, w: Word) -> LinearCombination:
         return deconcatenation(w)
 
-    def counit(self, w: Word) -> Fraction:
+    def counit(self, w: Word) -> int:
         return word_counit(w)
 
     def antipode(self, w: Word) -> LinearCombination:

@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the library's own algorithms: tree
 isomorphism classes are counted through parent arrays and nested tuples,
-grafting products through every one of the (n+1)^r assignments, automorphism
-counts through plane-representation counting, and cuts through edge-subset
-filtering.  Trees act on polynomials here through the two
+grafting products through every one of the (n+1)^r assignments, shuffles
+through their defining recursion, heap products as maps with spliced cycles,
+automorphism counts through plane-representation counting, and cuts through
+edge-subset filtering.  Trees act on polynomials here through the two
 textbook definitions the library replaces by one contraction: the flat sum
 over all index assignments of a tree's nodes, and the recursive m-th
 covariant differentials of a connection.
@@ -77,6 +78,60 @@ def attach_all_by_assignments(forest: Forest, target: Tree) -> LinearCombination
         key = canonical_by_sorting(graft(target, 0, placement)[0])
         out[key] = out.get(key, 0) + 1
     return LinearCombination(out)
+
+
+# ---------------------------------------------------------------------------
+# oracle: shuffles by the defining recursion, heap products as maps
+
+
+def shuffles_by_recursion(u: tuple, v: tuple) -> dict[tuple, int]:
+    """``au * bv = a(u * bv) + b(au * v)`` with the empty word as unit, as
+    a count of each interleaved letter tuple."""
+    if not u or not v:
+        return {u + v: 1}
+    out: dict[tuple, int] = {}
+    for head, rest in (
+        (u[0], shuffles_by_recursion(u[1:], v)),
+        (v[0], shuffles_by_recursion(u, v[1:])),
+    ):
+        for word, count in rest.items():
+            out[(head,) + word] = out.get((head,) + word, 0) + count
+    return out
+
+
+def _images(cycles) -> dict[int, int]:
+    return {c[i]: c[(i + 1) % len(c)] for c in cycles for i in range(len(c))}
+
+
+def _as_tuple(image: dict[int, int]) -> tuple[int, ...]:
+    return tuple(image[x] for x in range(1, len(image) + 1))
+
+
+def permutation_as_map(cycles) -> tuple[int, ...]:
+    """The images of 1..n under a permutation given by disjoint cycles."""
+    return _as_tuple(_images(cycles))
+
+
+def heap_product_by_maps(s_cycles, t_cycles) -> dict[tuple[int, ...], int]:
+    """Every cycle of ``s``, shifted above the points of ``t``, either stays a
+    cycle of its own or is spliced into the cycle of ``t`` right after one of
+    its points; strings spliced after the same point come in decreasing order
+    of their first entry.  One term per choice, counted as image tuples."""
+    n = sum(len(c) for c in t_cycles)
+    strings = [tuple(x + n for x in c) for c in s_cycles]
+    out: dict[tuple[int, ...], int] = {}
+    for choice in itertools.product(range(n + 1), repeat=len(strings)):
+        image = _images(t_cycles) | _images(strings)
+        for point in range(1, n + 1):
+            stacked = sorted((st for st, p in zip(strings, choice) if p == point), reverse=True)
+            nxt = image[point]
+            for string in reversed(stacked):
+                image[string[-1]] = nxt
+                nxt = string[0]
+            image[point] = nxt
+        key = _as_tuple(image)
+        out[key] = out.get(key, 0) + 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Linear-combination substrate: exact arithmetic, canonical keys, round trips."""
 
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from hopftrees import (
@@ -48,6 +50,32 @@ def test_scaling():
     assert 0 * five == LinearCombination.zero()
     assert 1 * five == five
     assert Fraction(2, 3) * LinearCombination([(A, 3)]) == LinearCombination([(A, 2)])
+
+
+def test_int_coefficients_stay_int_until_a_fraction_enters():
+    combo = LinearCombination([(A, 2), (B, 3), (A, 4), (C, Fraction(1, 2))])
+    assert [type(c) for _, c in combo.terms()] == [int, int, Fraction]
+    scaled = 3 * combo - combo
+    assert (scaled.coefficient(A), scaled.coefficient(B)) == (12, 6)
+    assert type(scaled.coefficient(A)) is int and type(scaled.coefficient(B)) is int
+    assert type((Fraction(1, 3) * combo).coefficient(A)) is Fraction
+    assert (Fraction(1, 3) * combo).coefficient(A) == 2
+    assert combo.coefficient(Sym("absent")) == 0 and type(combo.coefficient(Sym("absent"))) is int
+    assert LinearCombination({A: 1.5}).coefficient(A) == Fraction(3, 2)
+    assert LinearCombination({A: 1.5, B: -2}).render() == "3/2*a - 2*b"
+
+
+def test_tensor_pair_is_an_immutable_value_with_a_cached_hash():
+    pair = TensorPair(A, TensorPair(B, C))
+    twin = TensorPair(A, TensorPair(B, C))
+    assert pair == twin and hash(pair) == hash(twin) == hash((A, TensorPair(B, C)))
+    assert pair != TensorPair(A, TensorPair(C, B)) and pair != (A, TensorPair(B, C))
+    assert pair.swap() == TensorPair(TensorPair(B, C), A)
+    assert pair.encode() == "a (x) b (x) c"
+    assert pickle.loads(pickle.dumps(pair)) == pair
+    with pytest.raises(AttributeError):
+        pair.left = B
+    assert not hasattr(pair, "__dict__")
 
 
 def test_tensor_single_terms():

@@ -1,5 +1,6 @@
 """Cycle permutations: standard order, heap product, coproduct, tree bijection."""
 
+import itertools
 import math
 
 import pytest
@@ -21,7 +22,7 @@ from hopftrees import (
     symmetric_group,
     tree_to_permutation,
 )
-from helpers import lc, t
+from helpers import heap_product_by_maps, lc, permutation_as_map, t
 
 
 ID0 = CyclePermutation()
@@ -181,3 +182,11 @@ def test_noncommutativity_witness_exists():
 def test_hopf_sweep():
     report = HEAP_PRODUCT_ALGEBRA.verify(3)
     assert report.passed, report.render()
+
+
+def test_heap_product_matches_the_splicing_oracle():
+    perms = [p for n in range(4) for p in symmetric_group(n)]
+    perms += [parse_permutation("(1 3)(2 4)"), parse_permutation("(1 4 2)(3)")]
+    for s, p in itertools.product(perms, repeat=2):
+        product = {permutation_as_map(q.cycles): c for q, c in heap_product(s, p)}
+        assert product == heap_product_by_maps(s.cycles, p.cycles), (s, p)

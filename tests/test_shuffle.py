@@ -20,7 +20,7 @@ from hopftrees import (
     word_counit,
     ordered_trees,
 )
-from helpers import lc
+from helpers import lc, shuffles_by_recursion
 
 
 X1, X2, X3 = Word(("x1",)), Word(("x2",)), Word(("x3",))
@@ -125,3 +125,13 @@ def test_word_parsing_round_trip():
     assert parse_word("1") == EMPTY_WORD
     assert parse_word("x1.x2.x1") == Word(("x1", "x2", "x1"))
     assert parse_word(Word(("a", "b")).encode()) == Word(("a", "b"))
+
+
+def test_shuffle_product_matches_the_recursive_definition():
+    words = [Word(w) for n in range(4) for w in itertools.product(("a", "b"), repeat=n)]
+    words += [Word(("x", "y", "z")), Word(("a", "x", "a", "y"))]
+    for u, v in itertools.product(words, repeat=2):
+        expected = shuffles_by_recursion(u.letters, v.letters)
+        assert shuffle_product(u, v) == LinearCombination(
+            (Word(letters), count) for letters, count in expected.items()
+        )
