@@ -159,7 +159,9 @@ class LinearCombination:
         return bool(self._terms)
 
     def coefficient(self, basis: Any) -> Scalar:
-        return self._terms.get(basis, 0)
+        """The coefficient of ``basis`` (0 if absent), an ``int`` when integral."""
+        c = self._terms.get(basis, 0)
+        return c.numerator if c.denominator == 1 else c
 
     def total_multiplicity(self) -> Scalar:
         """Sum of the absolute values of all coefficients.

@@ -58,8 +58,10 @@ def test_int_coefficients_stay_int_until_a_fraction_enters():
     scaled = 3 * combo - combo
     assert (scaled.coefficient(A), scaled.coefficient(B)) == (12, 6)
     assert type(scaled.coefficient(A)) is int and type(scaled.coefficient(B)) is int
-    assert type((Fraction(1, 3) * combo).coefficient(A)) is Fraction
-    assert (Fraction(1, 3) * combo).coefficient(A) == 2
+    third = Fraction(1, 3) * combo
+    assert [type(c) for _, c in third.terms()] == [Fraction, Fraction, Fraction]
+    assert (third.coefficient(A), type(third.coefficient(A))) == (2, int)
+    assert third.coefficient(C) == Fraction(1, 6)
     assert combo.coefficient(Sym("absent")) == 0 and type(combo.coefficient(Sym("absent"))) is int
     assert LinearCombination({A: 1.5}).coefficient(A) == Fraction(3, 2)
     assert LinearCombination({A: 1.5, B: -2}).render() == "3/2*a - 2*b"
