@@ -65,12 +65,25 @@ class BasisElement(Protocol):
 _set = object.__setattr__
 
 
+class Immutable:
+    """Base of the slotted immutable values: each attribute is set once, with
+    ``object.__setattr__`` in ``__init__``, and assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
 def _exact(coeff: Scalar) -> Scalar:
     """``coeff`` itself when it is an ``int``, else as a ``Fraction``."""
     return coeff if type(coeff) is int else Fraction(coeff)
 
 
-class TensorPair:
+class TensorPair(Immutable):
     """A pure tensor ``left (x) right`` of two basis elements.
 
     Immutable; the hash is computed once at construction, because tensor
@@ -83,12 +96,6 @@ class TensorPair:
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "_hash", hash((left, right)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TensorPair is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"TensorPair is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return TensorPair, (self.left, self.right)

@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import connes_kreimer as ck
 from . import shuffle as sh
@@ -301,7 +300,7 @@ def _random_polynomial(rng: random.Random, num_vars: int, max_degree: int) -> Po
         exps = [0] * num_vars
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(num_vars)] += 1
-        terms[tuple(exps)] = Fraction(rng.randint(-3, 3))
+        terms[tuple(exps)] = rng.randint(-3, 3)
     return Polynomial(num_vars, terms)
 
 
@@ -442,8 +441,13 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
+    except OSError as exc:
+        where = f": {exc.filename}" if exc.filename else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return 1
+    except (ValueError, KeyError) as exc:
+        # a KeyError's str() quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 1
 

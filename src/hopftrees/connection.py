@@ -17,21 +17,16 @@ derivatives and differentials here are thin callers of the bottom-up
 evaluator in :mod:`hopftrees.diff_ops`, which builds each covariant
 differential one level at a time and contracts it with the child
 derivations; with zero Christoffel data it is the flat tree action.
+:func:`check_module_law` acts with every piece of a coproduct through one memo
+of subtree derivations, made for the call and dropped when it returns.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .diff_ops import (
-    Derivation,
-    DerivationEnv,
-    Polynomial,
-    _covariant_contraction,
-    _subtree_derivation,
-    _tree_action,
-    parse_polynomial,
-)
+from .diff_ops import (Derivation, DerivationEnv, Polynomial, _covariant_contraction, _spec_size,
+                       _subtree_derivation, _tree_action, parse_polynomial)
 from .grossman_larson import TreeHopfAlgebra
 from .trees import Tree
 
@@ -66,11 +61,12 @@ class Connection:
     @classmethod
     def from_dict(cls, spec: Mapping) -> "Connection":
         """Build from ``{"n": 1, "gamma": {"i,j,k": "<polynomial>"}}``."""
-        if "n" not in spec:
-            raise ValueError("connection spec needs an 'n' entry")
-        n = int(spec["n"])
+        n = _spec_size(spec, "connection")
+        entries = spec.get("gamma")
+        if entries is not None and not isinstance(entries, Mapping):
+            raise ValueError("connection spec: 'gamma' must map 'i,j,k' keys to polynomials")
         gamma = {}
-        for key, value in (spec.get("gamma") or {}).items():
+        for key, value in (entries or {}).items():
             parts = [p.strip() for p in str(key).split(",")]
             if len(parts) != 3 or not all(p.isdigit() for p in parts):
                 raise ValueError(f"bad Christoffel key {key!r}; expected 'i,j,k'")
@@ -103,7 +99,7 @@ def subtree_derivation(subtree: Tree, env: DerivationEnv, conn: Connection) -> D
     a node labeled E with children ``u_1 .. u_k`` is the k-th covariant
     differential of E evaluated on the child derivations in order."""
     _check_vars(env.num_vars, conn)
-    return _subtree_derivation(subtree, env, conn._gamma)
+    return _subtree_derivation(subtree, env, conn._gamma, {})
 
 
 def covariant_differential(
@@ -123,10 +119,8 @@ def apply_connection_operator(
     t: Tree, env: DerivationEnv, conn: Connection, f: Polynomial
 ) -> Polynomial:
     """Action of an ordered labeled tree on ``f`` through the connection."""
-    if t.label is not None:
-        raise ValueError("the root of an operator tree must be unlabeled")
-    _check_vars(env.num_vars, conn, f)
-    return _tree_action(t, env, conn._gamma, f)
+    _check_vars(env.num_vars, conn)
+    return _tree_action(t, env, conn._gamma, f, {})
 
 
 def _check_vars(num_vars: int, *objects) -> None:
@@ -141,12 +135,18 @@ def check_module_law(
     a: Polynomial,
     b: Polynomial,
 ) -> bool:
-    """Does ``t . (a b) = sum (t' . a)(t'' . b)`` over the ordered coproduct?"""
+    """Does ``t . (a b) = sum (t' . a)(t'' . b)`` over the ordered coproduct?
+
+    The pieces of the coproduct are built from the subtrees of ``t``; each
+    distinct subtree derivation is computed once, in a memo kept for this call.
+    """
+    _check_vars(env.num_vars, conn)
     alg = TreeHopfAlgebra(ordered=True, symbols=env.symbols)
-    lhs = apply_connection_operator(t, env, conn, a * b)
+    memo: dict[Tree, Derivation] = {}
+    lhs = _tree_action(t, env, conn._gamma, a * b, memo)
     rhs = Polynomial.zero(env.num_vars)
     for pair, coeff in alg.coproduct(t):
-        left = apply_connection_operator(pair.left, env, conn, a)
-        right = apply_connection_operator(pair.right, env, conn, b)
+        left = _tree_action(pair.left, env, conn._gamma, a, memo)
+        right = _tree_action(pair.right, env, conn._gamma, b, memo)
         rhs = rhs + coeff * (left * right)
     return lhs == rhs

@@ -6,6 +6,10 @@ differential of E contracted with the children's derivations (a leaf is E),
 and the root does the same with ``f`` -- the elementary differentials of
 B-series.  One evaluator serves flat trees here and ordered trees under a
 connection (:mod:`hopftrees.connection`); no Christoffel data means flat.
+Evaluations that act on many trees (:func:`verify_composition`, the module
+law) share one memo for the length of the call: a dict from subtree to its
+derivation, so each distinct subtree is evaluated once and nothing outlives
+the call.
 
 Words in the derivation symbols expand to combinations of labeled trees via
 the grafting product, and the expansion composes: the tree operator of a word
@@ -16,62 +20,59 @@ happen at the tree level, before any differentiation.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import (
-    LinearCombination,
-    ParseError,
-    Scalar,
-    extend_bilinear,
-    format_fraction,
-)
+from .algebra import (Immutable, LinearCombination, ParseError, Scalar, _exact, _set,
+                      extend_bilinear, format_fraction)
 from .grossman_larson import labeled_algebra
 from .trees import Tree, canonicalize
 
 
 class Polynomial:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with exact coefficients.
 
     Terms map exponent vectors (tuples of length ``num_vars``) to nonzero
-    coefficients.  Immutable by convention.
+    coefficients.  An ``int`` coefficient stays an ``int`` and anything else
+    becomes a ``Fraction``, so a coefficient turns rational only where a
+    ``Fraction`` or a division comes in.  Immutable by convention.  Only the
+    public constructor validates; arithmetic builds its results with
+    :meth:`_trusted`.
     """
 
     __slots__ = ("num_vars", "_terms")
 
     def __init__(self, num_vars: int, terms: Mapping | Iterable = ()):
         self.num_vars = int(num_vars)
-        data: dict[tuple[int, ...], Fraction] = {}
+        data: dict[tuple[int, ...], Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exponents, coeff in items:
             exps = tuple(int(e) for e in exponents)
             if len(exps) != self.num_vars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for {self.num_vars} variables")
-            c = Fraction(coeff)
-            if not c:
-                continue
-            c += data.get(exps, 0)
+            c = _exact(coeff)
             if c:
-                data[exps] = c
-            else:
-                del data[exps]
+                data[exps] = c = c + data.get(exps, 0)
+                if not c:
+                    del data[exps]
         self._terms = data
 
     @classmethod
-    def zero(cls, num_vars: int) -> "Polynomial":
-        return cls(num_vars)
+    def _trusted(cls, num_vars: int, terms: dict) -> "Polynomial":
+        """``terms`` as they are: exponent vectors of length ``num_vars``, nonzero coefficients."""
+        p = object.__new__(cls)
+        p.num_vars = num_vars
+        p._terms = terms
+        return p
 
     @classmethod
-    def variable(cls, num_vars: int, index: int) -> "Polynomial":
-        """The variable ``x_index``, 1-based."""
-        if not 1 <= index <= num_vars:
-            raise ValueError(f"variable index {index} out of range 1..{num_vars}")
-        exps = tuple(1 if i == index - 1 else 0 for i in range(num_vars))
-        return cls(num_vars, {exps: 1})
+    def zero(cls, num_vars: int) -> "Polynomial":
+        return cls._trusted(int(num_vars), {})
 
-    def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __bool__(self) -> bool:
@@ -93,30 +94,33 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        return Polynomial(self.num_vars, list(self._terms.items()) + list(other._terms.items()))
+        out = dict(self._terms)
+        for e, c in other._terms.items():
+            out[e] = c = c + out.get(e, 0)
+            if not c:
+                del out[e]
+        return Polynomial._trusted(self.num_vars, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.num_vars, {e: -c for e, c in self._terms.items()})
+        return Polynomial._trusted(self.num_vars, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check(other)
-            out: dict[tuple[int, ...], Fraction] = {}
+            out: dict[tuple[int, ...], Scalar] = {}
+            add = operator.add
             for e1, c1 in self._terms.items():
                 for e2, c2 in other._terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    val = out.get(key, Fraction(0)) + c1 * c2
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
-            return Polynomial(self.num_vars, out)
+                    key = tuple(map(add, e1, e2))
+                    out[key] = out.get(key, 0) + c1 * c2
+            return Polynomial._trusted(self.num_vars, {e: c for e, c in out.items() if c})
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Polynomial(self.num_vars, {e: c * v for e, v in self._terms.items()})
+            c = _exact(other)
+            terms = {e: c * v for e, v in self._terms.items()} if c else {}
+            return Polynomial._trusted(self.num_vars, terms)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -131,22 +135,17 @@ class Polynomial:
         i = index - 1
         out = {}
         for exps, coeff in self._terms.items():
-            if exps[i] == 0:
-                continue
-            lowered = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-            out[lowered] = out.get(lowered, Fraction(0)) + coeff * exps[i]
-        return Polynomial(self.num_vars, out)
+            k = exps[i]
+            if k:  # lowering x_i is one-to-one, so no two terms meet
+                out[exps[:i] + (k - 1,) + exps[i + 1 :]] = coeff * k
+        return Polynomial._trusted(self.num_vars, out)
 
     def render(self) -> str:
         if not self._terms:
             return "0"
         pieces = []
         for exps, coeff in self.terms():
-            factors = [
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e > 0
-            ]
+            factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e > 0]
             mag = abs(coeff)
             if not factors:
                 body = format_fraction(mag)
@@ -184,10 +183,8 @@ def parse_polynomial(text: str, num_vars: int) -> Polynomial:
             current_sign = 1 if ch == "+" else -1
             buf = ""
             term_start = i + 1
-        elif ch == "-" and not buf.strip():
-            current_sign = -current_sign
-            term_start = i + 1
-        elif ch == "+" and not buf.strip():
+        elif ch in "+-" and not buf.strip():
+            current_sign = -current_sign if ch == "-" else current_sign
             term_start = i + 1
         elif ch != "\0":
             buf += ch
@@ -202,7 +199,7 @@ def parse_polynomial(text: str, num_vars: int) -> Polynomial:
 
 
 def _parse_monomial(chunk: str, num_vars: int, full: str, offset: int) -> Polynomial:
-    coeff = Fraction(1)
+    coeff: Scalar = 1
     exps = [0] * num_vars
     for factor in chunk.split("*"):
         piece = factor.strip()
@@ -216,32 +213,36 @@ def _parse_monomial(chunk: str, num_vars: int, full: str, offset: int) -> Polyno
             idx = int(idx_text)
             if not 1 <= idx <= num_vars:
                 raise ParseError(f"variable x{idx} out of range for n={num_vars}", full, offset)
-            exponent = 1
-            if power:
-                if not power.strip().isdigit():
-                    raise ParseError(f"invalid exponent {power!r}", full, offset)
-                exponent = int(power)
-            exps[idx - 1] += exponent
+            if power and not power.strip().isdigit():
+                raise ParseError(f"invalid exponent {power!r}", full, offset)
+            exps[idx - 1] += int(power) if power else 1
         else:
             try:
-                coeff *= Fraction(piece)
+                value = Fraction(piece)
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"invalid coefficient {piece!r}", full, offset) from None
+            coeff *= value.numerator if value.denominator == 1 else value
     return Polynomial(num_vars, {tuple(exps): coeff})
 
 
-@dataclass(frozen=True, eq=False)
-class Derivation:
-    """A first-order operator ``sum_mu a^mu d/dx_mu`` with polynomial coefficients."""
+class Derivation(Immutable):
+    """A first-order operator ``sum_mu a^mu d/dx_mu`` with polynomial coefficients; immutable."""
 
-    coeffs: tuple[Polynomial, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[Polynomial, ...]):
+        if not coeffs:
             raise ValueError("a derivation needs at least one coefficient")
-        n = self.coeffs[0].num_vars
-        if any(p.num_vars != n for p in self.coeffs) or len(self.coeffs) != n:
+        n = coeffs[0].num_vars
+        if any(p.num_vars != n for p in coeffs) or len(coeffs) != n:
             raise ValueError("coefficient count must equal the variable count")
+        _set(self, "coeffs", coeffs)
+
+    def __reduce__(self):
+        return Derivation, (self.coeffs,)
+
+    def __repr__(self) -> str:
+        return f"Derivation({self.coeffs!r})"
 
     @classmethod
     def zero(cls, num_vars: int) -> "Derivation":
@@ -280,9 +281,7 @@ class Derivation:
         return self.coeffs == other.coeffs
 
     def render(self) -> str:
-        parts = [
-            f"({p.render()})*D{mu}" for mu, p in enumerate(self.coeffs, start=1) if p
-        ]
+        parts = [f"({p.render()})*D{mu}" for mu, p in enumerate(self.coeffs, start=1) if p]
         return " + ".join(parts) if parts else "0"
 
     def __str__(self) -> str:
@@ -315,17 +314,25 @@ class DerivationEnv:
     @classmethod
     def from_dict(cls, spec: Mapping) -> "DerivationEnv":
         """Build from ``{"n": 2, "E1": ["x1", "0"], ...}`` with polynomial strings."""
-        if "n" not in spec:
-            raise ValueError("derivation spec needs an 'n' entry")
-        n = int(spec["n"])
+        n = _spec_size(spec, "derivation")
         table = {}
         for name, coeffs in spec.items():
             if name == "n":
                 continue
-            if len(coeffs) != n:
-                raise ValueError(f"derivation {name} needs {n} coefficient polynomials")
+            if not isinstance(coeffs, (list, tuple)) or len(coeffs) != n:
+                raise ValueError(f"derivation {name} needs a list of {n} coefficient polynomials")
             table[name] = Derivation(tuple(parse_polynomial(str(c), n) for c in coeffs))
         return cls(n, table)
+
+
+def _spec_size(spec: Mapping, what: str) -> int:
+    """The variable count ``n`` of a JSON spec, which must be a mapping with a positive integer ``n``."""
+    if not isinstance(spec, Mapping) or "n" not in spec:
+        raise ValueError(f"{what} spec needs an 'n' entry")
+    n = spec["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"{what} spec: 'n' must be a positive integer, not {n!r}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +359,12 @@ def _number_nodes(t: Tree) -> tuple[list[int], dict[int, tuple[str, list[int]]]]
 
 def apply_tree_operator(t: Tree, env: DerivationEnv, f: Polynomial) -> Polynomial:
     """Evaluate the differential operator encoded by a labeled tree on ``f``."""
+    return _tree_action(t, env, {}, f, {})
+
+
+def _tree_action(t: Tree, env: DerivationEnv, gamma: Mapping, f: Polynomial, memo: dict) -> Polynomial:
+    """``(nabla^m f)(theta(s_1), .., theta(s_m))`` for the root's child subtrees
+    ``s_i``, once the root, the labels and the variable count are checked."""
     if t.label is not None:
         raise ValueError("the root of an operator tree must be unlabeled")
     if f.num_vars != env.num_vars:
@@ -359,28 +372,26 @@ def apply_tree_operator(t: Tree, env: DerivationEnv, f: Polynomial) -> Polynomia
     for j, (label, _) in _number_nodes(t)[1].items():
         if not isinstance(label, str) or label not in env:
             raise KeyError(f"unknown derivation symbol {label!r} at node {j}")
-    return _tree_action(t, env, {}, f)
-
-
-def _tree_action(t: Tree, env: DerivationEnv, gamma: Mapping, f: Polynomial) -> Polynomial:
-    """``(nabla^m f)(theta(s_1), .., theta(s_m))`` for the root's child subtrees ``s_i``."""
-    fields = [_subtree_derivation(s, env, gamma) for s in t.children]
+    fields = [_subtree_derivation(s, env, gamma, memo) for s in t.children]
     return _covariant_contraction((f,), fields, gamma, vector=False)[0]
 
 
-def _subtree_derivation(node: Tree, env: DerivationEnv, gamma: Mapping) -> Derivation:
+def _subtree_derivation(node: Tree, env: DerivationEnv, gamma: Mapping, memo: dict) -> Derivation:
     """``theta(node) = (nabla^k E)(theta(u_1), .., theta(u_k))`` for a node
-    labeled E with children ``u_i``; a leaf is E itself."""
-    if not isinstance(node.label, str):
-        raise ValueError("every node below the root must carry a derivation symbol")
-    field = env[node.label]
-    fields = [_subtree_derivation(u, env, gamma) for u in node.children]
-    return Derivation(_covariant_contraction(field.coeffs, fields, gamma, vector=True))
+    labeled E with children ``u_i``; a leaf is E itself.  ``memo`` maps the
+    subtrees already evaluated under ``env`` and ``gamma`` to their derivations."""
+    theta = memo.get(node)
+    if theta is None:
+        if not isinstance(node.label, str):
+            raise ValueError("every node below the root must carry a derivation symbol")
+        fields = [_subtree_derivation(u, env, gamma, memo) for u in node.children]
+        theta = Derivation(_covariant_contraction(env[node.label].coeffs, fields, gamma, vector=True))
+        memo[node] = theta
+    return theta
 
 
-def _covariant_contraction(
-    components: Sequence[Polynomial], fields: Sequence[Derivation], gamma: Mapping, vector: bool
-) -> tuple[Polynomial, ...]:
+def _covariant_contraction(components: Sequence[Polynomial], fields: Sequence[Derivation],
+                           gamma: Mapping, vector: bool) -> tuple[Polynomial, ...]:
     """``(nabla^m F)(X_1, .., X_m)`` for a function ``F`` (one component) or a
     vector field, given Christoffel data ``gamma`` (empty: flat).  The tensor
     ``T^k[a_1, .., a_j]`` grows one index per level from ``T_0 = F``:
@@ -474,11 +485,8 @@ class OperatorExpansion:
         return self.raw_tree_count - self.surviving_count
 
     def report(self) -> str:
-        return (
-            f"raw_trees: {self.raw_tree_count}, "
-            f"cancelled: {self.cancelled_count}, "
-            f"surviving: {self.surviving_count}"
-        )
+        return (f"raw_trees: {self.raw_tree_count}, cancelled: {self.cancelled_count}, "
+                f"surviving: {self.surviving_count}")
 
 
 def _tree_factors(t: Tree) -> tuple[str, ...]:
@@ -493,10 +501,8 @@ def _tree_factors(t: Tree) -> tuple[str, ...]:
     return tuple(factors)
 
 
-def expand_operator(
-    word_terms: Sequence[tuple[Scalar, Sequence[str]]],
-    symbols: Iterable[str] | None = None,
-) -> OperatorExpansion:
+def expand_operator(word_terms: Sequence[tuple[Scalar, Sequence[str]]],
+                    symbols: Iterable[str] | None = None) -> OperatorExpansion:
     """Expand ``sum_w c_w * word`` to trees and cancel at the tree level.
 
     The raw count tallies every generated tree with multiplicity, before
@@ -509,9 +515,7 @@ def expand_operator(
         expansion = word_to_trees(tuple(word), symbols)
         raw += abs(Fraction(coeff)) * expansion.total_multiplicity()
         surviving = surviving + Fraction(coeff) * expansion
-    terms = [
-        OperatorTerm(c, t, _tree_factors(t)) for t, c in surviving.terms()
-    ]
+    terms = [OperatorTerm(c, t, _tree_factors(t)) for t, c in surviving.terms()]
     return OperatorExpansion(int(raw), surviving, terms)
 
 
@@ -529,20 +533,18 @@ class CompositionCheck:
     def render(self) -> str:
         if self.ok:
             return f"ok: both sides equal {self.tree_side.render()}"
-        return (
-            "MISMATCH\n"
-            f"  tree expansion:     {self.tree_side.render()}\n"
-            f"  nested application: {self.nested_side.render()}"
-        )
+        return (f"MISMATCH\n  tree expansion:     {self.tree_side.render()}\n"
+                f"  nested application: {self.nested_side.render()}")
 
 
 def verify_composition(word: Sequence[str], env: DerivationEnv, f: Polynomial) -> CompositionCheck:
     """Check that the tree expansion of a word applied to ``f`` equals the
     nested application of its derivations, left to right."""
     trees = word_to_trees(tuple(word), env.symbols)
+    memo: dict[Tree, Derivation] = {}
     tree_side = Polynomial.zero(env.num_vars)
     for t, coeff in trees:
-        tree_side = tree_side + coeff * apply_tree_operator(t, env, f)
+        tree_side = tree_side + coeff * _tree_action(t, env, {}, f, memo)
     nested = f
     for symbol in reversed(tuple(word)):
         nested = env[symbol].apply(nested)
@@ -560,11 +562,8 @@ def parse_word_polynomial(text: str) -> list[tuple[Fraction, tuple[str, ...]]]:
         chunk = piece.strip()
         if not chunk:
             continue
-        if chunk == "+":
-            sign = Fraction(1)
-            continue
-        if chunk == "-":
-            sign = Fraction(-1)
+        if chunk in ("+", "-"):
+            sign = Fraction(1 if chunk == "+" else -1)
             continue
         coeff = sign
         body = chunk

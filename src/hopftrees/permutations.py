@@ -23,19 +23,39 @@ import itertools
 from dataclasses import dataclass
 
 from . import axioms
-from .algebra import LinearCombination, ParseError, TensorPair, check_budget
+from .algebra import Immutable, LinearCombination, ParseError, TensorPair, _set, check_budget
 from .trees import Tree, canonicalize, is_standard_heap_tree
 
 
-@dataclass(frozen=True)
-class CyclePermutation:
+class CyclePermutation(Immutable):
     """Disjoint cycles over a finite set of positive integers, standard order.
 
     Algebra basis elements act on ``{1..n}``; :func:`shift` produces the
     shifted window ``{m+1..m+k}`` used while building heap products.
+    Immutable and equal by value; the hash is computed once at construction.
     """
 
-    cycles: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("cycles", "_hash")
+
+    def __init__(self, cycles: tuple[tuple[int, ...], ...] = ()):
+        _set(self, "cycles", cycles)
+        _set(self, "_hash", hash((cycles,)))
+
+    def __reduce__(self):
+        return CyclePermutation, (self.cycles,)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, CyclePermutation):
+            return NotImplemented
+        return self._hash == other._hash and self.cycles == other.cycles
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"CyclePermutation({self.cycles!r})"
 
     @classmethod
     def from_cycles(cls, cycles, n: int | None = None) -> "CyclePermutation":

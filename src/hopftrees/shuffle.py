@@ -13,15 +13,38 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import LinearCombination, ParseError, TensorPair, check_budget
+from .algebra import Immutable, LinearCombination, ParseError, TensorPair, _set, check_budget
 from . import axioms
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite sequence of letters; the empty word is the unit, printed ``1``."""
+class Word(Immutable):
+    """A finite sequence of letters; the empty word is the unit, printed ``1``.
 
-    letters: tuple[str, ...] = ()
+    Immutable and equal by value; the hash is computed once at construction,
+    because words are dictionary keys in every product and coproduct.
+    """
+
+    __slots__ = ("letters", "_hash")
+
+    def __init__(self, letters: tuple[str, ...] = ()):
+        _set(self, "letters", letters)
+        _set(self, "_hash", hash((letters,)))
+
+    def __reduce__(self):
+        return Word, (self.letters,)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Word):
+            return NotImplemented
+        return self._hash == other._hash and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Word({self.letters!r})"
 
     def encode(self) -> str:
         return ".".join(self.letters) if self.letters else "1"

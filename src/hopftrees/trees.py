@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .algebra import LinearCombination, ParseError, check_budget
+from .algebra import Immutable, LinearCombination, ParseError, check_budget
 
 Label = str | int | None
 
@@ -33,7 +33,7 @@ MAX_TREE_DEPTH = 300
 _set = object.__setattr__
 
 
-class Tree:
+class Tree(Immutable):
     """A finite rooted tree. Immutable; use :func:`canonicalize` after surgery.
 
     Each tree computes its derived facts once and keeps them: the node count
@@ -52,12 +52,6 @@ class Tree:
         _set(self, "_size", 1 + sum([c._size for c in children]))
         _set(self, "_code", None)
         _set(self, "_canon", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Tree is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Tree is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return Tree, (self.label, self.children, self.ordered)

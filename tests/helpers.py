@@ -33,6 +33,28 @@ def lc(*pairs) -> LinearCombination:
     return LinearCombination([(basis, coeff) for basis, coeff in pairs])
 
 
+def subtrees(*trees: Tree) -> set[Tree]:
+    """Every subtree hanging below the root of one of ``trees``, as values."""
+    found, stack = set(), [s for tree in trees for s in tree.children]
+    while stack:
+        node = stack.pop()
+        found.add(node)
+        stack.extend(node.children)
+    return found
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` so that each call appends to the returned list."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_polynomial(rng: random.Random, num_vars: int, max_degree: int) -> Polynomial:
     terms = {}
     for _ in range(rng.randint(1, 4)):

@@ -260,3 +260,66 @@ def test_over_budget_enumeration_is_refused(argv):
     result = run_module(*argv)
     assert_clean_error(result)
     assert f"more than the limit of {MAX_TERMS}" in result.stderr
+
+
+GOOD_ENV = {"n": 2, "E1": ["x2", "x1"], "E2": ["1", "x1*x2"]}
+
+
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        ("psi", {"n": 2, "E1": 5}, "derivation E1 needs a list of 2 coefficient polynomials"),
+        ("psi", {"n": 2, "E1": "x1"}, "derivation E1 needs a list of 2 coefficient polynomials"),
+        ("psi", {"n": None}, "derivation spec: 'n' must be a positive integer, not None"),
+        ("conn", {"n": 2, "gamma": 3}, "connection spec: 'gamma' must map 'i,j,k' keys to polynomials"),
+        ("conn", {"n": 2, "gamma": ["x"]}, "connection spec: 'gamma' must map 'i,j,k' keys to polynomials"),
+    ],
+)
+def test_malformed_spec_files_are_clean_errors(tmp_path, command, spec, message):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(spec))
+    good.write_text(json.dumps(GOOD_ENV))
+    if command == "psi":
+        result = run_module("psi", "apply", "--env", str(bad), "--tree", "(;(E1))", "--f", "x1")
+    else:
+        result = run_module("conn", "apply", "E1", "E2", "--connection", str(bad), "--env", str(good))
+    assert_clean_error(result)
+    assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("option", ["--env", "--connection"])
+def test_a_missing_spec_file_names_the_file(tmp_path, option):
+    good, missing = tmp_path / "good.json", tmp_path / "missing.json"
+    good.write_text(json.dumps({"n": 2}))
+    paths = {"--env": str(good), "--connection": str(good), option: str(missing)}
+    result = run_module("conn", "apply", "E1", "E2", *[x for pair in paths.items() for x in pair])
+    assert_clean_error(result)
+    assert result.stderr == f"error: No such file or directory: {missing}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gl", "mul", "(;())"], "gl mul expects 2 element(s)"),
+        (["gl", "coprod", "(;())", "(;())"], "gl coprod expects 1 element(s)"),
+        (["ck", "pair", "(;())"], "ck pair expects 2 element(s)"),
+        (["shuffle", "coprod", "a", "b"], "shuffle coprod expects 1 element(s)"),
+        (["perm", "mul", "(1)"], "perm mul expects 2 element(s)"),
+        (["perm", "to-tree", "(1)", "(1)"], "perm to-tree expects 1 element(s)"),
+        (["psi", "apply", "--env", "env.json", "--tree", "(;(E1))"], "psi apply needs --tree and --f"),
+        (["psi", "check-diagram", "--env", "env.json", "--word", "E1"], "psi check-diagram needs --f"),
+        (["conn", "apply", "E1", "--connection", "c.json", "--env", "e.json"], "conn apply needs two derivation symbols"),
+    ],
+)
+def test_arity_errors_exit_one_before_any_work(argv, message):
+    result = run_module(*argv)
+    assert_clean_error(result)
+    assert result.stderr == f"error: {message}\n"
+
+
+def test_an_undecodable_spec_file_is_a_clean_error(tmp_path):
+    path = tmp_path / "env.json"
+    path.write_bytes(b"\xff\xfe")
+    result = run_module("psi", "apply", "--env", str(path), "--tree", "(;(E1))", "--f", "x1")
+    assert_clean_error(result)
+    assert result.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")

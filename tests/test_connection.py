@@ -1,6 +1,9 @@
 """Connections: coordinate formula, axioms, tree action, and the module law."""
 
+import gc
 import random
+import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -17,14 +20,18 @@ from hopftrees import (
     parse_polynomial,
     subtree_derivation,
     vector_covariant_differential,
+    verify_composition,
 )
+from hopftrees.grossman_larson import TreeHopfAlgebra
 from helpers import (
     connection_action_by_recursion,
+    count_calls,
     covariant_derivative_by_formula,
     covariant_differential_by_recursion,
     ot,
     random_polynomial,
     subtree_derivation_by_recursion,
+    subtrees,
     tree_operator_by_index_sum,
     vector_covariant_differential_by_recursion,
 )
@@ -213,3 +220,96 @@ def test_connection_spec_parsing():
     assert conn.christoffel(2, 2, 2) == parse_polynomial("1/2", 2)
     assert conn.christoffel(1, 1, 1) == Polynomial.zero(2)
     assert not conn.is_flat
+
+
+ENV2 = DerivationEnv.from_dict({"n": 2, "E1": ["x2", "2*x1"], "E2": ["x1*x2", "1"]})
+CURVED2 = Connection.from_dict({"n": 2, "gamma": {"1,2,1": "x2", "2,1,2": "3", "2,2,1": "x1 - 1"}})
+HALF_CURVED2 = Connection.from_dict({"n": 2, "gamma": {"1,2,1": "1/2*x2", "2,2,2": "-1/3"}})
+A2, B2 = parse_polynomial("x1^2 - 2*x2", 2), parse_polynomial("3*x1*x2 + 1", 2)
+
+
+def test_fractional_inputs_stay_exact_through_the_connection():
+    half = {s: Fraction(1, 2) * ENV2[s] for s in ENV2.symbols}
+    half_env = DerivationEnv(2, half)
+    lower, upper = half["E1"], half["E2"]
+    result = covariant_derivative(HALF_CURVED2, lower, upper)
+    assert result == covariant_derivative_by_formula(HALF_CURVED2, lower, upper)
+    # function-linear below, additive above
+    assert covariant_derivative(HALF_CURVED2, ENV2["E1"], upper) == 2 * result
+    assert Fraction in {type(c) for p in result.coeffs for _, c in p.terms()}
+    a, b = Fraction(1, 3) * A2, parse_polynomial("1/2*x1 - x2^2", 2)
+    for degree in range(4):
+        for tree in ordered_labeled_trees(degree, ("E1", "E2")):
+            assert check_module_law(tree, half_env, HALF_CURVED2, a, b), tree.encode()
+            assert apply_connection_operator(tree, half_env, HALF_CURVED2, a) == connection_action_by_recursion(
+                tree, half_env, HALF_CURVED2, a
+            ), tree.encode()
+
+
+def test_integral_inputs_give_int_coefficients_through_the_connection():
+    types = {type(c) for p in covariant_derivative(CURVED2, ENV2["E1"], ENV2["E2"]).coeffs for _, c in p.terms()}
+    assert types == {int}
+    for tree in ordered_labeled_trees(3, ("E1", "E2")):
+        value = apply_connection_operator(tree, ENV2, CURVED2, A2)
+        assert {type(c) for _, c in value.terms()} <= {int}, tree.encode()
+
+
+def test_module_law_evaluates_each_distinct_subtree_once(monkeypatch):
+    from hopftrees import diff_ops
+
+    calls = count_calls(monkeypatch, diff_ops, "_covariant_contraction")
+    alg = TreeHopfAlgebra(ordered=True, symbols=ENV2.symbols)
+    trees = [tree for degree in range(4) for tree in ordered_labeled_trees(degree, ENV2.symbols)]
+    trees.append(ot("(;(E1;(E2))(E1;(E2))(E2))"))  # equal siblings: 2 subtrees, 6 distinct pieces
+    for tree in trees:
+        calls.clear()
+        assert check_module_law(tree, ENV2, CURVED2, A2, B2), tree.encode()
+        # one contraction per distinct subtree, then one at the root of t and of each piece
+        assert len(calls) == len(subtrees(tree)) + 1 + 2 * len(alg.coproduct(tree)), tree.encode()
+    assert len(calls) == 2 + 1 + 2 * 6
+
+
+def test_the_memo_does_not_outlive_the_call(monkeypatch):
+    from hopftrees import diff_ops
+
+    class Marker:
+        pass
+
+    key, markers = object(), []
+    evaluate = diff_ops._subtree_derivation
+
+    def marking(node, env, gamma, memo):
+        if key not in memo:  # a value only the memo holds lives exactly as long as it
+            memo[key] = marker = Marker()
+            markers.append(weakref.ref(marker))
+        return evaluate(node, env, gamma, memo)
+
+    monkeypatch.setattr(diff_ops, "_subtree_derivation", marking)
+    tree = ot("(;(E1;(E2))(E2)(E1;(E2)))")
+    gc.disable()  # the memo must go by reference counting, not by a collection
+    try:
+        assert check_module_law(tree, ENV2, CURVED2, A2, B2)
+        assert len(markers) == 1 and markers[0]() is None
+        assert verify_composition(("E1", "E2", "E1"), ENV2, A2)
+        assert len(markers) == 2 and markers[1]() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"n": 2, "gamma": 3}, "'gamma' must map 'i,j,k' keys to polynomials"),
+        ({"n": 2, "gamma": ["x"]}, "'gamma' must map 'i,j,k' keys to polynomials"),
+        ({"n": None, "gamma": {}}, "'n' must be a positive integer, not None"),
+        ({"gamma": {}}, "connection spec needs an 'n' entry"),
+        ("n", "connection spec needs an 'n' entry"),
+    ],
+)
+def test_malformed_connection_specs_are_value_errors(spec, message):
+    with pytest.raises(ValueError, match=message):
+        Connection.from_dict(spec)
+
+
+def test_a_missing_gamma_is_the_flat_connection():
+    assert Connection.from_dict({"n": 2}).is_flat and Connection.from_dict({"n": 2, "gamma": None}).is_flat

@@ -20,7 +20,7 @@ from hopftrees import (
     verify_composition,
     word_to_trees,
 )
-from helpers import lc, random_polynomial, t, tree_operator_by_index_sum
+from helpers import count_calls, lc, random_polynomial, subtrees, t, tree_operator_by_index_sum
 
 
 ENV1 = DerivationEnv.from_dict({"n": 1, "E1": ["x1"], "E2": ["x1^2"]})
@@ -245,3 +245,90 @@ def test_word_polynomial_parser():
         (Fraction(-1), ("E3", "E1", "E2")),
         (Fraction(2), ("E1", "E2")),
     ]
+
+
+# Integral inputs and the same inputs scaled: every derivation by 1/2, f by 1/3.
+INT_ENV = DerivationEnv.from_dict({"n": 2, "E1": ["x1", "2*x2"], "E2": ["3*x1*x2", "-2"]})
+HALF_ENV = DerivationEnv.from_dict({"n": 2, "E1": ["1/2*x1", "x2"], "E2": ["3/2*x1*x2", "-1"]})
+INT_F = parse_polynomial("x1^3*x2 + 2*x2^2 - x1", 2)
+THIRD_F = parse_polynomial("1/3*x1^3*x2 + 2/3*x2^2 - 1/3*x1", 2)
+
+
+def _coefficient_types(p):
+    return {type(c) for _, c in p.terms()}
+
+
+def test_integral_inputs_give_int_coefficients():
+    p, q = parse_polynomial("3*x1^2*x2 - 4/2*x2", 2), parse_polynomial("x1 - 5", 2)
+    assert _coefficient_types(p) == {int}
+    for result in (p + q, p - q, -p, p * q, 3 * p, p * 2, p.derivative(1), INT_ENV["E2"].apply(p)):
+        assert result and _coefficient_types(result) == {int}, result
+    for tree in labeled_trees(3, ("E1", "E2")):
+        assert _coefficient_types(apply_tree_operator(tree, INT_ENV, INT_F)) <= {int}, tree.encode()
+    check = verify_composition(("E1", "E2", "E1"), INT_ENV, INT_F)
+    assert check.ok and _coefficient_types(check.tree_side) == _coefficient_types(check.nested_side) == {int}
+
+
+def test_fractional_inputs_stay_exact_through_tree_operators():
+    # a tree with k nodes below the root is k-linear in the derivations and linear in f
+    for degree in range(4):
+        for tree in labeled_trees(degree, ("E1", "E2")):
+            scaled = apply_tree_operator(tree, HALF_ENV, THIRD_F)
+            assert scaled == Fraction(1, 3 * 2**degree) * apply_tree_operator(tree, INT_ENV, INT_F)
+            assert scaled == tree_operator_by_index_sum(tree, HALF_ENV, THIRD_F), tree.encode()
+    assert Fraction in _coefficient_types(apply_tree_operator(t("(;(E1)(E2))"), HALF_ENV, THIRD_F))
+    word = ("E1", "E2", "E1")
+    check = verify_composition(word, HALF_ENV, THIRD_F)
+    assert check.ok
+    assert check.tree_side == Fraction(1, 24) * verify_composition(word, INT_ENV, INT_F).tree_side
+
+
+def test_composition_evaluates_each_distinct_subtree_once(monkeypatch):
+    from hopftrees import diff_ops
+
+    calls = count_calls(monkeypatch, diff_ops, "_covariant_contraction")
+    for word in (("E1", "E2", "E1"), ("E2", "E1", "E1", "E2")):
+        calls.clear()
+        assert verify_composition(word, INT_ENV, INT_F)
+        trees = [tree for tree, _ in word_to_trees(word, INT_ENV.symbols)]
+        # one contraction per distinct subtree, one at the root of each tree
+        assert len(calls) == len(subtrees(*trees)) + len(trees), word
+        assert len(calls) < sum(tree.degree() + 1 for tree in trees)  # once per node without the memo
+
+
+def test_derivation_is_an_immutable_value():
+    import pickle
+
+    d = INT_ENV["E1"]
+    twin = Derivation((parse_polynomial("x1", 2), parse_polynomial("2*x2", 2)))
+    assert d == twin and d != INT_ENV["E2"] and d != d.coeffs
+    assert pickle.loads(pickle.dumps(d)) == d
+    assert repr(d) == "Derivation((Polynomial(2, 'x1'), Polynomial(2, '2*x2')))"
+    with pytest.raises(AttributeError):
+        d.coeffs = ()
+    with pytest.raises(AttributeError):
+        del d.coeffs
+    with pytest.raises(TypeError):
+        hash(d)
+    assert not hasattr(d, "__dict__")
+    with pytest.raises(ValueError):
+        Derivation(())
+    with pytest.raises(ValueError):
+        Derivation((parse_polynomial("x1", 2),))
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"n": 2, "E1": 5}, "derivation E1 needs a list of 2 coefficient polynomials"),
+        ({"n": 2, "E1": "x1"}, "derivation E1 needs a list of 2 coefficient polynomials"),
+        ({"n": None}, "'n' must be a positive integer, not None"),
+        ({"n": "2"}, "'n' must be a positive integer, not '2'"),
+        ({"n": 0}, "'n' must be a positive integer, not 0"),
+        ({"E1": ["x1"]}, "derivation spec needs an 'n' entry"),
+        ([1, 2], "derivation spec needs an 'n' entry"),
+    ],
+)
+def test_malformed_derivation_specs_are_value_errors(spec, message):
+    with pytest.raises(ValueError, match=message):
+        DerivationEnv.from_dict(spec)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -190,3 +191,19 @@ def test_heap_product_matches_the_splicing_oracle():
     for s, p in itertools.product(perms, repeat=2):
         product = {permutation_as_map(q.cycles): c for q, c in heap_product(s, p)}
         assert product == heap_product_by_maps(s.cycles, p.cycles), (s, p)
+
+
+def test_cycle_permutation_is_an_immutable_value_with_a_cached_hash():
+    p = parse_permutation("(1 3)(2)")
+    twin = CyclePermutation(((2,), (1, 3)))
+    assert p == twin and hash(p) == hash(twin) and p is not twin
+    assert p != parse_permutation("(1 2)(3)") and p != ((2,), (1, 3))
+    assert CyclePermutation() == ID0 and CyclePermutation(cycles=()) == ID0
+    assert len({p, twin, ID0}) == 2
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert repr(p) == "CyclePermutation(((2,), (1, 3)))"
+    with pytest.raises(AttributeError):
+        p.cycles = ()
+    with pytest.raises(AttributeError):
+        del p.cycles
+    assert not hasattr(p, "__dict__")

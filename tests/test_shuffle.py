@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import pickle
 
+import pytest
 from hypothesis import given, strategies as st
 
 from hopftrees import (
@@ -135,3 +137,19 @@ def test_shuffle_product_matches_the_recursive_definition():
         assert shuffle_product(u, v) == LinearCombination(
             (Word(letters), count) for letters, count in expected.items()
         )
+
+
+def test_word_is_an_immutable_value_with_a_cached_hash():
+    w = Word(("a", "b"))
+    twin = Word(("a", "b"))
+    assert w == twin and hash(w) == hash(twin) and w is not twin
+    assert w != Word(("b", "a")) and w != ("a", "b")
+    assert Word() == EMPTY_WORD and Word(letters=("a",)) == Word(("a",))
+    assert len({w, twin, Word(("b", "a"))}) == 2
+    assert pickle.loads(pickle.dumps(w)) == w
+    assert repr(w) == "Word(('a', 'b'))"
+    with pytest.raises(AttributeError):
+        w.letters = ("c",)
+    with pytest.raises(AttributeError):
+        del w.letters
+    assert not hasattr(w, "__dict__")
