@@ -78,6 +78,43 @@ class Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
 
+class Record:
+    """Base of the plain record classes, whose fields are their ``__slots__``.
+
+    Two records are equal when they are of the same class and their fields
+    are equal in order; ``repr`` is ``Name(field=value, ...)`` and pickling
+    passes the fields to ``__init__`` in order.  A record is mutable and
+    unhashable; a :class:`Value` is the immutable, hashable kind.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Value(Immutable, Record):
+    """An immutable :class:`Record`, hashed by the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
 def _exact(coeff: Scalar) -> Scalar:
     """``coeff`` itself when it is an ``int``, else as a ``Fraction``."""
     return coeff if type(coeff) is int else Fraction(coeff)

@@ -16,11 +16,11 @@ sweep computes outlives it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
 from .algebra import (
     LinearCombination,
+    Record,
     TensorPair,
     _sum_scaled,
     extend_bilinear,
@@ -113,18 +113,26 @@ class _SweepMemo:
         return value
 
 
-@dataclass
-class AxiomCheck:
-    name: str
-    checked: int
-    passed: bool
-    counterexample: str | None = None
+class AxiomCheck(Record):
+    """One axiom's outcome: how many cases were checked, and the first failure."""
+
+    __slots__ = ("name", "checked", "passed", "counterexample")
+
+    def __init__(self, name: str, checked: int, passed: bool, counterexample: str | None = None):
+        self.name = name
+        self.checked = checked
+        self.passed = passed
+        self.counterexample = counterexample
 
 
-@dataclass
-class VerificationReport:
-    algebra: str
-    checks: list[AxiomCheck] = field(default_factory=list)
+class VerificationReport(Record):
+    """The checks of one sweep; mutable, so sweeps can be renamed and combined."""
+
+    __slots__ = ("algebra", "checks")
+
+    def __init__(self, algebra: str, checks: list[AxiomCheck] | None = None):
+        self.algebra = algebra
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

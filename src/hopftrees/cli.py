@@ -17,28 +17,22 @@ import os
 import random
 import sys
 
+# Modules a subcommand may not need are reached through their module objects,
+# which the package loads on first attribute access (see ``hopftrees/__init__``):
+# ``from .diff_ops import X`` here would run ``diff_ops`` for every subcommand.
+from . import axioms, connection, diff_ops
 from . import connes_kreimer as ck
-from . import shuffle as sh
+from . import grossman_larson as gl
 from . import permutations as perm
+from . import shuffle as sh
 from .algebra import LinearCombination, ParseError, TensorPair, format_fraction
-from .axioms import VerificationReport
-from .connection import Connection, check_module_law, covariant_derivative
-from .diff_ops import (
-    DerivationEnv,
-    Polynomial,
-    apply_tree_operator,
-    expand_operator,
-    parse_polynomial,
-    parse_word_polynomial,
-    verify_composition,
-)
-from .grossman_larson import HEAP_ORDERED, ORDERED, ROOTED, TreeHopfAlgebra, labeled_algebra
 from .trees import (
     DEFAULT_DEGREE_CAP,
     HEAP_DEGREE_CAP,
     Tree,
     heap_ordered_trees,
     labeled_trees,
+    ordered_labeled_trees,
     ordered_trees,
     parse_forest,
     parse_tree,
@@ -75,18 +69,18 @@ def _cap(args) -> int | None:
     return int(env_value) if env_value else None
 
 
-def _algebra_for(args, elements: list[Tree]) -> TreeHopfAlgebra:
+def _algebra_for(args, elements: list[Tree]) -> gl.TreeHopfAlgebra:
     flavor = args.flavor
     if flavor == "rooted":
-        return ROOTED
+        return gl.ROOTED
     if flavor == "ordered":
-        return ORDERED
+        return gl.ORDERED
     if flavor == "hot":
-        return HEAP_ORDERED
+        return gl.HEAP_ORDERED
     symbols = args.symbols.split(",") if args.symbols else sorted(
         {lab for t in elements for lab in t.labels() if isinstance(lab, str)}
     )
-    return labeled_algebra(symbols, ordered=(flavor == "ordered-labeled"))
+    return gl.labeled_algebra(symbols, ordered=(flavor == "ordered-labeled"))
 
 
 def _combination_payload(combo: LinearCombination) -> dict:
@@ -111,7 +105,7 @@ def _emit_combination(args, combo: LinearCombination) -> None:
     _emit(args, combo.render(), _combination_payload(combo))
 
 
-def _report_exit(args, report: VerificationReport) -> int:
+def _report_exit(args, report: axioms.VerificationReport) -> int:
     payload = {
         "algebra": report.algebra,
         "passed": report.passed,
@@ -207,27 +201,27 @@ def _cmd_trees(args) -> int:
     return 0
 
 
-def _load_env(path: str) -> DerivationEnv:
+def _load_env(path: str) -> diff_ops.DerivationEnv:
     with open(path, "r", encoding="utf-8") as handle:
-        return DerivationEnv.from_dict(json.load(handle))
+        return diff_ops.DerivationEnv.from_dict(json.load(handle))
 
 
-def _load_connection(path: str) -> Connection:
+def _load_connection(path: str) -> connection.Connection:
     with open(path, "r", encoding="utf-8") as handle:
-        return Connection.from_dict(json.load(handle))
+        return connection.Connection.from_dict(json.load(handle))
 
 
 def _cmd_psi(args) -> int:
     env = _load_env(args.env)
     if args.operation == "apply":
         tree = parse_tree(_read_element(args.tree))
-        f = parse_polynomial(args.f, env.num_vars)
-        result = apply_tree_operator(tree, env, f)
+        f = diff_ops.parse_polynomial(args.f, env.num_vars)
+        result = diff_ops.apply_tree_operator(tree, env, f)
         _emit(args, result.render(), {"polynomial": result.render()})
         return 0
     if args.operation == "expand":
-        word_terms = parse_word_polynomial(args.word)
-        expansion = expand_operator(word_terms, env.symbols)
+        word_terms = diff_ops.parse_word_polynomial(args.word)
+        expansion = diff_ops.expand_operator(word_terms, env.symbols)
         payload = {
             "raw_trees": expansion.raw_tree_count,
             "cancelled": expansion.cancelled_count,
@@ -251,8 +245,8 @@ def _cmd_psi(args) -> int:
         return 0
     # check-diagram
     word = tuple(s.strip() for s in args.word.split(","))
-    f = parse_polynomial(args.f, env.num_vars)
-    check = verify_composition(word, env, f)
+    f = diff_ops.parse_polynomial(args.f, env.num_vars)
+    check = diff_ops.verify_composition(word, env, f)
     payload = {
         "ok": check.ok,
         "tree_side": check.tree_side.render(),
@@ -268,13 +262,11 @@ def _cmd_conn(args) -> int:
     if args.operation == "apply":
         lower = env[args.fields[0]]
         upper = env[args.fields[1]]
-        result = covariant_derivative(conn, lower, upper)
+        result = connection.covariant_derivative(conn, lower, upper)
         _emit(args, result.render(), {"derivation": result.render()})
         return 0
     # check-module: sweep all ordered labeled trees up to --max-degree with
     # seeded random polynomial pairs
-    from .trees import ordered_labeled_trees
-
     rng = random.Random(args.seed)
     failures: list[str] = []
     checked = 0
@@ -283,7 +275,7 @@ def _cmd_conn(args) -> int:
             a = _random_polynomial(rng, env.num_vars, 2)
             b = _random_polynomial(rng, env.num_vars, 2)
             checked += 1
-            if not check_module_law(tree, env, conn, a, b):
+            if not connection.check_module_law(tree, env, conn, a, b):
                 failures.append(tree.encode())
     ok = not failures
     text = (
@@ -294,28 +286,28 @@ def _cmd_conn(args) -> int:
     return 0 if ok else 2
 
 
-def _random_polynomial(rng: random.Random, num_vars: int, max_degree: int) -> Polynomial:
+def _random_polynomial(rng: random.Random, num_vars: int, max_degree: int) -> diff_ops.Polynomial:
     terms = {}
     for _ in range(rng.randint(2, 4)):
         exps = [0] * num_vars
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(num_vars)] += 1
         terms[tuple(exps)] = rng.randint(-3, 3)
-    return Polynomial(num_vars, terms)
+    return diff_ops.Polynomial(num_vars, terms)
 
 
 def _cmd_verify(args) -> int:
     degree = args.max_degree
     if args.algebra == "gl":
         flavors = [args.flavor] if args.flavor else ["rooted", "ordered", "labeled", "hot"]
-        combined = VerificationReport(f"tree algebra sweep (degree <= {degree})")
+        combined = axioms.VerificationReport(f"tree algebra sweep (degree <= {degree})")
         for flavor in flavors:
             if flavor == "labeled":
-                alg = labeled_algebra((args.symbols or "E1,E2").split(","))
+                alg = gl.labeled_algebra((args.symbols or "E1,E2").split(","))
             elif flavor == "ordered-labeled":
-                alg = labeled_algebra((args.symbols or "E1,E2").split(","), ordered=True)
+                alg = gl.labeled_algebra((args.symbols or "E1,E2").split(","), ordered=True)
             else:
-                alg = {"rooted": ROOTED, "ordered": ORDERED, "hot": HEAP_ORDERED}[flavor]
+                alg = {"rooted": gl.ROOTED, "ordered": gl.ORDERED, "hot": gl.HEAP_ORDERED}[flavor]
             report = alg.verify(degree)
             for check in report.checks:
                 check.name = f"{flavor}/{check.name}"
@@ -340,12 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hopftrees", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gl = sub.add_parser("gl", parents=[common], help="grafting algebra of trees")
-    gl.add_argument("operation", choices=("mul", "coprod", "antipode"))
-    gl.add_argument("elements", nargs="+", help="trees like '(;())' ('-' reads stdin)")
-    gl.add_argument("--flavor", choices=FLAVORS, default="rooted")
-    gl.add_argument("--symbols", help="comma-separated labels for labeled flavors")
-    gl.set_defaults(handler=_cmd_gl)
+    glp = sub.add_parser("gl", parents=[common], help="grafting algebra of trees")
+    glp.add_argument("operation", choices=("mul", "coprod", "antipode"))
+    glp.add_argument("elements", nargs="+", help="trees like '(;())' ('-' reads stdin)")
+    glp.add_argument("--flavor", choices=FLAVORS, default="rooted")
+    glp.add_argument("--symbols", help="comma-separated labels for labeled flavors")
+    glp.set_defaults(handler=_cmd_gl)
 
     ckp = sub.add_parser("ck", parents=[common], help="forest algebra with cut coproduct")
     ckp.add_argument("operation", choices=("coprod", "pair"))

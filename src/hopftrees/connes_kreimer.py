@@ -19,24 +19,25 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .algebra import LinearCombination, TensorPair, extend_bilinear
-from .axioms import AxiomCheck, VerificationReport, coassociativity_sides, counit_sides, memoize
+from .algebra import LinearCombination, TensorPair, Value, _set, extend_bilinear
+from . import axioms
 from .trees import Forest, Tree, canonicalize, rooted_trees, strip_root
 
 ForestMonomial = Forest
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(Value):
     """A set of removed edges, each named by the address of its child endpoint.
 
     An address is the tuple of child positions walked from the root in the
     tree's canonical form.
     """
 
-    removed_edges: frozenset[tuple[int, ...]]
+    __slots__ = ("removed_edges",)
+
+    def __init__(self, removed_edges: frozenset[tuple[int, ...]]):
+        _set(self, "removed_edges", removed_edges)
 
     def is_admissible(self) -> bool:
         """No removed edge may sit on the path from the root to another."""
@@ -212,22 +213,22 @@ def forest_monomials(total_nodes: int) -> list[Forest]:
     return sorted(out, key=Forest.encode)
 
 
-def verify_forest_algebra(max_degree: int) -> VerificationReport:
+def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
     """Sweep: commutativity/associativity/unit of the monomial product,
     coassociativity and counit of the cut coproduct, and the duality identity
     against the grafting product on trees.  Each coproduct and pairing is
     computed once per call."""
     from .grossman_larson import ROOTED
 
-    coproduct = memoize(forest_coproduct)
-    pairing = memoize(dual_pairing)
-    report = VerificationReport("forest algebra with cut coproduct")
+    coproduct = axioms.memoize(forest_coproduct)
+    pairing = axioms.memoize(dual_pairing)
+    report = axioms.VerificationReport("forest algebra with cut coproduct")
     monomials = [m for d in range(max_degree + 1) for m in forest_monomials(d)]
     trees_small = [t for d in range(max_degree + 1) for t in rooted_trees(d)]
 
     def record(name: str, failures: list[str], checked: int) -> None:
         report.checks.append(
-            AxiomCheck(name, checked, not failures, failures[0] if failures else None)
+            axioms.AxiomCheck(name, checked, not failures, failures[0] if failures else None)
         )
 
     fails, count = [], 0
@@ -262,7 +263,7 @@ def verify_forest_algebra(max_degree: int) -> VerificationReport:
     for t in trees_small:
         count += 1
         m = Forest.canonical([t])
-        left, right = coassociativity_sides(coproduct, coproduct(m))
+        left, right = axioms.coassociativity_sides(coproduct, coproduct(m))
         if left != right:
             fails.append(m.encode())
     record("coassociativity", fails, count)
@@ -271,7 +272,7 @@ def verify_forest_algebra(max_degree: int) -> VerificationReport:
     for m in monomials:
         count += 1
         single = LinearCombination.single(m)
-        left, right = counit_sides(forest_counit, coproduct(m))
+        left, right = axioms.counit_sides(forest_counit, coproduct(m))
         if left != single or right != single:
             fails.append(m.encode())
     record("counit", fails, count)

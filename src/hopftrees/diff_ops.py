@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import (Immutable, LinearCombination, ParseError, Scalar, _exact, _set,
+from .algebra import (Immutable, LinearCombination, ParseError, Record, Scalar, _exact, _set,
                       extend_bilinear, format_fraction)
 from .grossman_larson import labeled_algebra
 from .trees import Tree, canonicalize
@@ -453,13 +452,15 @@ def word_to_trees(word: Sequence[str], symbols: Iterable[str] | None = None) -> 
     return result
 
 
-@dataclass
-class OperatorTerm:
+class OperatorTerm(Record):
     """One surviving tree together with its formal multi-index factorization."""
 
-    coeff: Fraction
-    tree: Tree
-    factors: tuple[str, ...]
+    __slots__ = ("coeff", "tree", "factors")
+
+    def __init__(self, coeff: Scalar, tree: Tree, factors: tuple[str, ...]):
+        self.coeff = coeff
+        self.tree = tree
+        self.factors = factors
 
     def render(self) -> str:
         sign = "-" if self.coeff < 0 else "+"
@@ -468,13 +469,15 @@ class OperatorTerm:
         return f"{sign} {coeff_text}sum " + " ".join(self.factors)
 
 
-@dataclass
-class OperatorExpansion:
+class OperatorExpansion(Record):
     """Tree-level expansion of a formal polynomial in derivation symbols."""
 
-    raw_tree_count: int
-    surviving: LinearCombination
-    terms: list[OperatorTerm]
+    __slots__ = ("raw_tree_count", "surviving", "terms")
+
+    def __init__(self, raw_tree_count: int, surviving: LinearCombination, terms: list[OperatorTerm]):
+        self.raw_tree_count = raw_tree_count
+        self.surviving = surviving
+        self.terms = terms
 
     @property
     def surviving_count(self) -> int:
@@ -519,13 +522,15 @@ def expand_operator(word_terms: Sequence[tuple[Scalar, Sequence[str]]],
     return OperatorExpansion(int(raw), surviving, terms)
 
 
-@dataclass
-class CompositionCheck:
+class CompositionCheck(Record):
     """Outcome of comparing a word's tree expansion against nested application."""
 
-    ok: bool
-    tree_side: Polynomial
-    nested_side: Polynomial
+    __slots__ = ("ok", "tree_side", "nested_side")
+
+    def __init__(self, ok: bool, tree_side: Polynomial, nested_side: Polynomial):
+        self.ok = ok
+        self.tree_side = tree_side
+        self.nested_side = nested_side
 
     def __bool__(self) -> bool:
         return self.ok
@@ -552,13 +557,17 @@ def verify_composition(word: Sequence[str], env: DerivationEnv, f: Polynomial) -
 
 
 def parse_word_polynomial(text: str) -> list[tuple[Fraction, tuple[str, ...]]]:
-    """Parse ``E3,E2,E1 - E3,E1,E2 + 2*E1,E2`` into (coefficient, word) pairs."""
-    stripped = text.strip()
-    if not stripped:
+    """Parse ``E3,E2,E1 - E3,E1,E2 + 2*E1,E2`` into (coefficient, word) pairs.
+
+    A malformed coefficient or word is reported at its offset in ``text``.
+    """
+    if not text.strip():
         raise ParseError("empty operator polynomial", text, 0)
     out: list[tuple[Fraction, tuple[str, ...]]] = []
     sign = Fraction(1)
-    for piece in re.split(r"([+-])", stripped):
+    end = 0
+    for piece in re.split(r"([+-])", text):
+        start, end = end, end + len(piece)
         chunk = piece.strip()
         if not chunk:
             continue
@@ -567,15 +576,17 @@ def parse_word_polynomial(text: str) -> list[tuple[Fraction, tuple[str, ...]]]:
             continue
         coeff = sign
         body = chunk
+        at = start + len(piece) - len(piece.lstrip())
         if "*" in chunk:
             head, _, body = chunk.partition("*")
             try:
                 coeff = sign * Fraction(head.strip())
             except (ValueError, ZeroDivisionError):
-                raise ParseError(f"invalid coefficient {head!r}", text, 0) from None
+                raise ParseError(f"invalid coefficient {head!r}", text, at) from None
+            at += len(head) + 1 + len(body) - len(body.lstrip())
         letters = tuple(s.strip() for s in body.split(","))
         if not all(s.isidentifier() for s in letters):
-            raise ParseError(f"invalid word {body!r}", text, 0)
+            raise ParseError(f"invalid word {body!r}", text, at)
         out.append((coeff, letters))
         sign = Fraction(1)
     return out

@@ -15,10 +15,8 @@ that basis elements stay in standard form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import axioms
-from .algebra import LinearCombination, TensorPair, check_budget
+from .algebra import LinearCombination, TensorPair, Value, _set, check_budget
 from .trees import (
     Forest,
     Tree,
@@ -37,17 +35,17 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class TreeHopfAlgebra:
+class TreeHopfAlgebra(Value):
     """Grafting product / root-split coproduct on a chosen tree variant."""
 
-    ordered: bool = False
-    heap: bool = False
-    symbols: tuple[str, ...] = ()
+    __slots__ = ("ordered", "heap", "symbols")
 
-    def __post_init__(self):
-        if self.heap and (self.ordered or self.symbols):
+    def __init__(self, ordered: bool = False, heap: bool = False, symbols: tuple[str, ...] = ()):
+        if heap and (ordered or symbols):
             raise ValueError("heap-ordered flavor uses unordered trees with integer labels")
+        _set(self, "ordered", ordered)
+        _set(self, "heap", heap)
+        _set(self, "symbols", symbols)
 
     def unit(self) -> Tree:
         return Tree(ordered=self.ordered)

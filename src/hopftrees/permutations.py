@@ -20,10 +20,9 @@ products and both coproducts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import axioms
-from .algebra import Immutable, LinearCombination, ParseError, TensorPair, _set, check_budget
+from .algebra import Immutable, LinearCombination, ParseError, TensorPair, Value, _set, check_budget
 from .trees import Tree, canonicalize, is_standard_heap_tree
 
 
@@ -264,9 +263,10 @@ def tree_to_permutation(t: Tree) -> CyclePermutation:
     return CyclePermutation(_standardize(cycles))
 
 
-@dataclass(frozen=True)
-class PermutationHopfAlgebra:
+class PermutationHopfAlgebra(Value):
     """Adapter exposing the heap product algebra to the generic axiom sweep."""
+
+    __slots__ = ()
 
     def unit(self) -> CyclePermutation:
         return CyclePermutation()

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
-from .algebra import Immutable, LinearCombination, ParseError, TensorPair, _set, check_budget
+from .algebra import Immutable, LinearCombination, ParseError, TensorPair, Value, _set, check_budget
 from . import axioms
 
 
@@ -110,11 +109,13 @@ def word_count(alphabet, total_degree: int) -> int:
     return counts[total_degree]
 
 
-@dataclass(frozen=True)
-class ShuffleHopfAlgebra:
+class ShuffleHopfAlgebra(Value):
     """Shuffle product + deconcatenation over a finite degree-1 alphabet."""
 
-    letters: tuple[str, ...]
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[str, ...]):
+        _set(self, "letters", letters)
 
     def unit(self) -> Word:
         return EMPTY_WORD

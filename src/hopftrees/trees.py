@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 
-from .algebra import Immutable, LinearCombination, ParseError, check_budget
+from .algebra import Immutable, LinearCombination, ParseError, Value, check_budget
 
 Label = str | int | None
 
@@ -126,11 +125,23 @@ def _canonical_node(label: Label, children: tuple[Tree, ...], ordered: bool) -> 
     return node
 
 
-@dataclass(frozen=True)
-class Forest:
+class Forest(Value):
     """A sequence of trees; a multiset when the trees are unordered-flavor."""
 
-    trees: tuple[Tree, ...] = ()
+    __slots__ = ("trees",)
+
+    def __init__(self, trees: tuple[Tree, ...] = ()):
+        _set(self, "trees", trees)
+
+    # the forest algebra's basis elements are dictionary keys: its one field
+    # is compared and hashed directly rather than through ``Value._fields``
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Forest:
+            return NotImplemented
+        return self.trees == other.trees
+
+    def __hash__(self) -> int:
+        return hash((self.trees,))
 
     @classmethod
     def canonical(cls, trees) -> "Forest":

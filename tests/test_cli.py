@@ -323,3 +323,17 @@ def test_an_undecodable_spec_file_is_a_clean_error(tmp_path):
     result = run_module("psi", "apply", "--env", str(path), "--tree", "(;(E1))", "--f", "x1")
     assert_clean_error(result)
     assert result.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize(
+    "word, message, column",
+    [
+        ("E1,E2 - E2,E1 + 2*E1,E 2", "invalid word 'E1,E 2'", 18),
+        ("E1,E2 - E2,E1 + 1/0*E1", "invalid coefficient '1/0'", 16),
+    ],
+)
+def test_word_polynomial_errors_put_the_caret_under_the_bad_term(env_file, word, message, column):
+    result = run_module("psi", "expand", "--env", env_file, "--word", word)
+    assert_clean_error(result)
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message} at position {column}\n  {word}\n  {' ' * column}^\n"

@@ -247,6 +247,26 @@ def test_word_polynomial_parser():
     ]
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("E1,E2 - E2,E1 + 2*E1,E 2", "invalid word 'E1,E 2'", 18),
+        ("E1,E2 - E2,E1 + 1/0*E1", "invalid coefficient '1/0'", 16),
+        ("  E1 + 2* E 1", "invalid word ' E 1'", 10),
+        ("E1 -   x*E2", "invalid coefficient 'x'", 7),
+        ("E1,E2 + *E1", "invalid coefficient ''", 8),
+        ("E 1 + E2", "invalid word 'E 1'", 0),
+        ("   ", "empty operator polynomial", 0),
+    ],
+)
+def test_word_polynomial_errors_point_at_the_bad_term(text, message, position):
+    from hopftrees import ParseError
+
+    with pytest.raises(ParseError) as info:
+        parse_word_polynomial(text)
+    assert (info.value.message, info.value.text, info.value.position) == (message, text, position)
+
+
 # Integral inputs and the same inputs scaled: every derivation by 1/2, f by 1/3.
 INT_ENV = DerivationEnv.from_dict({"n": 2, "E1": ["x1", "2*x2"], "E2": ["3*x1*x2", "-2"]})
 HALF_ENV = DerivationEnv.from_dict({"n": 2, "E1": ["1/2*x1", "x2"], "E2": ["3/2*x1*x2", "-1"]})
