@@ -31,10 +31,9 @@ _EXPORTS = {
     "connection": ("Connection", "apply_connection_operator", "check_module_law",
                    "covariant_derivative", "covariant_differential", "subtree_derivation",
                    "vector_covariant_differential"),
-    "connes_kreimer": ("Cut", "admissible_cuts", "apply_cut", "dual_pairing", "forest_coproduct",
-                       "forest_counit", "forest_monomials", "forest_symmetry_factor",
-                       "monomial_product", "symmetry_factor", "tree_edges",
-                       "verify_forest_algebra"),
+    "connes_kreimer": ("admissible_cuts", "dual_pairing", "forest_coproduct", "forest_counit",
+                       "forest_monomials", "forest_symmetry_factor", "monomial_product",
+                       "symmetry_factor", "verify_forest_algebra"),
     "diff_ops": ("CompositionCheck", "Derivation", "DerivationEnv", "OperatorExpansion",
                  "Polynomial", "apply_tree_operator", "expand_operator", "parse_polynomial",
                  "parse_word_polynomial", "verify_composition", "word_to_trees"),
@@ -42,8 +41,7 @@ _EXPORTS = {
                         "labeled_algebra"),
     "permutations": ("HEAP_PRODUCT_ALGEBRA", "CyclePermutation", "cycle_coproduct",
                      "heap_product", "parse_permutation", "perm_counit", "permutation_to_tree",
-                     "relabel", "shift", "standard_order", "symmetric_group",
-                     "tree_to_permutation"),
+                     "relabel", "shift", "symmetric_group", "tree_to_permutation"),
     "shuffle": ("EMPTY_WORD", "ShuffleHopfAlgebra", "Word", "deconcatenation", "parse_word",
                 "shuffle_antipode", "shuffle_product", "word_count", "word_counit"),
     "trees": ("Forest", "Tree", "add_root", "attach_all", "canonicalize", "heap_ordered_trees",

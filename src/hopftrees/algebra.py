@@ -17,7 +17,7 @@ results are deterministic across runs and platforms.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Iterator
 
 
 Scalar = Fraction | int
@@ -55,11 +55,6 @@ class ParseError(ValueError):
             return self.message
         pointer = " " * self.position + "^"
         return f"{self.message} at position {self.position}\n  {self.text}\n  {pointer}"
-
-
-@runtime_checkable
-class BasisElement(Protocol):
-    def encode(self) -> str: ...
 
 
 _set = object.__setattr__

@@ -69,18 +69,11 @@ def _cap(args) -> int | None:
     return int(env_value) if env_value else None
 
 
-def _algebra_for(args, elements: list[Tree]) -> gl.TreeHopfAlgebra:
-    flavor = args.flavor
-    if flavor == "rooted":
-        return gl.ROOTED
-    if flavor == "ordered":
-        return gl.ORDERED
-    if flavor == "hot":
-        return gl.HEAP_ORDERED
-    symbols = args.symbols.split(",") if args.symbols else sorted(
-        {lab for t in elements for lab in t.labels() if isinstance(lab, str)}
-    )
-    return gl.labeled_algebra(symbols, ordered=(flavor == "ordered-labeled"))
+def _algebra_for(flavor: str, symbols) -> gl.TreeHopfAlgebra:
+    """The tree algebra of ``flavor``; the labeled flavors take ``symbols`` as labels."""
+    if flavor in ("labeled", "ordered-labeled"):
+        return gl.labeled_algebra(symbols, ordered=(flavor == "ordered-labeled"))
+    return {"rooted": gl.ROOTED, "ordered": gl.ORDERED, "hot": gl.HEAP_ORDERED}[flavor]
 
 
 def _combination_payload(combo: LinearCombination) -> dict:
@@ -130,7 +123,10 @@ def _report_exit(args, report: axioms.VerificationReport) -> int:
 def _cmd_gl(args) -> int:
     ordered = args.flavor in ("ordered", "ordered-labeled")
     elements = [parse_tree(_read_element(e), ordered=ordered) for e in args.elements]
-    alg = _algebra_for(args, elements)
+    symbols = args.symbols.split(",") if args.symbols else sorted(
+        {lab for t in elements for lab in t.labels() if isinstance(lab, str)}
+    )
+    alg = _algebra_for(args.flavor, symbols)
     if args.operation == "mul":
         _emit_combination(args, alg.product(elements[0], elements[1]))
     elif args.operation == "coprod":
@@ -300,15 +296,10 @@ def _cmd_verify(args) -> int:
     degree = args.max_degree
     if args.algebra == "gl":
         flavors = [args.flavor] if args.flavor else ["rooted", "ordered", "labeled", "hot"]
+        symbols = (args.symbols or "E1,E2").split(",")
         combined = axioms.VerificationReport(f"tree algebra sweep (degree <= {degree})")
         for flavor in flavors:
-            if flavor == "labeled":
-                alg = gl.labeled_algebra((args.symbols or "E1,E2").split(","))
-            elif flavor == "ordered-labeled":
-                alg = gl.labeled_algebra((args.symbols or "E1,E2").split(","), ordered=True)
-            else:
-                alg = {"rooted": gl.ROOTED, "ordered": gl.ORDERED, "hot": gl.HEAP_ORDERED}[flavor]
-            report = alg.verify(degree)
+            report = _algebra_for(flavor, symbols).verify(degree)
             for check in report.checks:
                 check.name = f"{flavor}/{check.name}"
                 combined.checks.append(check)

@@ -1,10 +1,14 @@
 """The commutative forest algebra with the admissible-cut coproduct.
 
 Monomials are multisets of unordered unlabeled rooted trees (:class:`Forest`
-with the empty forest as unit).  A cut of a tree is a set of removed edges; it
-is admissible when no root-to-leaf path loses more than one edge.  Each
-admissible cut splits a tree into the pruned forest (the pieces that fell off)
-and the part still containing the root, and the coproduct of a tree is
+with the empty forest as unit).  The monomials with ``n`` nodes are exactly
+the rooted trees with ``n + 1`` nodes, root removed, and that is how
+:func:`forest_monomials` lists them.
+
+A cut of a tree is a set of removed edges; it is admissible when no
+root-to-leaf path loses more than one edge.  Each admissible cut splits a
+tree into the pruned forest (the pieces that fell off) and the part still
+containing the root, and the coproduct of a tree is
 
     Delta(t) = t (x) 1  +  sum over admissible cuts  pruned (x) root-part,
 
@@ -20,64 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .algebra import LinearCombination, TensorPair, Value, _set, extend_bilinear
+from .algebra import LinearCombination, TensorPair, extend_bilinear
 from . import axioms
 from .trees import Forest, Tree, canonicalize, rooted_trees, strip_root
-
-ForestMonomial = Forest
-
-
-class Cut(Value):
-    """A set of removed edges, each named by the address of its child endpoint.
-
-    An address is the tuple of child positions walked from the root in the
-    tree's canonical form.
-    """
-
-    __slots__ = ("removed_edges",)
-
-    def __init__(self, removed_edges: frozenset[tuple[int, ...]]):
-        _set(self, "removed_edges", removed_edges)
-
-    def is_admissible(self) -> bool:
-        """No removed edge may sit on the path from the root to another."""
-        edges = list(self.removed_edges)
-        for a, b in itertools.combinations(edges, 2):
-            shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
-            if longer[: len(shorter)] == shorter:
-                return False
-        return True
-
-
-def tree_edges(t: Tree) -> list[tuple[int, ...]]:
-    """Addresses of all edges (identified by their child endpoints)."""
-    out: list[tuple[int, ...]] = []
-
-    def walk(node: Tree, address: tuple[int, ...]) -> None:
-        for i, child in enumerate(node.children):
-            out.append(address + (i,))
-            walk(child, address + (i,))
-
-    walk(t, ())
-    return out
-
-
-def apply_cut(t: Tree, cut: Cut) -> tuple[Forest, Tree]:
-    """Split ``t`` along an admissible cut into (pruned forest, root part)."""
-    pruned: list[Tree] = []
-
-    def walk(node: Tree, address: tuple[int, ...]) -> Tree:
-        kept: list[Tree] = []
-        for i, child in enumerate(node.children):
-            child_address = address + (i,)
-            if child_address in cut.removed_edges:
-                pruned.append(child)
-            else:
-                kept.append(walk(child, child_address))
-        return Tree(node.label, tuple(kept), node.ordered)
-
-    root_part = walk(t, ())
-    return Forest.canonical(pruned), canonicalize(root_part)
 
 
 def admissible_cuts(t: Tree) -> list[tuple[Forest, Tree]]:
@@ -101,10 +50,8 @@ def admissible_cuts(t: Tree) -> list[tuple[Forest, Tree]]:
         pruned: list[Tree] = []
         kept_children: list[Tree] = []
         for fell, kept in choice:
-            if kept is None:
-                pruned.extend(fell)
-            else:
-                pruned.extend(fell)
+            pruned.extend(fell)
+            if kept is not None:
                 kept_children.append(kept)
         results.append(
             (Forest.canonical(pruned), canonicalize(Tree(None, tuple(kept_children))))
@@ -191,26 +138,9 @@ def dual_pairing(t: Tree, a: Forest) -> int:
 
 
 def forest_monomials(total_nodes: int) -> list[Forest]:
-    """All forest monomials with the given total node count."""
-    if total_nodes == 0:
-        return [Forest()]
-    universe: list[Tree] = []
-    for nodes in range(1, total_nodes + 1):
-        universe.extend(rooted_trees(nodes - 1))
-
-    out: list[Forest] = []
-
-    def rec(remaining: int, start: int, acc: tuple[Tree, ...]) -> None:
-        if remaining == 0:
-            out.append(Forest.canonical(acc))
-            return
-        for i in range(start, len(universe)):
-            size = universe[i].node_count()
-            if size <= remaining:
-                rec(remaining - size, i, acc + (universe[i],))
-
-    rec(total_nodes, 0, ())
-    return sorted(out, key=Forest.encode)
+    """All forest monomials with the given total node count: the rooted trees
+    with one node more, root removed (so the rooted-tree degree cap applies)."""
+    return sorted(map(strip_root, rooted_trees(total_nodes)), key=Forest.encode)
 
 
 def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
@@ -223,7 +153,9 @@ def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
     coproduct = axioms.memoize(forest_coproduct)
     pairing = axioms.memoize(dual_pairing)
     report = axioms.VerificationReport("forest algebra with cut coproduct")
-    monomials = [m for d in range(max_degree + 1) for m in forest_monomials(d)]
+    # the duality check grafts two single nodes even when max_degree < 0
+    by_degree = [forest_monomials(d) for d in range(max(max_degree, 0) + 1)]
+    monomials = [m for d in range(max_degree + 1) for m in by_degree[d]]
     trees_small = [t for d in range(max_degree + 1) for t in rooted_trees(d)]
 
     def record(name: str, failures: list[str], checked: int) -> None:
@@ -282,7 +214,7 @@ def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
     small_trees = [t for d in range(half + 1) for t in rooted_trees(d)]
     for t1, t2 in itertools.product(small_trees, repeat=2):
         product = ROOTED.product(t1, t2)
-        for a in forest_monomials(t1.degree() + t2.degree()):
+        for a in by_degree[t1.degree() + t2.degree()]:
             count += 1
             lhs = sum(coeff * pairing(s, a) for s, coeff in product)
             rhs = sum(

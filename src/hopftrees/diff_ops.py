@@ -167,25 +167,25 @@ class Polynomial:
 
 def parse_polynomial(text: str, num_vars: int) -> Polynomial:
     """Parse forms like ``3*x1^2*x2 - 1/2*x2 + 4``."""
-    stripped = text.strip()
-    if not stripped:
+    if not text.strip():
         raise ParseError("empty polynomial", text, 0)
     # split on top-level + and - (a leading sign and a sign after '*'/'^'/'/' are
-    # part of the term, everything else separates terms)
+    # part of the term, everything else separates terms); a term's offset is
+    # that of its first non-space character in ``text``
     chunks: list[tuple[int, str, int]] = []
     current_sign = 1
     term_start = 0
     buf = ""
-    for i, ch in enumerate(stripped + "\0"):
+    for i, ch in enumerate(text + "\0"):
         if ch in "+-" and buf.strip() and not buf.rstrip().endswith(("*", "^", "/")):
             chunks.append((current_sign, buf, term_start))
             current_sign = 1 if ch == "+" else -1
             buf = ""
-            term_start = i + 1
         elif ch in "+-" and not buf.strip():
             current_sign = -current_sign if ch == "-" else current_sign
-            term_start = i + 1
         elif ch != "\0":
+            if not (buf.strip() or ch.isspace()):
+                term_start = i
             buf += ch
     if buf.strip():
         chunks.append((current_sign, buf, term_start))

@@ -114,11 +114,6 @@ def _standardize(cycles) -> tuple[tuple[int, ...], ...]:
     return tuple(rotated)
 
 
-def standard_order(cycles, n: int | None = None) -> CyclePermutation:
-    """Standard form of a raw cycle list: smallest-first cycles, decreasing heads."""
-    return CyclePermutation.from_cycles(cycles, n=n)
-
-
 def shift(p: CyclePermutation, offset: int) -> CyclePermutation:
     """Increase every entry by ``offset`` (a permutation of the shifted window)."""
     return CyclePermutation(tuple(tuple(x + offset for x in c) for c in p.cycles))

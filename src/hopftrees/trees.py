@@ -17,7 +17,7 @@ import itertools
 import math
 from operator import attrgetter
 
-from .algebra import Immutable, LinearCombination, ParseError, Value, check_budget
+from .algebra import Immutable, LinearCombination, ParseError, Value, _set, check_budget
 
 Label = str | int | None
 
@@ -28,8 +28,6 @@ HEAP_DEGREE_CAP = 6
 # recurse per level, and under Python's default limit of 1000 frames a chain
 # 330 deep already ends in RecursionError.
 MAX_TREE_DEPTH = 300
-
-_set = object.__setattr__
 
 
 class Tree(Immutable):
@@ -292,26 +290,25 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
     return LinearCombination(out)
 
 
-def relabel_standard(t: Tree) -> Tree:
-    """Relabel integer-labeled nodes order-isomorphically to ``1..k``."""
-    present = sorted(x for x in t.labels() if isinstance(x, int))
-    mapping = {old: new for new, old in enumerate(present, start=1)}
+def _map_integer_labels(t: Tree, new_label) -> Tree:
+    """``t`` with each integer label ``x`` replaced by ``new_label(x)``, canonicalized."""
 
     def walk(node: Tree) -> Tree:
-        lab = mapping[node.label] if isinstance(node.label, int) else node.label
+        lab = new_label(node.label) if isinstance(node.label, int) else node.label
         return Tree(lab, tuple(walk(c) for c in node.children), node.ordered)
 
     return canonicalize(walk(t))
+
+
+def relabel_standard(t: Tree) -> Tree:
+    """Relabel integer-labeled nodes order-isomorphically to ``1..k``."""
+    present = sorted(x for x in t.labels() if isinstance(x, int))
+    return _map_integer_labels(t, {old: new for new, old in enumerate(present, start=1)}.get)
 
 
 def shift_labels(t: Tree, offset: int) -> Tree:
     """Add ``offset`` to every integer label."""
-
-    def walk(node: Tree) -> Tree:
-        lab = node.label + offset if isinstance(node.label, int) else node.label
-        return Tree(lab, tuple(walk(c) for c in node.children), node.ordered)
-
-    return canonicalize(walk(t))
+    return _map_integer_labels(t, offset.__add__)
 
 
 def is_standard_heap_tree(t: Tree) -> bool:
@@ -350,27 +347,24 @@ def _check_degree(degree: int, cap: int | None, default_cap: int) -> None:
 _rooted_cache: dict[int, tuple[Tree, ...]] = {}
 
 
-def _rooted_by_nodes(m: int) -> tuple[Tree, ...]:
-    if m in _rooted_cache:
-        return _rooted_cache[m]
-    if m == 1:
-        result: tuple[Tree, ...] = (Tree(),)
-    else:
-        universe = _tree_universe(m - 1, _rooted_by_nodes)
-        result = tuple(
-            canonicalize(Tree(None, forest))
-            for forest in _multiset_forests(m - 1, universe, 0)
-        )
-        result = tuple(sorted(result, key=Tree.encode))
-    _rooted_cache[m] = result
-    return result
+def _unordered_trees(nodes: int, labels: tuple, cache: dict) -> tuple[Tree, ...]:
+    """Every unordered tree with ``nodes`` nodes labeled from ``labels``, sorted
+    by encoding; ``cache`` keeps them by node count."""
+    if nodes not in cache:
+        cache[nodes] = _planted(labels, nodes - 1, labels, cache)
+    return cache[nodes]
 
 
-def _tree_universe(max_nodes: int, by_nodes) -> list[Tree]:
-    out: list[Tree] = []
-    for k in range(1, max_nodes + 1):
-        out.extend(by_nodes(k))
-    return out
+def _planted(roots: tuple, nodes: int, labels: tuple, cache: dict) -> tuple[Tree, ...]:
+    """Every unordered tree whose root is labeled from ``roots`` and whose
+    ``nodes`` other nodes are labeled from ``labels``, sorted by encoding."""
+    universe = [s for k in range(1, nodes + 1) for s in _unordered_trees(k, labels, cache)]
+    trees = (
+        canonicalize(Tree(root, forest))
+        for root in roots
+        for forest in _multiset_forests(nodes, universe, 0)
+    )
+    return tuple(sorted(trees, key=Tree.encode))
 
 
 def _multiset_forests(total: int, universe: list[Tree], start: int):
@@ -394,7 +388,7 @@ def _multiset_forests(total: int, universe: list[Tree], start: int):
 def rooted_trees(degree: int, cap: int | None = None) -> list[Tree]:
     """All unordered unlabeled rooted trees with ``degree + 1`` nodes."""
     _check_degree(degree, cap, DEFAULT_DEGREE_CAP)
-    return list(_rooted_by_nodes(degree + 1))
+    return list(_unordered_trees(degree + 1, (None,), _rooted_cache))
 
 
 _planar_cache: dict[int, tuple[Tree, ...]] = {}
@@ -453,30 +447,10 @@ def heap_ordered_trees(degree: int, cap: int | None = None) -> list[Tree]:
 def labeled_trees(degree: int, symbols, cap: int | None = None) -> list[Tree]:
     """Unordered rooted trees whose non-root nodes carry labels from ``symbols``."""
     _check_degree(degree, cap, DEFAULT_DEGREE_CAP)
-    symbols = tuple(symbols)
+    symbols = tuple(dict.fromkeys(symbols))  # a repeated symbol labels nothing new
     if degree > 0 and not symbols:
         raise ValueError("labeled enumeration needs a nonempty symbol set")
-
-    cache: dict[int, tuple[Tree, ...]] = {}
-
-    def subtrees_by_nodes(m: int) -> tuple[Tree, ...]:
-        if m in cache:
-            return cache[m]
-        out = []
-        universe = _tree_universe(m - 1, subtrees_by_nodes)
-        for sym in symbols:
-            for forest in _multiset_forests(m - 1, universe, 0):
-                out.append(canonicalize(Tree(sym, forest)))
-        result = tuple(sorted(set(out), key=Tree.encode))
-        cache[m] = result
-        return result
-
-    universe = _tree_universe(degree, subtrees_by_nodes)
-    found = {
-        canonicalize(Tree(None, forest))
-        for forest in _multiset_forests(degree, universe, 0)
-    }
-    return sorted(found, key=Tree.encode)
+    return list(_planted((None,), degree, symbols, {}))
 
 
 def ordered_labeled_trees(degree: int, symbols, cap: int | None = None) -> list[Tree]:

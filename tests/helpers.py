@@ -1,11 +1,12 @@
 """Shared fixtures: element shortcuts and independent brute-force oracles.
 
 The oracles here deliberately avoid the library's own algorithms: tree
-isomorphism classes are counted through parent arrays and nested tuples,
-grafting products through every one of the (n+1)^r assignments, shuffles
-through their defining recursion, heap products as maps with spliced cycles,
-automorphism counts through plane-representation counting, and cuts through
-edge-subset filtering.  Trees act on polynomials here through the two
+isomorphism classes (unlabeled, labeled, and root-stripped as forest
+monomials) are found through parent arrays and nested tuples, grafting
+products through every one of the (n+1)^r assignments, shuffles through their
+defining recursion, heap products as maps with spliced cycles, automorphism
+counts through plane-representation counting, and cuts through edge-subset
+filtering.  Trees act on polynomials here through the two
 textbook definitions the library replaces by one contraction: the flat sum
 over all index assignments of a tree's nodes, and the recursive m-th
 covariant differentials of a connection.
@@ -18,7 +19,16 @@ import math
 import random
 from fractions import Fraction
 
-from hopftrees import Derivation, Forest, LinearCombination, Polynomial, Tree, parse_tree
+from hopftrees import (
+    Derivation,
+    Forest,
+    LinearCombination,
+    Polynomial,
+    Tree,
+    canonicalize,
+    parse_tree,
+)
+from hopftrees.algebra import Value
 
 
 def t(text: str) -> Tree:
@@ -157,34 +167,59 @@ def heap_product_by_maps(s_cycles, t_cycles) -> dict[tuple[int, ...], int]:
 
 
 # ---------------------------------------------------------------------------
-# oracle: unordered rooted tree isomorphism classes via parent arrays
+# oracle: unordered tree isomorphism classes via parent arrays
 
 
-def _shape_from_parents(parents: tuple[int, ...]):
-    """Canonical nested-sorted-tuple form of a rooted tree given parent links."""
+def _shape_from_parents(parents: tuple[int, ...], labels: tuple) -> tuple:
+    """Canonical nested ``(label, sorted child shapes)`` form of the tree whose
+    node ``i`` (``i >= 1``) hangs below ``parents[i - 1]`` and carries
+    ``labels[i - 1]``; the root, node 0, is unlabeled."""
     children: list[list[int]] = [[] for _ in range(len(parents) + 1)]
     for node, parent in enumerate(parents, start=1):
         children[parent].append(node)
+    names = (None,) + labels
 
-    def shape(node: int):
-        return tuple(sorted(shape(c) for c in children[node]))
+    def shape(node: int) -> tuple:
+        return (names[node], tuple(sorted(shape(c) for c in children[node])))
 
     return shape(0)
 
 
-def count_rooted_shapes_by_parent_arrays(num_nodes: int) -> int:
-    """Number of unordered rooted trees with ``num_nodes`` nodes.
+def _encode_shape(shape: tuple) -> str:
+    """The tree grammar's text for a nested shape, children sorted as text."""
+    label, children = shape
+    head = "" if label is None else str(label)
+    if not children:
+        return f"({head})"
+    return f"({head};" + "".join(sorted(map(_encode_shape, children))) + ")"
+
+
+def shapes_by_parent_arrays(degree: int, symbols=(None,)) -> set[tuple]:
+    """Isomorphism classes of unordered trees with ``degree + 1`` nodes whose
+    non-root nodes carry labels from ``symbols`` (``(None,)``: unlabeled).
 
     Every rooted tree admits a numbering where parents precede children, so
-    enumerating all parent arrays (node i's parent among 0..i-1) and reducing
-    to canonical nested tuples hits every isomorphism class.
+    enumerating all parent arrays (node i's parent among 0..i-1) times all
+    label tuples and reducing to canonical nested tuples hits every class.
     """
-    if num_nodes == 1:
-        return 1
-    shapes = set()
-    for parents in itertools.product(*(range(i) for i in range(1, num_nodes))):
-        shapes.add(_shape_from_parents(parents))
-    return len(shapes)
+    return {
+        _shape_from_parents(parents, labels)
+        for parents in itertools.product(*(range(i) for i in range(1, degree + 1)))
+        for labels in itertools.product(symbols, repeat=degree)
+    }
+
+
+def tree_encodings_by_parent_arrays(degree: int, symbols=(None,)) -> set[str]:
+    return {_encode_shape(shape) for shape in shapes_by_parent_arrays(degree, symbols)}
+
+
+def forest_encodings_by_parent_arrays(total_nodes: int) -> set[str]:
+    """Forest monomials with ``total_nodes`` nodes: the root-stripped shapes
+    of the rooted trees with one node more, joined by ``*`` (``1`` if empty)."""
+    return {
+        "*".join(sorted(map(_encode_shape, children))) or "1"
+        for _, children in shapes_by_parent_arrays(total_nodes)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +253,74 @@ def automorphisms_by_plane_count(tree: Tree) -> int:
     plane = len(set(_plane_forms(tree)))
     assert total_orderings % plane == 0
     return total_orderings // plane
+
+
+# ---------------------------------------------------------------------------
+# oracle: admissible cuts by filtering all edge subsets
+
+
+class Cut(Value):
+    """A set of removed edges, each named by the address of its child endpoint.
+
+    An address is the tuple of child positions walked from the root in the
+    tree's canonical form.
+    """
+
+    __slots__ = ("removed_edges",)
+
+    def __init__(self, removed_edges: frozenset[tuple[int, ...]]):
+        object.__setattr__(self, "removed_edges", removed_edges)
+
+    def is_admissible(self) -> bool:
+        """No removed edge may sit on the path from the root to another."""
+        for a, b in itertools.combinations(self.removed_edges, 2):
+            shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
+            if longer[: len(shorter)] == shorter:
+                return False
+        return True
+
+
+def tree_edges(tree: Tree) -> list[tuple[int, ...]]:
+    """Addresses of all edges (identified by their child endpoints)."""
+    out: list[tuple[int, ...]] = []
+
+    def walk(node: Tree, address: tuple[int, ...]) -> None:
+        for i, child in enumerate(node.children):
+            out.append(address + (i,))
+            walk(child, address + (i,))
+
+    walk(tree, ())
+    return out
+
+
+def apply_cut(tree: Tree, cut: Cut) -> tuple[Forest, Tree]:
+    """Split ``tree`` along an admissible cut into (pruned forest, root part)."""
+    pruned: list[Tree] = []
+
+    def walk(node: Tree, address: tuple[int, ...]) -> Tree:
+        kept: list[Tree] = []
+        for i, child in enumerate(node.children):
+            child_address = address + (i,)
+            if child_address in cut.removed_edges:
+                pruned.append(child)
+            else:
+                kept.append(walk(child, child_address))
+        return Tree(node.label, tuple(kept), node.ordered)
+
+    root_part = walk(tree, ())
+    return Forest.canonical(pruned), canonicalize(root_part)
+
+
+def cuts_by_subset_filter(tree: Tree) -> list[tuple[Forest, Tree]]:
+    """Enumerate all edge subsets and keep the admissible ones."""
+    edges = tree_edges(tree)
+    results = []
+    for r in range(len(edges) + 1):
+        for chosen in itertools.combinations(edges, r):
+            cut = Cut(frozenset(chosen))
+            if cut.is_admissible():
+                results.append(apply_cut(tree, cut))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -337,3 +337,19 @@ def test_word_polynomial_errors_put_the_caret_under_the_bad_term(env_file, word,
     assert_clean_error(result)
     assert result.stdout == ""
     assert result.stderr == f"error: {message} at position {column}\n  {word}\n  {' ' * column}^\n"
+
+
+def test_polynomial_errors_put_the_caret_under_the_bad_term(env_file):
+    f = "   x1 + x9"
+    result = run_module("psi", "apply", "--env", env_file, "--tree", "(;(E1))", "--f", f)
+    assert_clean_error(result)
+    assert result.stdout == ""
+    message = "variable x9 out of range for n=1 at position 8"
+    assert result.stderr == f"error: {message}\n  {f}\n  {' ' * 8}^\n"
+
+
+def test_a_forest_sweep_over_the_cap_is_a_one_line_error():
+    result = run_module("verify", "--algebra", "ck", "--max-degree", "9")
+    assert_clean_error(result)
+    assert result.stdout == ""
+    assert result.stderr == "error: degree 9 exceeds enumeration cap 8\n"

@@ -1,15 +1,14 @@
-"""Forest algebra: admissible cuts, symmetry factors, and the duality pairing."""
+"""Forest algebra: admissible cuts, symmetry factors, the duality pairing, and its monomials."""
 
-import itertools
 from fractions import Fraction
 
+import pytest
+
 from hopftrees import (
-    Cut,
     Forest,
     ROOTED,
     TensorPair,
     admissible_cuts,
-    apply_cut,
     dual_pairing,
     forest_coproduct,
     forest_counit,
@@ -19,27 +18,22 @@ from hopftrees import (
     parse_forest,
     rooted_trees,
     symmetry_factor,
-    tree_edges,
     verify_forest_algebra,
 )
-from helpers import automorphisms_by_plane_count, lc, t
+from hopftrees import connes_kreimer
+from helpers import (
+    automorphisms_by_plane_count,
+    count_calls,
+    cuts_by_subset_filter,
+    forest_encodings_by_parent_arrays,
+    lc,
+    t,
+)
 
 
 LEAF = t("()")
 CHAIN2 = t("(;())")
 V = t("(;()())")
-
-
-def cuts_by_subset_filter(tree):
-    """Oracle: enumerate all edge subsets, keep the admissible ones."""
-    edges = tree_edges(tree)
-    results = []
-    for r in range(len(edges) + 1):
-        for chosen in itertools.combinations(edges, r):
-            cut = Cut(frozenset(chosen))
-            if cut.is_admissible():
-                results.append(apply_cut(tree, cut))
-    return results
 
 
 def as_multiset(pairs):
@@ -171,3 +165,32 @@ def test_duality_against_grafting_product():
 def test_full_verification_report():
     report = verify_forest_algebra(4)
     assert report.passed, report.render()
+
+
+@pytest.mark.parametrize("total_nodes", range(6))
+def test_forest_monomials_are_the_root_stripped_shapes(total_nodes):
+    codes = [m.encode() for m in forest_monomials(total_nodes)]
+    assert codes == sorted(set(codes))
+    assert set(codes) == forest_encodings_by_parent_arrays(total_nodes)
+
+
+def test_forest_monomials_keep_the_rooted_degree_cap():
+    assert len(forest_monomials(8)) == len(rooted_trees(8)) == 286
+    with pytest.raises(ValueError, match="degree 9 exceeds enumeration cap 8"):
+        forest_monomials(9)
+
+
+def test_the_sweep_enumerates_each_degree_once(monkeypatch):
+    calls = count_calls(monkeypatch, connes_kreimer, "forest_monomials")
+    report = verify_forest_algebra(4)
+    assert calls == [(d,) for d in range(5)]
+    assert report.passed and report.checks[-1].name == "grafting-duality"
+
+
+def test_a_sweep_below_degree_zero_checks_one_duality():
+    report = verify_forest_algebra(-1)
+    assert [(c.name, c.checked) for c in report.checks] == [
+        ("commutativity", 0), ("associativity", 0), ("unit", 0),
+        ("coassociativity", 0), ("counit", 0), ("grafting-duality", 1),
+    ]
+    assert report.passed

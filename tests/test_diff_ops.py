@@ -267,6 +267,27 @@ def test_word_polynomial_errors_point_at_the_bad_term(text, message, position):
     assert (info.value.message, info.value.text, info.value.position) == (message, text, position)
 
 
+@pytest.mark.parametrize(
+    "text, num_vars, message, position",
+    [
+        ("x1 + x9", 1, "variable x9 out of range for n=1", 5),
+        ("   x1 + x9", 1, "variable x9 out of range for n=1", 8),
+        ("x1 - 2*x9", 1, "variable x9 out of range for n=1", 5),
+        ("x9", 1, "variable x9 out of range for n=1", 0),
+        ("- x1 -  -y2", 2, "invalid coefficient 'y2'", 9),
+        ("x1^2*x2 + 3*x1^a", 2, "invalid exponent 'a'", 10),
+        (" 1/0*x1", 1, "invalid coefficient '1/0'", 1),
+        ("   ", 1, "empty polynomial", 0),
+    ],
+)
+def test_polynomial_errors_point_at_the_bad_term(text, num_vars, message, position):
+    from hopftrees import ParseError
+
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, num_vars)
+    assert (info.value.message, info.value.text, info.value.position) == (message, text, position)
+
+
 # Integral inputs and the same inputs scaled: every derivation by 1/2, f by 1/3.
 INT_ENV = DerivationEnv.from_dict({"n": 2, "E1": ["x1", "2*x2"], "E2": ["3*x1*x2", "-2"]})
 HALF_ENV = DerivationEnv.from_dict({"n": 2, "E1": ["1/2*x1", "x2"], "E2": ["3/2*x1*x2", "-1"]})

@@ -1,7 +1,7 @@
 """The plain record classes: value equality, hashing, repr, pickling, (im)mutability.
 
-Five are immutable and hashable values (``Forest``, ``Cut`` and the three
-algebra adapters) and five are mutable, unhashable records (the reports and
+Five are immutable and hashable values (``Forest``, the three algebra
+adapters, and ``Cut`` from the edge-subset cut oracle in ``helpers``) and five are mutable, unhashable records (the reports and
 results).  Their equality, hashes and reprs are those of the dataclasses they
 replace: same class and equal fields in order, ``hash`` of the field tuple,
 and ``Name(field=value, ...)``.
@@ -18,7 +18,6 @@ from hopftrees import (
     HEAP_PRODUCT_ALGEBRA,
     ROOTED,
     CompositionCheck,
-    Cut,
     DerivationEnv,
     Forest,
     ShuffleHopfAlgebra,
@@ -33,7 +32,7 @@ from hopftrees import (
 from hopftrees.axioms import AxiomCheck
 from hopftrees.diff_ops import OperatorExpansion, OperatorTerm
 from hopftrees.permutations import PermutationHopfAlgebra
-from helpers import lc, ot, t
+from helpers import Cut, lc, ot, t
 
 
 def values():

@@ -26,7 +26,7 @@ from hopftrees import (
 from helpers import (
     attach_all_by_assignments,
     canonical_by_sorting,
-    count_rooted_shapes_by_parent_arrays,
+    tree_encodings_by_parent_arrays,
     lc,
     ot,
     t,
@@ -103,7 +103,31 @@ def test_rooted_counts_match_parent_array_oracle():
     expected = [1, 1, 2, 4, 9, 20]
     assert [len(rooted_trees(n)) for n in range(6)] == expected
     for nodes in range(1, 7):
-        assert count_rooted_shapes_by_parent_arrays(nodes) == expected[nodes - 1]
+        assert len(tree_encodings_by_parent_arrays(nodes - 1)) == expected[nodes - 1]
+
+
+def assert_same_classes(members, oracle):
+    """``members`` are distinct, sorted by encoding, and exactly ``oracle``."""
+    codes = [m.encode() for m in members]
+    assert codes == sorted(set(codes))
+    assert set(codes) == oracle
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_rooted_trees_are_the_parent_array_shapes(degree):
+    assert_same_classes(rooted_trees(degree), tree_encodings_by_parent_arrays(degree))
+
+
+@pytest.mark.parametrize("symbols", [("E1",), ("E1", "E2"), ("E1", "E2", "E3")])
+def test_labeled_trees_are_the_labeled_parent_array_shapes(symbols):
+    for degree in range(5):
+        members = labeled_trees(degree, symbols)
+        assert_same_classes(members, tree_encodings_by_parent_arrays(degree, symbols))
+        assert all(m.label is None and not m.ordered for m in members)
+
+
+def test_labeled_trees_ignore_a_repeated_symbol():
+    assert labeled_trees(3, ("E2", "E1", "E2")) == labeled_trees(3, ("E1", "E2"))
 
 
 def test_ordered_counts_are_catalan_and_distinct():
