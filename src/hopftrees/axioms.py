@@ -1,9 +1,13 @@
 """Generic axiom checks for graded connected bialgebras.
 
-Every Hopf algebra in this library (trees of any flavor, words, permutations)
-is graded with a one-dimensional degree-0 part, so a single antipode recursion
-and a single axiom sweep work for all of them.  The sweep reports what it
-checked; failures are data, not exceptions.
+Every Hopf algebra in this library (trees of any flavor, forests, words,
+permutations) is graded with a one-dimensional degree-0 part, so one antipode
+recursion and one set of checks work for all of them: a predicate per axiom
+(:func:`unital` to :func:`antipodal`), one generator of degree-capped cases
+(:func:`graded_tuples`) and one runner (:func:`check`) that counts the cases
+and keeps the first failure.  :func:`verify_hopf_axioms` and the forest sweep
+``connes_kreimer.verify_forest_algebra`` are built from them; failures are
+data, not exceptions.
 
 A sweep asks for the same products, coproducts and antipodes many times over
 (a degree-4 sweep of rooted trees makes over a thousand product calls on fewer
@@ -16,17 +20,11 @@ sweep computes outlives it.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Any, Callable, Protocol
 
-from .algebra import (
-    LinearCombination,
-    Record,
-    TensorPair,
-    _sum_scaled,
-    extend_bilinear,
-    extend_linear,
-    tensor,
-)
+from .algebra import (LinearCombination, Record, TensorPair, _sum_scaled, extend_bilinear,
+                      extend_linear, tensor)
 
 
 class GradedBialgebra(Protocol):
@@ -153,145 +151,126 @@ class VerificationReport(Record):
         return self.render()
 
 
-def _tensor_product(alg, a: LinearCombination, b: LinearCombination) -> LinearCombination:
-    def pairwise(x: TensorPair, y: TensorPair) -> LinearCombination:
-        return tensor(alg.product(x.left, y.left), alg.product(x.right, y.right))
+def check(report: VerificationReport, alg, name: str, cases, holds, render=None) -> None:
+    """Append to ``report`` how many ``cases`` there were and the first for which
+    ``holds(alg, *case)`` is false, shown by ``render(*case)`` (by default the
+    encoding of its one element, or of its elements in parentheses)."""
+    checked, failed = 0, None
+    for case in cases:
+        checked += 1
+        if not holds(alg, *case) and failed is None:
+            failed = case
+    shown = None if failed is None else (render or _encode_case)(*failed)
+    report.checks.append(AxiomCheck(name, checked, failed is None, shown))
 
-    return extend_bilinear(pairwise, a, b)
+
+def _encode_case(*case) -> str:
+    codes = [x.encode() for x in case]
+    return codes[0] if len(codes) == 1 else f"({', '.join(codes)})"
 
 
-def coassociativity_sides(
-    coproduct: Callable[[Any], LinearCombination], delta: LinearCombination
-) -> tuple[LinearCombination, LinearCombination]:
-    """``(Delta (x) id) delta`` and ``(id (x) Delta) delta``, both over ``(a (x) b) (x) c``."""
+def graded_tuples(basis, arity: int, lowest: int, cap: int):
+    """Tuples of ``arity`` basis elements, each of degree at least ``lowest``,
+    with degrees summing to at most ``cap``; ``basis[d]`` lists degree ``d``.
+
+    The tuples come grouped by their degrees, in increasing order, and within
+    a group in basis order.
+    """
+
+    def degrees(slots: int, remaining: int):
+        if slots == 0:
+            yield ()
+            return
+        for d in range(lowest, remaining - lowest * (slots - 1) + 1):
+            for rest in degrees(slots - 1, remaining - d):
+                yield (d,) + rest
+
+    for combo in degrees(arity, cap):
+        yield from itertools.product(*(basis[d] for d in combo))
+
+
+def unital(alg, x) -> bool:
+    single, unit = LinearCombination.single(x), alg.unit()
+    return alg.product(unit, x) == single and alg.product(x, unit) == single
+
+
+def associative(alg, x, y, z) -> bool:
+    left = extend_linear(lambda s: alg.product(s, z), alg.product(x, y))
+    right = extend_linear(lambda s: alg.product(x, s), alg.product(y, z))
+    return left == right
+
+
+def coassociative(alg, x) -> bool:
+    """``(Delta (x) id) Delta x = (id (x) Delta) Delta x``, both over ``(a (x) b) (x) c``."""
+    delta = alg.coproduct(x)
     left = extend_linear(
-        lambda pair: coproduct(pair.left).map_basis(lambda p: TensorPair(p, pair.right)), delta
+        lambda pair: alg.coproduct(pair.left).map_basis(lambda p: TensorPair(p, pair.right)), delta
     )
     right = extend_linear(
-        lambda pair: coproduct(pair.right).map_basis(
+        lambda pair: alg.coproduct(pair.right).map_basis(
             lambda p: TensorPair(TensorPair(pair.left, p.left), p.right)
         ),
         delta,
     )
-    return left, right
+    return left == right
 
 
-def counit_sides(
-    counit: Callable[[Any], int], delta: LinearCombination
-) -> tuple[LinearCombination, LinearCombination]:
-    """``(counit (x) id) delta`` and ``(id (x) counit) delta``."""
-    left = LinearCombination((pair.right, coeff * counit(pair.left)) for pair, coeff in delta)
-    right = LinearCombination((pair.left, coeff * counit(pair.right)) for pair, coeff in delta)
-    return left, right
+def counital(alg, x) -> bool:
+    """``(counit (x) id) Delta x = (id (x) counit) Delta x = x``."""
+    single, delta = LinearCombination.single(x), alg.coproduct(x)
+    left = LinearCombination((pair.right, coeff * alg.counit(pair.left)) for pair, coeff in delta)
+    right = LinearCombination((pair.left, coeff * alg.counit(pair.right)) for pair, coeff in delta)
+    return left == single and right == single
+
+
+def compatible(alg, x, y) -> bool:
+    """The coproduct is an algebra morphism: ``Delta(x y) = Delta(x) Delta(y)``."""
+    def pairwise(p: TensorPair, q: TensorPair) -> LinearCombination:
+        return tensor(alg.product(p.left, q.left), alg.product(p.right, q.right))
+
+    lhs = extend_linear(alg.coproduct, alg.product(x, y))
+    return lhs == extend_bilinear(pairwise, alg.coproduct(x), alg.coproduct(y))
+
+
+def antipodal(alg, x) -> bool:
+    """``m(S (x) id) Delta x = m(id (x) S) Delta x = counit(x) 1``."""
+    target = alg.counit(x) * LinearCombination.single(alg.unit())
+    delta = alg.coproduct(x)
+    left = _sum_scaled(
+        (coeff * s_coeff, alg.product(s, pair.right))
+        for pair, coeff in delta
+        for s, s_coeff in alg.antipode(pair.left)
+    )
+    right = _sum_scaled(
+        (coeff * s_coeff, alg.product(pair.left, s))
+        for pair, coeff in delta
+        for s, s_coeff in alg.antipode(pair.right)
+    )
+    return left == target and right == target
 
 
 def verify_hopf_axioms(alg: GradedBialgebra, max_degree: int, name: str) -> VerificationReport:
     """Exhaustively check the Hopf axioms on small basis elements.
 
-    Per-element checks (counit, coassociativity, antipode) run on every basis
-    element of degree <= ``max_degree``; pair and triple checks (compatibility,
-    associativity) run on tuples of positive-degree elements whose degrees sum
-    to at most ``max_degree + 1``.  Each product, coproduct and antipode is
-    computed once per call (see :class:`_SweepMemo`); the antipode is the
-    recursion of :func:`graded_antipode`.
+    Per-element checks (unit, coassociativity, counit, antipode) run on every
+    basis element of degree <= ``max_degree``; pair and triple checks
+    (compatibility, associativity) run on tuples of positive-degree elements
+    whose degrees sum to at most ``max_degree + 1``.  Each product, coproduct
+    and antipode is computed once per call (see :class:`_SweepMemo`); the
+    antipode is the recursion of :func:`graded_antipode`.
     """
     alg = _SweepMemo(alg)
-    basis_by_degree = {d: list(alg.basis(d)) for d in range(max_degree + 1)}
-    elements = [b for d in range(max_degree + 1) for b in basis_by_degree[d]]
-    unit = alg.unit()
-    unit_lc = LinearCombination.single(unit)
+    # largest first, so an over-budget basis is refused before the others are built
+    basis = {d: list(alg.basis(d)) for d in reversed(range(max_degree + 1))}
+    elements = list(graded_tuples(basis, 1, 0, max_degree))
     report = VerificationReport(name)
-
-    def record(axiom: str, failures: list[str], checked: int) -> None:
-        report.checks.append(
-            AxiomCheck(axiom, checked, not failures, failures[0] if failures else None)
-        )
-
-    # unit
-    fails, count = [], 0
-    for b in elements:
-        count += 1
-        single = LinearCombination.single(b)
-        if alg.product(unit, b) != single or alg.product(b, unit) != single:
-            fails.append(b.encode())
-    record("unit", fails, count)
-
-    # associativity
-    fails, count = [], 0
-    for da, db, dc in _degree_tuples(3, max_degree + 1):
-        for x in basis_by_degree[da]:
-            for y in basis_by_degree[db]:
-                for z in basis_by_degree[dc]:
-                    count += 1
-                    left = extend_linear(lambda s: alg.product(s, z), alg.product(x, y))
-                    right = extend_linear(lambda s: alg.product(x, s), alg.product(y, z))
-                    if left != right:
-                        fails.append(f"({x.encode()}, {y.encode()}, {z.encode()})")
-    record("associativity", fails, count)
-
-    # coassociativity
-    fails, count = [], 0
-    for b in elements:
-        count += 1
-        left, right = coassociativity_sides(alg.coproduct, alg.coproduct(b))
-        if left != right:
-            fails.append(b.encode())
-    record("coassociativity", fails, count)
-
-    # counit
-    fails, count = [], 0
-    for b in elements:
-        count += 1
-        single = LinearCombination.single(b)
-        left, right = counit_sides(alg.counit, alg.coproduct(b))
-        if left != single or right != single:
-            fails.append(b.encode())
-    record("counit", fails, count)
-
-    # compatibility: the coproduct is an algebra morphism
-    fails, count = [], 0
-    for da, db in _degree_tuples(2, max_degree + 1):
-        for x in basis_by_degree[da]:
-            for y in basis_by_degree[db]:
-                count += 1
-                lhs = extend_linear(alg.coproduct, alg.product(x, y))
-                rhs = _tensor_product(alg, alg.coproduct(x), alg.coproduct(y))
-                if lhs != rhs:
-                    fails.append(f"({x.encode()}, {y.encode()})")
-    record("compatibility", fails, count)
-
-    # antipode: m(S (x) id)Delta = m(id (x) S)Delta = counit * unit
-    fails, count = [], 0
-    for b in elements:
-        count += 1
-        target = alg.counit(b) * unit_lc
-        delta = alg.coproduct(b)
-        left = _sum_scaled(
-            (coeff * s_coeff, alg.product(s, pair.right))
-            for pair, coeff in delta
-            for s, s_coeff in alg.antipode(pair.left)
-        )
-        right = _sum_scaled(
-            (coeff * s_coeff, alg.product(pair.left, s))
-            for pair, coeff in delta
-            for s, s_coeff in alg.antipode(pair.right)
-        )
-        if left != target or right != target:
-            fails.append(b.encode())
-    record("antipode", fails, count)
-
+    for axiom, cases, holds in (
+        ("unit", elements, unital),
+        ("associativity", graded_tuples(basis, 3, 1, max_degree + 1), associative),
+        ("coassociativity", elements, coassociative),
+        ("counit", elements, counital),
+        ("compatibility", graded_tuples(basis, 2, 1, max_degree + 1), compatible),
+        ("antipode", elements, antipodal),
+    ):
+        check(report, alg, axiom, cases, holds)
     return report
-
-
-def _degree_tuples(arity: int, degree_sum_cap: int):
-    """All tuples of positive degrees with sum at most the cap."""
-
-    def rec(slots: int, remaining: int):
-        if slots == 0:
-            yield ()
-            return
-        for d in range(1, remaining - slots + 2):
-            for rest in rec(slots - 1, remaining - d):
-                yield (d,) + rest
-
-    yield from rec(arity, degree_sum_cap)

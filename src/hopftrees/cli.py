@@ -41,6 +41,15 @@ from .trees import (
 
 FLAVORS = ("rooted", "ordered", "labeled", "ordered-labeled", "hot")
 
+# The element operations of each algebra subcommand and how many elements each
+# takes: the parser's choices, and the arity check in ``_validate``.
+_ARITY = {
+    "gl": {"mul": 2, "coprod": 1, "antipode": 1},
+    "ck": {"coprod": 1, "pair": 2},
+    "shuffle": {"mul": 2, "coprod": 1},
+    "perm": {"mul": 2, "coprod": 1, "to-tree": 1, "from-tree": 1},
+}
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -324,24 +333,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     glp = sub.add_parser("gl", parents=[common], help="grafting algebra of trees")
-    glp.add_argument("operation", choices=("mul", "coprod", "antipode"))
+    glp.add_argument("operation", choices=tuple(_ARITY["gl"]))
     glp.add_argument("elements", nargs="+", help="trees like '(;())' ('-' reads stdin)")
     glp.add_argument("--flavor", choices=FLAVORS, default="rooted")
     glp.add_argument("--symbols", help="comma-separated labels for labeled flavors")
     glp.set_defaults(handler=_cmd_gl)
 
     ckp = sub.add_parser("ck", parents=[common], help="forest algebra with cut coproduct")
-    ckp.add_argument("operation", choices=("coprod", "pair"))
+    ckp.add_argument("operation", choices=tuple(_ARITY["ck"]))
     ckp.add_argument("elements", nargs="+", help="monomial '()*(;())' or tree + monomial")
     ckp.set_defaults(handler=_cmd_ck)
 
     shp = sub.add_parser("shuffle", parents=[common], help="shuffle algebra of words")
-    shp.add_argument("operation", choices=("mul", "coprod"))
+    shp.add_argument("operation", choices=tuple(_ARITY["shuffle"]))
     shp.add_argument("elements", nargs="+", help="words like 'x1.x2' ('1' = empty)")
     shp.set_defaults(handler=_cmd_shuffle)
 
     pp = sub.add_parser("perm", parents=[common], help="heap product algebra of permutations")
-    pp.add_argument("operation", choices=("mul", "coprod", "to-tree", "from-tree"))
+    pp.add_argument("operation", choices=tuple(_ARITY["perm"]))
     pp.add_argument("elements", nargs="+", help="permutations like '(1 3)(2)'")
     pp.add_argument("--n", type=int, help="ambient symmetric group size")
     pp.set_defaults(handler=_cmd_perm)
@@ -383,24 +392,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
-    needs = {
-        ("gl", "mul"): 2,
-        ("gl", "coprod"): 1,
-        ("gl", "antipode"): 1,
-        ("ck", "coprod"): 1,
-        ("ck", "pair"): 2,
-        ("shuffle", "mul"): 2,
-        ("shuffle", "coprod"): 1,
-        ("perm", "mul"): 2,
-        ("perm", "coprod"): 1,
-        ("perm", "to-tree"): 1,
-        ("perm", "from-tree"): 1,
-    }
-    key = (args.command, getattr(args, "operation", None))
-    if key in needs and len(args.elements) != needs[key]:
-        raise CliError(
-            f"error: {key[0]} {key[1]} expects {needs[key]} element(s)", 1
-        )
+    if args.command in _ARITY:
+        needs = _ARITY[args.command][args.operation]
+        if len(args.elements) != needs:
+            raise CliError(f"error: {args.command} {args.operation} expects {needs} element(s)", 1)
     if args.command == "psi":
         if args.operation == "apply" and (not args.tree or not args.f):
             raise CliError("error: psi apply needs --tree and --f", 1)

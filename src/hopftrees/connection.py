@@ -12,10 +12,11 @@ An ordered labeled subtree turns into a single derivation by folding its
 children through the connection, first child outermost; a whole tree (root
 unlabeled, child subtrees s_1..s_m) acts on a polynomial f as the m-th
 covariant differential of f evaluated on the subtree derivations, in child
-order (Munthe-Kaas-Wright, FoCM 2008).  The tree action and the covariant
-derivatives and differentials here are thin callers of the bottom-up
-evaluator in :mod:`hopftrees.diff_ops`, which builds each covariant
-differential one level at a time and contracts it with the child
+order (Munthe-Kaas-Wright, FoCM 2008).  Child order matters, so the tree
+action refuses unordered trees with a ``ValueError``.  The tree action and
+the covariant derivatives and differentials here are thin callers of the
+bottom-up evaluator in :mod:`hopftrees.diff_ops`, which builds each
+covariant differential one level at a time and contracts it with the child
 derivations; with zero Christoffel data it is the flat tree action.
 :func:`check_module_law` acts with every piece of a coproduct through one memo
 of subtree derivations, made for the call and dropped when it returns.
@@ -98,6 +99,7 @@ def subtree_derivation(subtree: Tree, env: DerivationEnv, conn: Connection) -> D
     """Fold a labeled subtree into one derivation: a leaf labeled E is E itself;
     a node labeled E with children ``u_1 .. u_k`` is the k-th covariant
     differential of E evaluated on the child derivations in order."""
+    _check_ordered(subtree)
     _check_vars(env.num_vars, conn)
     return _subtree_derivation(subtree, env, conn._gamma, {})
 
@@ -119,8 +121,15 @@ def apply_connection_operator(
     t: Tree, env: DerivationEnv, conn: Connection, f: Polynomial
 ) -> Polynomial:
     """Action of an ordered labeled tree on ``f`` through the connection."""
+    _check_ordered(t)
     _check_vars(env.num_vars, conn)
     return _tree_action(t, env, conn._gamma, f, {})
+
+
+def _check_ordered(t: Tree) -> None:
+    # child order matters here; an unordered tree would act in its sorted order
+    if not t.ordered:
+        raise ValueError(f"tree {t.encode()} has the wrong ordered/unordered flavor")
 
 
 def _check_vars(num_vars: int, *objects) -> None:
@@ -140,6 +149,7 @@ def check_module_law(
     The pieces of the coproduct are built from the subtrees of ``t``; each
     distinct subtree derivation is computed once, in a memo kept for this call.
     """
+    _check_ordered(t)
     _check_vars(env.num_vars, conn)
     alg = TreeHopfAlgebra(ordered=True, symbols=env.symbols)
     memo: dict[Tree, Derivation] = {}

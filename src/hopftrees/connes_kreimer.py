@@ -15,8 +15,11 @@ containing the root, and the coproduct of a tree is
 the empty cut contributing ``1 (x) t``.  The pairing against the grafting tree
 algebra is diagonal on isomorphism classes of forests, weighted by the order
 of the forest's automorphism group; that normalization is what makes
-``<pairing(t1 t2), a> = (pairing(t1) (x) pairing(t2))(Delta a)`` hold, and the
-brute-force sweep in the tests is the contract for it.
+``<pairing(t1 t2), a> = (pairing(t1) (x) pairing(t2))(Delta a)`` hold.
+
+:func:`verify_forest_algebra` checks that identity and the bialgebra axioms.
+It reads the forest algebra as a graded bialgebra over monomials (degree the
+node count) and runs the shared checks of :mod:`hopftrees.axioms` on it.
 """
 
 from __future__ import annotations
@@ -40,10 +43,7 @@ def admissible_cuts(t: Tree) -> list[tuple[Forest, Tree]]:
     t = canonicalize(t)
 
     def options(child: Tree) -> list[tuple[tuple[Tree, ...], Tree | None]]:
-        out: list[tuple[tuple[Tree, ...], Tree | None]] = [((child,), None)]
-        for pruned, kept in admissible_cuts(child):
-            out.append((pruned.trees, kept))
-        return out
+        return [((child,), None)] + [(cut.trees, kept) for cut, kept in admissible_cuts(child)]
 
     results: list[tuple[Forest, Tree]] = []
     for choice in itertools.product(*(options(c) for c in t.children)):
@@ -69,16 +69,13 @@ def forest_coproduct(m: Forest) -> LinearCombination:
     _check_unlabeled(m.trees)
     out = LinearCombination.single(TensorPair(Forest(), Forest()))
     for t in m.trees:
-        single = _tree_coproduct(t)
-        out = _pairwise_union(out, single)
+        out = _pairwise_union(out, _tree_coproduct(t))
     return out
 
 
 def _tree_coproduct(t: Tree) -> LinearCombination:
-    terms: list[tuple[TensorPair, int]] = [(TensorPair(Forest.canonical([t]), Forest()), 1)]
-    for pruned, root_part in admissible_cuts(t):
-        terms.append((TensorPair(pruned, Forest.canonical([root_part])), 1))
-    return LinearCombination(terms)
+    terms = [(TensorPair(cut, Forest.canonical([root])), 1) for cut, root in admissible_cuts(t)]
+    return LinearCombination([(TensorPair(Forest.canonical([t]), Forest()), 1)] + terms)
 
 
 def _pairwise_union(a: LinearCombination, b: LinearCombination) -> LinearCombination:
@@ -143,86 +140,70 @@ def forest_monomials(total_nodes: int) -> list[Forest]:
     return sorted(map(strip_root, rooted_trees(total_nodes)), key=Forest.encode)
 
 
+class _ForestAlgebra:
+    """The forest algebra as a graded bialgebra.  The methods call the module
+    functions by their global names, so wrappers put on the module see them."""
+
+    def unit(self) -> Forest:
+        return Forest()
+
+    def degree(self, m: Forest) -> int:
+        return m.node_count()
+
+    def basis(self, degree: int) -> list[Forest]:
+        return forest_monomials(degree)
+
+    def product(self, a: Forest, b: Forest) -> LinearCombination:
+        return LinearCombination.single(monomial_product(a, b))
+
+    def coproduct(self, m: Forest) -> LinearCombination:
+        return forest_coproduct(m)
+
+    def counit(self, m: Forest) -> int:
+        return forest_counit(m)
+
+
 def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
     """Sweep: commutativity/associativity/unit of the monomial product,
     coassociativity and counit of the cut coproduct, and the duality identity
-    against the grafting product on trees.  Each coproduct and pairing is
-    computed once per call."""
+    against the grafting product on trees.
+
+    The product checks run on monomials (the empty one included) whose node
+    counts sum to at most ``max_degree``, coassociativity on the single trees
+    with at most ``max_degree + 1`` nodes.  Each product, coproduct, grafting
+    product and pairing is computed once per call."""
     from .grossman_larson import ROOTED
 
-    coproduct = axioms.memoize(forest_coproduct)
-    pairing = axioms.memoize(dual_pairing)
-    report = axioms.VerificationReport("forest algebra with cut coproduct")
+    alg = axioms._SweepMemo(_ForestAlgebra())
+    graft, pairing = axioms.memoize(ROOTED.product), axioms.memoize(dual_pairing)
     # the duality check grafts two single nodes even when max_degree < 0
-    by_degree = [forest_monomials(d) for d in range(max(max_degree, 0) + 1)]
-    monomials = [m for d in range(max_degree + 1) for m in by_degree[d]]
-    trees_small = [t for d in range(max_degree + 1) for t in rooted_trees(d)]
+    by_degree = [alg.basis(d) for d in range(max(max_degree, 0) + 1)]
+    monomials = list(axioms.graded_tuples(by_degree, 1, 0, max_degree))
+    trees = [(Forest.canonical([t]),) for d in range(max_degree + 1) for t in rooted_trees(d)]
+    report = axioms.VerificationReport("forest algebra with cut coproduct")
+    for name, cases, holds in (
+        ("commutativity", axioms.graded_tuples(by_degree, 2, 0, max_degree),
+         lambda alg, a, b: alg.product(a, b) == alg.product(b, a)),
+        ("associativity", axioms.graded_tuples(by_degree, 3, 0, max_degree), axioms.associative),
+        ("unit", monomials, axioms.unital),
+        ("coassociativity", trees, axioms.coassociative),
+        ("counit", monomials, axioms.counital),
+    ):
+        axioms.check(report, alg, name, cases, holds)
 
-    def record(name: str, failures: list[str], checked: int) -> None:
-        report.checks.append(
-            axioms.AxiomCheck(name, checked, not failures, failures[0] if failures else None)
+    def dual(alg, t1: Tree, t2: Tree, a: Forest) -> bool:
+        lhs = sum(coeff * pairing(s, a) for s, coeff in graft(t1, t2))
+        rhs = sum(
+            coeff * pairing(t1, pair.left) * pairing(t2, pair.right)
+            for pair, coeff in alg.coproduct(a)
         )
+        return lhs == rhs
 
-    fails, count = [], 0
-    for a, b in itertools.product(monomials, repeat=2):
-        if a.node_count() + b.node_count() > max_degree:
-            continue
-        count += 1
-        if monomial_product(a, b) != monomial_product(b, a):
-            fails.append(f"({a.encode()}, {b.encode()})")
-    record("commutativity", fails, count)
-
-    fails, count = [], 0
-    for a, b, c in itertools.product(monomials, repeat=3):
-        if a.node_count() + b.node_count() + c.node_count() > max_degree:
-            continue
-        count += 1
-        if monomial_product(monomial_product(a, b), c) != monomial_product(
-            a, monomial_product(b, c)
-        ):
-            fails.append(f"({a.encode()}, {b.encode()}, {c.encode()})")
-    record("associativity", fails, count)
-
-    fails, count = [], 0
-    unit = Forest()
-    for m in monomials:
-        count += 1
-        if monomial_product(unit, m) != m or monomial_product(m, unit) != m:
-            fails.append(m.encode())
-    record("unit", fails, count)
-
-    fails, count = [], 0
-    for t in trees_small:
-        count += 1
-        m = Forest.canonical([t])
-        left, right = axioms.coassociativity_sides(coproduct, coproduct(m))
-        if left != right:
-            fails.append(m.encode())
-    record("coassociativity", fails, count)
-
-    fails, count = [], 0
-    for m in monomials:
-        count += 1
-        single = LinearCombination.single(m)
-        left, right = axioms.counit_sides(forest_counit, coproduct(m))
-        if left != single or right != single:
-            fails.append(m.encode())
-    record("counit", fails, count)
-
-    fails, count = [], 0
-    half = max(0, max_degree // 2)
-    small_trees = [t for d in range(half + 1) for t in rooted_trees(d)]
-    for t1, t2 in itertools.product(small_trees, repeat=2):
-        product = ROOTED.product(t1, t2)
-        for a in by_degree[t1.degree() + t2.degree()]:
-            count += 1
-            lhs = sum(coeff * pairing(s, a) for s, coeff in product)
-            rhs = sum(
-                coeff * pairing(t1, pair.left) * pairing(t2, pair.right)
-                for pair, coeff in coproduct(a)
-            )
-            if lhs != rhs:
-                fails.append(f"({t1.encode()}, {t2.encode()}; {a.encode()})")
-    record("grafting-duality", fails, count)
-
+    small = [t for d in range(max(0, max_degree // 2) + 1) for t in rooted_trees(d)]
+    axioms.check(
+        report, alg, "grafting-duality",
+        ((t1, t2, a) for t1 in small for t2 in small for a in by_degree[t1.degree() + t2.degree()]),
+        dual,
+        lambda t1, t2, a: f"({t1.encode()}, {t2.encode()}; {a.encode()})",
+    )
     return report

@@ -20,6 +20,7 @@ products and both coproducts.
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import axioms
 from .algebra import Immutable, LinearCombination, ParseError, TensorPair, Value, _set, check_budget
@@ -191,6 +192,7 @@ def perm_counit(p: CyclePermutation) -> int:
 
 def symmetric_group(n: int) -> list[CyclePermutation]:
     """All elements of S_n in standard cycle form."""
+    check_budget(math.factorial(max(n, 0)), f"symmetric group S_{n}")
     out = []
     for images in itertools.permutations(range(1, n + 1)):
         mapping = {i + 1: images[i] for i in range(n)}

@@ -124,6 +124,7 @@ class ShuffleHopfAlgebra(Value):
         return len(w)
 
     def basis(self, degree: int) -> list[Word]:
+        check_budget(len(self.letters) ** degree, f"shuffle basis of degree {degree}")
         return [Word(combo) for combo in itertools.product(self.letters, repeat=degree)]
 
     def product(self, u: Word, v: Word) -> LinearCombination:

@@ -450,6 +450,8 @@ def labeled_trees(degree: int, symbols, cap: int | None = None) -> list[Tree]:
     symbols = tuple(dict.fromkeys(symbols))  # a repeated symbol labels nothing new
     if degree > 0 and not symbols:
         raise ValueError("labeled enumeration needs a nonempty symbol set")
+    shapes = len(_unordered_trees(degree + 1, (None,), _rooted_cache))
+    check_budget(shapes * len(symbols) ** degree, f"labeled trees of degree {degree}")
     return list(_planted((None,), degree, symbols, {}))
 
 
@@ -459,6 +461,8 @@ def ordered_labeled_trees(degree: int, symbols, cap: int | None = None) -> list[
     symbols = tuple(symbols)
     if degree > 0 and not symbols:
         raise ValueError("labeled enumeration needs a nonempty symbol set")
+    shapes = math.comb(2 * degree, degree) // (degree + 1)  # Catalan(degree)
+    check_budget(shapes * len(symbols) ** degree, f"ordered labeled trees of degree {degree}")
     out: list[Tree] = []
     for shape in _planar_by_nodes(degree + 1):
         slots = shape.degree()

@@ -28,7 +28,7 @@ from hopftrees import (
 from hopftrees import axioms
 from helpers import t
 
-ROOTED_SIZES = [1, 1, 2, 4, 9, 20]  # rooted trees with d + 1 nodes (OEIS A000081)
+ROOTED_SIZES = [1, 1, 2, 4, 9, 20, 48, 115]  # rooted trees with d + 1 nodes (OEIS A000081)
 TWO_COLOUR_FORESTS = [1, 2, 7, 26]  # forests of 2-coloured rooted trees with d nodes
 
 
@@ -100,10 +100,92 @@ def test_check_counts_equal_the_closed_forms(name, alg, size, top):
 
 
 def test_forest_check_counts_equal_the_closed_forms():
-    for degree in range(5):
+    # pairs and triples are built by degree, not filtered from every monomial tuple
+    assert [forest_counts(7)[name] for name in ("commutativity", "associativity", "grafting-duality")] \
+        == [790, 2149, 1257]
+    for degree in range(8):
         report = verify_forest_algebra(degree)
         assert report.passed, report.render()
         assert counts(report) == forest_counts(degree)
+
+
+@pytest.mark.parametrize("arity, lowest, cap", [(1, 0, 3), (2, 0, 4), (3, 0, 3), (2, 1, 5), (3, 1, 5)])
+def test_graded_tuples_are_the_degree_capped_products_in_degree_groups(arity, lowest, cap):
+    basis = {d: [f"{d}{c}" for c in "ab"[: 1 + d % 2]] for d in range(cap + 1)}
+    tuples = list(axioms.graded_tuples(basis, arity, lowest, cap))
+    elements = [x for d in range(lowest, cap + 1) for x in basis[d]]
+    degree = lambda combo: tuple(int(x[0]) for x in combo)
+    expected = [c for c in itertools.product(elements, repeat=arity) if sum(degree(c)) <= cap]
+    # grouped by the degree tuple, in basis order within a group (the sort is stable)
+    assert tuples == sorted(expected, key=degree)
+
+
+def product_with_a_stray_node(product):
+    """The forest product, with one node too many whenever ``(;())`` multiplies
+    a two-node monomial from the left."""
+    dot = Forest.canonical([t("()")])
+
+    def wrong(a, b):
+        out = product(a, b)
+        return product(out, dot) if a.encode() == "(;())" and b.node_count() == 2 else out
+
+    return wrong
+
+
+def coproduct_doubled_on_the_cherry(coproduct):
+    def wrong(m):
+        out = coproduct(m)
+        return out + out if m.encode() == "(;()())" else out
+
+    return wrong
+
+
+# The reports these faults gave when the forest sweep had its own loops.
+WRONG_FOREST_REPORTS = [
+    (
+        "monomial_product", product_with_a_stray_node,
+        "verification of forest algebra with cut coproduct:\n"
+        "  commutativity: FAIL (124 checks) first counterexample: (()*(), (;()))\n"
+        "  associativity: FAIL (293 checks) first counterexample: ((), (;()), ()*())\n"
+        "  unit: ok (37 checks)\n"
+        "  coassociativity: FAIL (37 checks) first counterexample: (;(;())(;()))\n"
+        "  counit: FAIL (37 checks) first counterexample: (;())*(;())\n"
+        "  grafting-duality: ok (65 checks)\n"
+        "result: FAIL",
+    ),
+    (
+        "forest_coproduct", coproduct_doubled_on_the_cherry,
+        "verification of forest algebra with cut coproduct:\n"
+        "  commutativity: ok (124 checks)\n"
+        "  associativity: ok (293 checks)\n"
+        "  unit: ok (37 checks)\n"
+        "  coassociativity: FAIL (37 checks) first counterexample: (;()())\n"
+        "  counit: FAIL (37 checks) first counterexample: (;()())\n"
+        "  grafting-duality: FAIL (65 checks) first counterexample: ((;()), (;(;())); (;()()))\n"
+        "result: FAIL",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, wrong, expected", WRONG_FOREST_REPORTS, ids=[w[0] for w in WRONG_FOREST_REPORTS])
+def test_a_wrong_forest_algebra_fails_with_the_same_report(monkeypatch, name, wrong, expected):
+    from hopftrees import connes_kreimer
+
+    monkeypatch.setattr(connes_kreimer, name, wrong(getattr(connes_kreimer, name)))
+    assert verify_forest_algebra(5).render() == expected
+
+
+def test_a_sweep_refuses_an_over_budget_basis_before_building_the_others():
+    built = []
+
+    class Recording(ShuffleHopfAlgebra):
+        def basis(self, degree):
+            built.append(degree)
+            return super().basis(degree)
+
+    with pytest.raises(ValueError, match="shuffle basis of degree 8 would enumerate 16777216 terms"):
+        Recording(tuple("abcdefgh")).verify(8)
+    assert built == [8]
 
 
 class OnePairWrong(TreeHopfAlgebra):

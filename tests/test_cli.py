@@ -353,3 +353,29 @@ def test_a_forest_sweep_over_the_cap_is_a_one_line_error():
     assert_clean_error(result)
     assert result.stdout == ""
     assert result.stderr == "error: degree 9 exceeds enumeration cap 8\n"
+
+
+SIXTY = ",".join(f"E{i}" for i in range(1, 61))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--algebra", "perm", "--max-degree", "12"],
+         "symmetric group S_12 would enumerate 479001600 terms"),
+        (["verify", "--algebra", "shuffle", "--symbols", "a,b,c,d,e,f,g,h", "--max-degree", "8"],
+         "shuffle basis of degree 8 would enumerate 16777216 terms"),
+        (["verify", "--algebra", "gl", "--flavor", "labeled", "--symbols", SIXTY, "--max-degree", "3"],
+         "labeled trees of degree 3 would enumerate 864000 terms"),  # 4 shapes x 60^3
+        (["verify", "--algebra", "gl", "--flavor", "ordered-labeled", "--symbols", SIXTY,
+          "--max-degree", "3"],
+         "ordered labeled trees of degree 3 would enumerate 1080000 terms"),  # Catalan(3) x 60^3
+        (["trees", "count", "--family", "labeled", "--symbols", "E1,E2,E3,E4,E5,E6", "--degree", "8"],
+         "labeled trees of degree 8 would enumerate 480370176 terms"),  # 286 shapes x 6^8
+    ],
+)
+def test_an_over_budget_basis_is_refused_before_it_is_listed(argv, message):
+    result = run_module(*argv)
+    assert_clean_error(result)
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}, more than the limit of {MAX_TERMS}\n"

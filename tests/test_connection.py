@@ -18,6 +18,7 @@ from hopftrees import (
     covariant_differential,
     ordered_labeled_trees,
     parse_polynomial,
+    parse_tree,
     subtree_derivation,
     vector_covariant_differential,
     verify_composition,
@@ -313,3 +314,23 @@ def test_malformed_connection_specs_are_value_errors(spec, message):
 
 def test_a_missing_gamma_is_the_flat_connection():
     assert Connection.from_dict({"n": 2}).is_flat and Connection.from_dict({"n": 2, "gamma": None}).is_flat
+
+
+def test_the_curved_action_refuses_unordered_trees():
+    env = DerivationEnv.from_dict({"n": 2, "E1": ["1", "0"], "E2": ["0", "1"]})
+    conn = Connection.from_dict({"n": 2, "gamma": {"1,2,1": "1"}})
+    f = parse_polynomial("x1^2*x2", 2)
+    # child order matters: the two orders act differently ...
+    assert apply_connection_operator(ot("(;(E2)(E1))"), env, conn, f) == parse_polynomial("2*x1", 2)
+    assert apply_connection_operator(ot("(;(E1)(E2))"), env, conn, f) == parse_polynomial(
+        "2*x1 - 2*x1*x2", 2
+    )
+    # ... so an unordered tree, which would act in its sorted order, is refused
+    unordered = parse_tree("(;(E2)(E1))")
+    message = r"tree \(;\(E1\)\(E2\)\) has the wrong ordered/unordered flavor"
+    with pytest.raises(ValueError, match=message):
+        apply_connection_operator(unordered, env, conn, f)
+    with pytest.raises(ValueError, match=message):
+        check_module_law(unordered, env, conn, f, f)
+    with pytest.raises(ValueError, match=r"tree \(E1;\(E2\)\) has the wrong ordered/unordered"):
+        subtree_derivation(parse_tree("(E1;(E2))"), env, conn)
