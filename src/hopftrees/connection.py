@@ -154,9 +154,8 @@ def check_module_law(
     alg = TreeHopfAlgebra(ordered=True, symbols=env.symbols)
     memo: dict[Tree, Derivation] = {}
     lhs = _tree_action(t, env, conn._gamma, a * b, memo)
-    rhs = Polynomial.zero(env.num_vars)
-    for pair, coeff in alg.coproduct(t):
-        left = _tree_action(pair.left, env, conn._gamma, a, memo)
-        right = _tree_action(pair.right, env, conn._gamma, b, memo)
-        rhs = rhs + coeff * (left * right)
+    rhs = Polynomial._sum(env.num_vars, (
+        coeff * (_tree_action(pair.left, env, conn._gamma, a, memo)
+                 * _tree_action(pair.right, env, conn._gamma, b, memo))
+        for pair, coeff in alg.coproduct(t)))
     return lhs == rhs

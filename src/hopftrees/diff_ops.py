@@ -19,16 +19,15 @@ happen at the tree level, before any differentiation.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (Immutable, LinearCombination, ParseError, Record, Scalar, _exact, _set,
-                      extend_bilinear, format_fraction)
+                      _sum_scaled, extend_bilinear, format_fraction)
 from .grossman_larson import labeled_algebra
-from .trees import Tree, canonicalize
+from .trees import Tree, _preorder, canonicalize
 
 
 class Polynomial:
@@ -70,6 +69,15 @@ class Polynomial:
     @classmethod
     def zero(cls, num_vars: int) -> "Polynomial":
         return cls._trusted(int(num_vars), {})
+
+    @classmethod
+    def _sum(cls, num_vars: int, pieces: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of ``pieces``, all over ``num_vars`` variables, accumulated in one dict."""
+        out: dict[tuple[int, ...], Scalar] = {}
+        for p in pieces:
+            for e, c in p._terms.items():
+                out[e] = out.get(e, 0) + c
+        return cls._trusted(int(num_vars), {e: c for e, c in out.items() if c})
 
     def terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -191,10 +199,8 @@ def parse_polynomial(text: str, num_vars: int) -> Polynomial:
         chunks.append((current_sign, buf, term_start))
     if not chunks:
         raise ParseError("empty polynomial", text, 0)
-    result = Polynomial.zero(num_vars)
-    for sgn, chunk, offset in chunks:
-        result = result + sgn * _parse_monomial(chunk, num_vars, text, offset)
-    return result
+    return Polynomial._sum(num_vars, (sgn * _parse_monomial(chunk, num_vars, text, offset)
+                                      for sgn, chunk, offset in chunks))
 
 
 def _parse_monomial(chunk: str, num_vars: int, full: str, offset: int) -> Polynomial:
@@ -255,11 +261,8 @@ class Derivation(Immutable):
         """``sum_mu a^mu * df/dx_mu``; satisfies the Leibniz rule."""
         if f.num_vars != self.num_vars:
             raise ValueError("variable counts differ")
-        out = Polynomial.zero(self.num_vars)
-        for mu, coeff in enumerate(self.coeffs, start=1):
-            if coeff:
-                out = out + coeff * f.derivative(mu)
-        return out
+        coeffs = enumerate(self.coeffs, start=1)
+        return Polynomial._sum(self.num_vars, (a * f.derivative(mu) for mu, a in coeffs if a))
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if not isinstance(other, Derivation):
@@ -338,24 +341,6 @@ def _spec_size(spec: Mapping, what: str) -> int:
 # Tree operators
 
 
-def _number_nodes(t: Tree) -> tuple[list[int], dict[int, tuple[str, list[int]]]]:
-    """DFS-number the non-root nodes 1..k; return root child numbers and, per
-    node number, its label and its children's numbers."""
-    info: dict[int, tuple[str, list[int]]] = {}
-    counter = itertools.count(1)
-
-    def walk(node: Tree) -> list[int]:
-        numbers = []
-        for child in node.children:
-            j = next(counter)
-            numbers.append(j)
-            info[j] = (child.label, walk(child))
-        return numbers
-
-    root_children = walk(t)
-    return root_children, info
-
-
 def apply_tree_operator(t: Tree, env: DerivationEnv, f: Polynomial) -> Polynomial:
     """Evaluate the differential operator encoded by a labeled tree on ``f``."""
     return _tree_action(t, env, {}, f, {})
@@ -368,9 +353,12 @@ def _tree_action(t: Tree, env: DerivationEnv, gamma: Mapping, f: Polynomial, mem
         raise ValueError("the root of an operator tree must be unlabeled")
     if f.num_vars != env.num_vars:
         raise ValueError("variable counts differ")
-    for j, (label, _) in _number_nodes(t)[1].items():
-        if not isinstance(label, str) or label not in env:
-            raise KeyError(f"unknown derivation symbol {label!r} at node {j}")
+    nodes, _, paths = _preorder(t)  # a node's number is its preorder index
+    unknown = [j for j in range(1, len(nodes))
+               if not isinstance(nodes[j].label, str) or nodes[j].label not in env]
+    if unknown:  # report the first in postorder: node j is at j + size - 1 - depth there
+        j = min(unknown, key=lambda j: j + nodes[j].node_count() - len(paths[j]))
+        raise KeyError(f"unknown derivation symbol {nodes[j].label!r} at node {j}")
     fields = [_subtree_derivation(s, env, gamma, memo) for s in t.children]
     return _covariant_contraction((f,), fields, gamma, vector=False)[0]
 
@@ -493,14 +481,11 @@ class OperatorExpansion(Record):
 
 
 def _tree_factors(t: Tree) -> tuple[str, ...]:
-    root_children, info = _number_nodes(t)
+    nodes, kids, _ = _preorder(t)  # node i^j is preorder node j
     factors = []
-    for j in sorted(info, reverse=True):
-        label, children = info[j]
-        ds = "".join(f"D_i{c} " for c in children)
-        factors.append(f"({ds}a_{label}^i{j})")
-    ds = "".join(f"D_i{c} " for c in root_children)
-    factors.append(f"({ds}f)")
+    for j in range(len(nodes) - 1, -1, -1):
+        ds = "".join(f"D_i{c} " for c in kids[j])
+        factors.append(f"({ds}a_{nodes[j].label}^i{j})" if j else f"({ds}f)")
     return tuple(factors)
 
 
@@ -512,12 +497,9 @@ def expand_operator(word_terms: Sequence[tuple[Scalar, Sequence[str]]],
     cancellation between words; the surviving combination is what is left
     after coefficients merge.
     """
-    raw = Fraction(0)
-    surviving = LinearCombination.zero()
-    for coeff, word in word_terms:
-        expansion = word_to_trees(tuple(word), symbols)
-        raw += abs(Fraction(coeff)) * expansion.total_multiplicity()
-        surviving = surviving + Fraction(coeff) * expansion
+    expansions = [(Fraction(coeff), word_to_trees(tuple(word), symbols)) for coeff, word in word_terms]
+    raw = sum(abs(coeff) * expansion.total_multiplicity() for coeff, expansion in expansions)
+    surviving = _sum_scaled(expansions)
     terms = [OperatorTerm(c, t, _tree_factors(t)) for t, c in surviving.terms()]
     return OperatorExpansion(int(raw), surviving, terms)
 
@@ -547,9 +529,8 @@ def verify_composition(word: Sequence[str], env: DerivationEnv, f: Polynomial) -
     nested application of its derivations, left to right."""
     trees = word_to_trees(tuple(word), env.symbols)
     memo: dict[Tree, Derivation] = {}
-    tree_side = Polynomial.zero(env.num_vars)
-    for t, coeff in trees:
-        tree_side = tree_side + coeff * _tree_action(t, env, {}, f, memo)
+    tree_side = Polynomial._sum(env.num_vars,
+                                (coeff * _tree_action(t, env, {}, f, memo) for t, coeff in trees))
     nested = f
     for symbol in reversed(tuple(word)):
         nested = env[symbol].apply(nested)

@@ -192,11 +192,6 @@ def add_root(f: Forest, ordered: bool = False) -> Tree:
     return canonicalize(Tree(None, f.trees, ordered))
 
 
-def _check_same_flavor(f: Forest, t: Tree) -> None:
-    if any(s.ordered != t.ordered for s in f.trees):
-        raise ValueError("forest and target tree have different ordered/unordered flavor")
-
-
 def _prepared(t: Tree) -> Tree:
     """``t`` in canonical form, with every node's encoding computed."""
     if not (t.ordered or t._canon is t):
@@ -220,7 +215,8 @@ def _preorder(t: Tree) -> tuple[list[Tree], list[list[int]], list[tuple[int, ...
         nodes.append(node)
         kids.append([])
         paths.append(path)
-        stack.extend((c, path) for c in reversed(node.children))
+        for c in reversed(node.children):  # a loop: a generator here doubles the cost
+            stack.append((c, path))
     return nodes, kids, paths
 
 
@@ -265,9 +261,11 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
     copies goes to a multiset of ``k`` nodes, weighted by the multinomial
     ``k!/prod(m_i!)`` over the copies ``m_i`` each node gets.  That enumerates
     ``prod C(n+k, k)`` placements instead of ``(n+1)^r``.  Each placement
-    rebuilds only the paths from the root to the nodes that receive members.
+    rebuilds only the paths from the root to the nodes that receive members;
+    terms come in placement order (one member: by its node, in preorder).
     """
-    _check_same_flavor(f, t)
+    if any(s.ordered != t.ordered for s in f.trees):
+        raise ValueError("forest and target tree have different ordered/unordered flavor")
     nodes, kids, paths = _preorder(_prepared(t))
     runs = [(m, len(list(g))) for m, g in itertools.groupby(map(_prepared, f.trees))]
     size = len(nodes)
@@ -344,21 +342,32 @@ def _check_degree(degree: int, cap: int | None, default_cap: int) -> None:
         raise ValueError(f"degree {degree} exceeds enumeration cap {limit}")
 
 
-_rooted_cache: dict[int, tuple[Tree, ...]] = {}
+def _symbols(symbols, degree: int) -> tuple:
+    """``symbols`` in order without repeats (a repeated symbol labels nothing new)."""
+    symbols = tuple(dict.fromkeys(symbols))
+    if degree > 0 and not symbols:
+        raise ValueError("labeled enumeration needs a nonempty symbol set")
+    return symbols
 
 
-def _unordered_trees(nodes: int, labels: tuple, cache: dict) -> tuple[Tree, ...]:
-    """Every unordered tree with ``nodes`` nodes labeled from ``labels``, sorted
-    by encoding; ``cache`` keeps them by node count."""
-    if nodes not in cache:
-        cache[nodes] = _planted(labels, nodes - 1, labels, cache)
-    return cache[nodes]
+def _rooted_count(nodes: int) -> int:
+    """Unordered rooted trees with ``nodes`` nodes (OEIS A000081), by its recurrence."""
+    a = [0, 1]
+    for n in range(1, nodes):
+        weights = [sum(d * a[d] for d in range(1, k + 1) if k % d == 0) for k in range(n + 1)]
+        a.append(sum(weights[k] * a[n - k + 1] for k in range(1, n + 1)) // n)
+    return a[nodes]
 
 
 def _planted(roots: tuple, nodes: int, labels: tuple, cache: dict) -> tuple[Tree, ...]:
     """Every unordered tree whose root is labeled from ``roots`` and whose
-    ``nodes`` other nodes are labeled from ``labels``, sorted by encoding."""
-    universe = [s for k in range(1, nodes + 1) for s in _unordered_trees(k, labels, cache)]
+    ``nodes`` other nodes are labeled from ``labels``, sorted by encoding.
+    ``cache``, made for one enumeration, keeps the subtrees by their size - 1."""
+    universe: list[Tree] = []
+    for k in range(nodes):
+        if k not in cache:
+            cache[k] = _planted(labels, k, labels, cache)
+        universe.extend(cache[k])
     trees = (
         canonicalize(Tree(root, forest))
         for root in roots
@@ -368,46 +377,40 @@ def _planted(roots: tuple, nodes: int, labels: tuple, cache: dict) -> tuple[Tree
 
 
 def _multiset_forests(total: int, universe: list[Tree], start: int):
-    """Yield each multiset of universe trees with the given total node count once."""
+    """Yield once each multiset of universe trees (sorted by size) with ``total`` nodes."""
     if total == 0:
         yield ()
         return
     for i in range(start, len(universe)):
         size = universe[i].node_count()
         if size > total:
-            continue
-        for rest in _multiset_forests(total - size, universe, i + 1):
-            yield (universe[i],) + rest
-        count = 2
-        while count * size <= total:
+            break
+        for count in range(1, total // size + 1):
             for rest in _multiset_forests(total - count * size, universe, i + 1):
                 yield (universe[i],) * count + rest
-            count += 1
 
 
-def rooted_trees(degree: int, cap: int | None = None) -> list[Tree]:
-    """All unordered unlabeled rooted trees with ``degree + 1`` nodes."""
-    _check_degree(degree, cap, DEFAULT_DEGREE_CAP)
-    return list(_unordered_trees(degree + 1, (None,), _rooted_cache))
+def _planar(degree: int, labels: tuple, what: str) -> list[Tree]:
+    """Every planar tree with ``degree`` non-root nodes labeled from ``labels``:
+    shape by shape, each shape's labelings in product order over its preorder."""
+    shapes = math.comb(2 * degree, degree) // (degree + 1)  # Catalan(degree)
+    check_budget(shapes * len(labels) ** degree, f"{what} of degree {degree}")
+    return [
+        _label_preorder(shape, None, iter(labeling))
+        for shape in _planar_shapes(degree + 1, {})
+        for labeling in itertools.product(labels, repeat=degree)
+    ]
 
 
-_planar_cache: dict[int, tuple[Tree, ...]] = {}
-
-
-def _planar_by_nodes(m: int) -> tuple[Tree, ...]:
-    if m in _planar_cache:
-        return _planar_cache[m]
-    if m == 1:
-        result: tuple[Tree, ...] = (Tree(ordered=True),)
-    else:
-        out = []
-        for comp in _compositions(m - 1):
-            pools = [_planar_by_nodes(k) for k in comp]
-            for combo in itertools.product(*pools):
-                out.append(Tree(None, combo, True))
-        result = tuple(out)
-    _planar_cache[m] = result
-    return result
+def _planar_shapes(nodes: int, cache: dict) -> tuple[Tree, ...]:
+    """Every planar shape with ``nodes`` nodes, by the compositions of ``nodes - 1``."""
+    if nodes not in cache:
+        cache[nodes] = tuple(
+            Tree(None, subtrees, True)
+            for sizes in _compositions(nodes - 1)
+            for subtrees in itertools.product(*[_planar_shapes(k, cache) for k in sizes])
+        )
+    return cache[nodes]
 
 
 def _compositions(total: int):
@@ -419,10 +422,22 @@ def _compositions(total: int):
             yield (first,) + rest
 
 
+def _label_preorder(shape: Tree, label: Label, labels) -> Tree:
+    """``shape`` with root ``label`` and the next items of ``labels`` below, in preorder."""
+    return Tree(label, tuple(_label_preorder(c, next(labels), labels) for c in shape.children), True)
+
+
+def rooted_trees(degree: int, cap: int | None = None) -> list[Tree]:
+    """All unordered unlabeled rooted trees with ``degree + 1`` nodes."""
+    _check_degree(degree, cap, DEFAULT_DEGREE_CAP)
+    check_budget(_rooted_count(degree + 1), f"rooted trees of degree {degree}")
+    return list(_planted((None,), degree, (None,), {}))
+
+
 def ordered_trees(degree: int, cap: int | None = None) -> list[Tree]:
     """All planar rooted trees with ``degree + 1`` nodes (Catalan many)."""
     _check_degree(degree, cap, DEFAULT_DEGREE_CAP)
-    return list(_planar_by_nodes(degree + 1))
+    return _planar(degree, (None,), "ordered trees")
 
 
 def heap_ordered_trees(degree: int, cap: int | None = None) -> list[Tree]:
@@ -432,49 +447,26 @@ def heap_ordered_trees(degree: int, cap: int | None = None) -> list[Tree]:
     count is ``n!``.
     """
     _check_degree(degree, cap, HEAP_DEGREE_CAP)
+    check_budget(math.factorial(degree), f"heap-ordered trees of degree {degree}")
     trees = [canonicalize(Tree())]
     for k in range(1, degree + 1):
-        leaf = canonicalize(Tree(label=k))
-        grown: list[Tree] = []
-        for t in trees:
-            nodes, kids, paths = _preorder(t)
-            for i in range(len(nodes)):
-                grown.append(_graft_blocks(nodes, kids, paths, {i: [leaf]}, False))
-        trees = grown
+        leaf = Forest((canonicalize(Tree(k)),))
+        trees = [grown for t in trees for grown, _ in attach_all(leaf, t)]
     return trees
 
 
 def labeled_trees(degree: int, symbols, cap: int | None = None) -> list[Tree]:
     """Unordered rooted trees whose non-root nodes carry labels from ``symbols``."""
     _check_degree(degree, cap, DEFAULT_DEGREE_CAP)
-    symbols = tuple(dict.fromkeys(symbols))  # a repeated symbol labels nothing new
-    if degree > 0 and not symbols:
-        raise ValueError("labeled enumeration needs a nonempty symbol set")
-    shapes = len(_unordered_trees(degree + 1, (None,), _rooted_cache))
-    check_budget(shapes * len(symbols) ** degree, f"labeled trees of degree {degree}")
+    symbols = _symbols(symbols, degree)
+    check_budget(_rooted_count(degree + 1) * len(symbols) ** degree, f"labeled trees of degree {degree}")
     return list(_planted((None,), degree, symbols, {}))
 
 
 def ordered_labeled_trees(degree: int, symbols, cap: int | None = None) -> list[Tree]:
     """Planar rooted trees with labeled non-root nodes."""
     _check_degree(degree, cap, DEFAULT_DEGREE_CAP)
-    symbols = tuple(symbols)
-    if degree > 0 and not symbols:
-        raise ValueError("labeled enumeration needs a nonempty symbol set")
-    shapes = math.comb(2 * degree, degree) // (degree + 1)  # Catalan(degree)
-    check_budget(shapes * len(symbols) ** degree, f"ordered labeled trees of degree {degree}")
-    out: list[Tree] = []
-    for shape in _planar_by_nodes(degree + 1):
-        slots = shape.degree()
-        for labelling in itertools.product(symbols, repeat=slots):
-            it = iter(labelling)
-
-            def relabel(node: Tree, is_root: bool) -> Tree:
-                lab = None if is_root else next(it)
-                return Tree(lab, tuple(relabel(c, False) for c in node.children), True)
-
-            out.append(relabel(shape, True))
-    return out
+    return _planar(degree, _symbols(symbols, degree), "ordered labeled trees")
 
 
 # ---------------------------------------------------------------------------

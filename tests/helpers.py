@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own algorithms: tree
 isomorphism classes (unlabeled, labeled, and root-stripped as forest
-monomials) are found through parent arrays and nested tuples, grafting
+monomials) are found through parent arrays and nested tuples, planar
+labelings by writing labels into a shape's text in preorder, grafting
 products through every one of the (n+1)^r assignments, shuffles through their
 defining recursion, heap products as maps with spliced cycles, automorphism
 counts through plane-representation counting, and cuts through edge-subset
@@ -220,6 +221,14 @@ def forest_encodings_by_parent_arrays(total_nodes: int) -> set[str]:
         "*".join(sorted(map(_encode_shape, children))) or "1"
         for _, children in shapes_by_parent_arrays(total_nodes)
     }
+
+
+def label_in_preorder(shape: str, labels) -> str:
+    """The encoding of an unlabeled planar ``shape`` with its non-root nodes
+    labeled from ``labels`` in preorder: in the text, each ``(`` after the
+    first opens the next node in preorder."""
+    root, *below = shape.split("(")[1:]
+    return "(" + root + "".join(f"({label}{rest}" for label, rest in zip(labels, below, strict=True))
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,26 @@ def test_psi_expand_report(capsys, env_file):
     assert out == "raw_trees: 24, cancelled: 18, surviving: 6"
 
 
+def test_psi_expand_numbers_factors_by_preorder_node(capsys, env_file):
+    code, out, _ = run(capsys, "psi", "expand", "--word", "E1,E2,E3", "--env", env_file,
+                       "--format", "json")
+    assert code == 0
+    factors = {term["tree"]: term["factors"] for term in json.loads(out)["terms"]}
+    assert factors["(;(E2;(E1))(E3))"] == ["(a_E3^i3)", "(a_E1^i2)", "(D_i2 a_E2^i1)", "(D_i1 D_i3 f)"]
+    assert factors["(;(E3;(E2;(E1))))"] == ["(a_E1^i3)", "(D_i3 a_E2^i2)", "(D_i2 a_E3^i1)", "(D_i1 f)"]
+
+
+def test_a_repeated_symbol_adds_no_ordered_labeled_trees(capsys):
+    reports = []
+    for symbols in ("E1,E1", "E1"):
+        code, out, _ = run(capsys, "verify", "--algebra", "gl", "--flavor", "ordered-labeled",
+                           "--symbols", symbols, "--max-degree", "2")
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert "ordered-labeled/unit: ok (4 checks)" in reports[0]
+
+
 def test_psi_apply(capsys, env_file):
     code, out, _ = run(
         capsys, "psi", "apply", "--tree", "(;(E1))", "--env", env_file, "--f", "x1^3"
@@ -372,6 +392,12 @@ SIXTY = ",".join(f"E{i}" for i in range(1, 61))
          "ordered labeled trees of degree 3 would enumerate 1080000 terms"),  # Catalan(3) x 60^3
         (["trees", "count", "--family", "labeled", "--symbols", "E1,E2,E3,E4,E5,E6", "--degree", "8"],
          "labeled trees of degree 8 would enumerate 480370176 terms"),  # 286 shapes x 6^8
+        (["trees", "count", "--family", "hot", "--degree", "9", "--cap", "9"],
+         "heap-ordered trees of degree 9 would enumerate 362880 terms"),  # 9!
+        (["trees", "count", "--family", "rooted", "--degree", "16", "--cap", "16"],
+         "rooted trees of degree 16 would enumerate 634847 terms"),  # A000081(17)
+        (["trees", "count", "--family", "ordered", "--degree", "13", "--cap", "13"],
+         "ordered trees of degree 13 would enumerate 742900 terms"),  # Catalan(13)
     ],
 )
 def test_an_over_budget_basis_is_refused_before_it_is_listed(argv, message):

@@ -115,6 +115,22 @@ def test_unknown_label_error_names_the_preorder_node():
         apply_tree_operator(t("(;(E1;(E2))(E9))"), ENV1, CUBE)
 
 
+def test_unknown_label_error_names_the_first_unknown_node_in_postorder():
+    # nodes E9 (1) and E8 (2) are both unknown; the deeper one is reported
+    with pytest.raises(KeyError, match="unknown derivation symbol 'E8' at node 2"):
+        apply_tree_operator(t("(;(E9;(E8)))"), ENV1, CUBE)
+    with pytest.raises(KeyError, match="unknown derivation symbol 'E7' at node 3"):
+        apply_tree_operator(t("(;(E1;(E8)(E2;(E7)))(E9))"), ENV1, CUBE)
+
+
+def test_sums_merge_in_one_dict_and_drop_cancelled_terms():
+    p = parse_polynomial("x1 + 2 - x1 + 1/2*x1^2 + 1/2*x1^2", 1)
+    assert p._terms == {(0,): 2, (2,): 1}
+    assert type(p._terms[(0,)]) is int
+    assert Polynomial._sum(2, []) == Polynomial.zero(2)
+    assert ENV1["E1"].apply(parse_polynomial("x1^2 - x1^2", 1)) == Polynomial.zero(1)
+
+
 def test_tree_operator_matches_index_sum_oracle():
     # every labeled tree of degree <= 4 over {E1, E2}, for n = 1, 2, 3
     rng = random.Random(41)

@@ -23,9 +23,12 @@ from hopftrees import (
     shift_labels,
     strip_root,
 )
+from hopftrees import trees as trees_module
+from hopftrees.trees import _rooted_count
 from helpers import (
     attach_all_by_assignments,
     canonical_by_sorting,
+    label_in_preorder,
     tree_encodings_by_parent_arrays,
     lc,
     ot,
@@ -145,6 +148,73 @@ def test_heap_ordered_counts_are_factorials():
         assert len(members) == math.factorial(n)
         assert len({m.encode() for m in members}) == math.factorial(n)
         assert all(is_standard_heap_tree(m) for m in members)
+
+
+def test_ordered_shapes_come_in_composition_order():
+    # root subtree sizes (1,1,1), (1,2), (2,1), then (3,) for both 3-node shapes
+    assert [x.encode() for x in ordered_trees(3)] == [
+        "(;()()())", "(;()(;()))", "(;(;())())", "(;(;()()))", "(;(;(;())))",
+    ]
+
+
+@pytest.mark.parametrize("symbols", [("E1",), ("E1", "E2"), ("E2", "E1", "E3")])
+def test_ordered_labeled_trees_label_each_shape_in_preorder(symbols):
+    for degree in range(5):
+        expected = [
+            label_in_preorder(shape.encode(), labels)
+            for shape in ordered_trees(degree)
+            for labels in itertools.product(symbols, repeat=degree)
+        ]
+        members = ordered_labeled_trees(degree, symbols)
+        assert [m.encode() for m in members] == expected
+        assert all(m.ordered and m.label is None for m in members)
+
+
+def test_ordered_labeled_trees_ignore_a_repeated_symbol():
+    assert [x.encode() for x in ordered_labeled_trees(1, ("E1", "E1"))] == ["(;(E1))"]
+    assert ordered_labeled_trees(3, ("E2", "E1", "E2")) == ordered_labeled_trees(3, ("E2", "E1"))
+
+
+def test_heap_ordered_trees_place_each_new_label_in_preorder():
+    assert [x.encode() for x in heap_ordered_trees(3)] == [
+        "(;(1)(2)(3))", "(;(1;(3))(2))", "(;(1)(2;(3)))",
+        "(;(1;(2))(3))", "(;(1;(2)(3)))", "(;(1;(2;(3))))",
+    ]
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_rooted_count_is_the_number_of_rooted_trees(degree):
+    assert _rooted_count(degree + 1) == len(rooted_trees(degree))
+
+
+def test_no_module_level_container_keeps_enumerated_trees():
+    rooted_trees(5)
+    ordered_trees(4)
+    heap_ordered_trees(4)
+    labeled_trees(3, ("E1", "E2"))
+    ordered_labeled_trees(3, ("E1", "E2"))
+
+    def holds_trees(value) -> bool:
+        if isinstance(value, dict):
+            value = [*value.keys(), *value.values()]
+        if not isinstance(value, (list, tuple, set, frozenset)):
+            return False
+        return any(isinstance(x, Tree) or holds_trees(x) for x in value)
+
+    assert [name for name, value in vars(trees_module).items() if holds_trees(value)] == []
+
+
+@pytest.mark.parametrize(
+    "enumerate_, message",
+    [
+        (lambda: rooted_trees(16, cap=16), "rooted trees of degree 16 would enumerate 634847 terms"),
+        (lambda: ordered_trees(13, cap=13), "ordered trees of degree 13 would enumerate 742900 terms"),
+        (lambda: heap_ordered_trees(9, cap=9), "heap-ordered trees of degree 9 would enumerate 362880 terms"),
+    ],
+)
+def test_every_family_is_budgeted_before_it_is_listed(enumerate_, message):
+    with pytest.raises(ValueError, match=message):
+        enumerate_()
 
 
 def test_heap_predicate_rejects_misordered_labels():
