@@ -56,6 +56,30 @@ class ParseError(ValueError):
         pointer = " " * self.position + "^"
         return f"{self.message} at position {self.position}\n  {self.text}\n  {pointer}"
 
+    def within(self, text: str, column: int) -> "ParseError":
+        """This error, raised on the piece of ``text`` at ``column``, as an error in ``text``."""
+        return ParseError(self.message, text, column + (self.position or 0))
+
+
+def pieces(text: str, sep: str, start: int = 0) -> list[tuple[int, str]]:
+    """The pieces of ``text`` between the ``sep``s, stripped, each with the column of its
+    first character (an empty piece: where it begins) when ``text`` starts at ``start``."""
+    out = []
+    for raw in text.split(sep):
+        piece = raw.strip()
+        out.append((start + (len(raw) - len(raw.lstrip()) if piece else 0), piece))
+        start += len(raw) + len(sep)
+    return out
+
+
+def identifiers(text: str, sep: str, what: str) -> list[str]:
+    """The pieces of ``text`` between the ``sep``s, each of which must be an identifier."""
+    parts = pieces(text, sep)
+    for column, name in parts:
+        if not name.isidentifier():
+            raise ParseError(f"invalid {what} {name!r}", text, column)
+    return [name for _, name in parts]
+
 
 _set = object.__setattr__
 

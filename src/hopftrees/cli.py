@@ -25,7 +25,7 @@ from . import connes_kreimer as ck
 from . import grossman_larson as gl
 from . import permutations as perm
 from . import shuffle as sh
-from .algebra import LinearCombination, ParseError, TensorPair, format_fraction
+from .algebra import LinearCombination, ParseError, TensorPair, format_fraction, identifiers
 from .trees import (
     DEFAULT_DEGREE_CAP,
     HEAP_DEGREE_CAP,
@@ -132,7 +132,7 @@ def _report_exit(args, report: axioms.VerificationReport) -> int:
 def _cmd_gl(args) -> int:
     ordered = args.flavor in ("ordered", "ordered-labeled")
     elements = [parse_tree(_read_element(e), ordered=ordered) for e in args.elements]
-    symbols = args.symbols.split(",") if args.symbols else sorted(
+    symbols = identifiers(args.symbols, ",", "symbol") if args.symbols else sorted(
         {lab for t in elements for lab in t.labels() if isinstance(lab, str)}
     )
     alg = _algebra_for(args.flavor, symbols)
@@ -192,8 +192,7 @@ def _enumerate_family(args) -> list[Tree]:
         return ordered_trees(args.degree, cap)
     if family == "hot":
         return heap_ordered_trees(args.degree, cap)
-    symbols = (args.symbols or "E1,E2").split(",")
-    return labeled_trees(args.degree, symbols, cap)
+    return labeled_trees(args.degree, identifiers(args.symbols or "E1,E2", ",", "symbol"), cap)
 
 
 def _cmd_trees(args) -> int:
@@ -206,18 +205,14 @@ def _cmd_trees(args) -> int:
     return 0
 
 
-def _load_env(path: str) -> diff_ops.DerivationEnv:
+def _load(path: str, spec_type):
+    """``spec_type.from_dict`` of the JSON spec file at ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return diff_ops.DerivationEnv.from_dict(json.load(handle))
-
-
-def _load_connection(path: str) -> connection.Connection:
-    with open(path, "r", encoding="utf-8") as handle:
-        return connection.Connection.from_dict(json.load(handle))
+        return spec_type.from_dict(json.load(handle))
 
 
 def _cmd_psi(args) -> int:
-    env = _load_env(args.env)
+    env = _load(args.env, diff_ops.DerivationEnv)
     if args.operation == "apply":
         tree = parse_tree(_read_element(args.tree))
         f = diff_ops.parse_polynomial(args.f, env.num_vars)
@@ -249,7 +244,7 @@ def _cmd_psi(args) -> int:
             _emit(args, "\n".join(lines), payload)
         return 0
     # check-diagram
-    word = tuple(s.strip() for s in args.word.split(","))
+    word = identifiers(args.word, ",", "symbol")
     f = diff_ops.parse_polynomial(args.f, env.num_vars)
     check = diff_ops.verify_composition(word, env, f)
     payload = {
@@ -262,8 +257,8 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_conn(args) -> int:
-    conn = _load_connection(args.connection)
-    env = _load_env(args.env)
+    conn = _load(args.connection, connection.Connection)
+    env = _load(args.env, diff_ops.DerivationEnv)
     if args.operation == "apply":
         lower = env[args.fields[0]]
         upper = env[args.fields[1]]
@@ -305,7 +300,7 @@ def _cmd_verify(args) -> int:
     degree = args.max_degree
     if args.algebra == "gl":
         flavors = [args.flavor] if args.flavor else ["rooted", "ordered", "labeled", "hot"]
-        symbols = (args.symbols or "E1,E2").split(",")
+        symbols = identifiers(args.symbols or "E1,E2", ",", "symbol")
         combined = axioms.VerificationReport(f"tree algebra sweep (degree <= {degree})")
         for flavor in flavors:
             report = _algebra_for(flavor, symbols).verify(degree)
@@ -316,7 +311,7 @@ def _cmd_verify(args) -> int:
     if args.algebra == "ck":
         return _report_exit(args, ck.verify_forest_algebra(degree))
     if args.algebra == "shuffle":
-        letters = tuple((args.symbols or "x1,x2").split(","))
+        letters = tuple(identifiers(args.symbols or "x1,x2", ",", "symbol"))
         return _report_exit(args, sh.ShuffleHopfAlgebra(letters).verify(degree))
     return _report_exit(args, perm.HEAP_PRODUCT_ALGEBRA.verify(degree))
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from .algebra import pieces
 from .diff_ops import (Derivation, DerivationEnv, Polynomial, _covariant_contraction, _spec_size,
                        _subtree_derivation, _tree_action, parse_polynomial)
 from .grossman_larson import TreeHopfAlgebra
@@ -68,11 +69,10 @@ class Connection:
             raise ValueError("connection spec: 'gamma' must map 'i,j,k' keys to polynomials")
         gamma = {}
         for key, value in (entries or {}).items():
-            parts = [p.strip() for p in str(key).split(",")]
-            if len(parts) != 3 or not all(p.isdigit() for p in parts):
+            parts = [p for _, p in pieces(str(key), ",")]
+            if len(parts) != 3 or not all(p.isdecimal() for p in parts):
                 raise ValueError(f"bad Christoffel key {key!r}; expected 'i,j,k'")
-            i, j, k = (int(p) for p in parts)
-            gamma[(i, j, k)] = parse_polynomial(str(value), n)
+            gamma[tuple(map(int, parts))] = parse_polynomial(str(value), n)
         return cls(n, gamma)
 
 

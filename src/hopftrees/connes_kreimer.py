@@ -27,9 +27,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .algebra import LinearCombination, TensorPair, extend_bilinear
+from .algebra import LinearCombination, TensorPair, check_budget, extend_bilinear
 from . import axioms
-from .trees import Forest, Tree, canonicalize, rooted_trees, strip_root
+from .trees import Forest, Tree, add_root, canonicalize, rooted_trees, strip_root
 
 
 def admissible_cuts(t: Tree) -> list[tuple[Forest, Tree]]:
@@ -59,6 +59,11 @@ def admissible_cuts(t: Tree) -> list[tuple[Forest, Tree]]:
     return results
 
 
+def _cut_count(t: Tree) -> int:
+    """``len(admissible_cuts(t))``: each child edge is cut, or kept with its subtree cut admissibly."""
+    return math.prod(1 + _cut_count(c) for c in t.children)
+
+
 def monomial_product(a: Forest, b: Forest) -> Forest:
     """Multiset union; the commutative product of the forest algebra."""
     return Forest.canonical(a.trees + b.trees)
@@ -67,6 +72,7 @@ def monomial_product(a: Forest, b: Forest) -> Forest:
 def forest_coproduct(m: Forest) -> LinearCombination:
     """Admissible-cut coproduct, extended multiplicatively to monomials."""
     _check_unlabeled(m.trees)
+    check_budget(math.prod(1 + _cut_count(t) for t in m.trees), "cut coproduct")
     out = LinearCombination.single(TensorPair(Forest(), Forest()))
     for t in m.trees:
         out = _pairwise_union(out, _tree_coproduct(t))
@@ -176,10 +182,11 @@ def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
 
     alg = axioms._SweepMemo(_ForestAlgebra())
     graft, pairing = axioms.memoize(ROOTED.product), axioms.memoize(dual_pairing)
+    # each degree is listed once: its trees are its monomials under a root, in rooted_trees order;
     # the duality check grafts two single nodes even when max_degree < 0
     by_degree = [alg.basis(d) for d in range(max(max_degree, 0) + 1)]
     monomials = list(axioms.graded_tuples(by_degree, 1, 0, max_degree))
-    trees = [(Forest.canonical([t]),) for d in range(max_degree + 1) for t in rooted_trees(d)]
+    trees = [(Forest.canonical([add_root(m)]),) for level in by_degree[:max_degree + 1] for m in level]
     report = axioms.VerificationReport("forest algebra with cut coproduct")
     for name, cases, holds in (
         ("commutativity", axioms.graded_tuples(by_degree, 2, 0, max_degree),
@@ -199,7 +206,7 @@ def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
         )
         return lhs == rhs
 
-    small = [t for d in range(max(0, max_degree // 2) + 1) for t in rooted_trees(d)]
+    small = [add_root(m) for level in by_degree[:max(0, max_degree // 2) + 1] for m in level]
     axioms.check(
         report, alg, "grafting-duality",
         ((t1, t2, a) for t1 in small for t2 in small for a in by_degree[t1.degree() + t2.degree()]),

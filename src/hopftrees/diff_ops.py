@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (Immutable, LinearCombination, ParseError, Record, Scalar, _exact, _set,
-                      _sum_scaled, extend_bilinear, format_fraction)
+                      _sum_scaled, extend_bilinear, format_fraction, pieces)
 from .grossman_larson import labeled_algebra
 from .trees import Tree, _preorder, canonicalize
 
@@ -173,54 +173,56 @@ class Polynomial:
         return f"Polynomial({self.num_vars}, {self.render()!r})"
 
 
+_TERM = re.compile(r"(?=[^\s+-])(?:[*^/]\s*[+-]|[^+-])+")
+
+
+def _signed_terms(text: str, what: str) -> list[tuple[int, int, str]]:
+    """The terms of the signed sum ``text`` as (sign, column, term), each term stripped.
+
+    The sign rule of both polynomial grammars: a ``+`` or ``-`` separates
+    terms except right after ``*``, ``^`` or ``/``, where it belongs to the
+    term (:data:`_TERM` matches a term); a run of signs before a term
+    multiplies out; a sign with no term after it is an error.
+    """
+    terms, end = [], 0
+    for term in _TERM.finditer(text):
+        terms.append(((-1) ** text.count("-", end, term.start()), term.start(), term.group().rstrip()))
+        end = term.end()
+    if text[end:].strip():
+        raise ParseError("missing term after sign", text, len(text.rstrip()) - 1)
+    if not terms:
+        raise ParseError(f"empty {what}", text, 0)
+    return terms
+
+
 def parse_polynomial(text: str, num_vars: int) -> Polynomial:
-    """Parse forms like ``3*x1^2*x2 - 1/2*x2 + 4``."""
-    if not text.strip():
-        raise ParseError("empty polynomial", text, 0)
-    # split on top-level + and - (a leading sign and a sign after '*'/'^'/'/' are
-    # part of the term, everything else separates terms); a term's offset is
-    # that of its first non-space character in ``text``
-    chunks: list[tuple[int, str, int]] = []
-    current_sign = 1
-    term_start = 0
-    buf = ""
-    for i, ch in enumerate(text + "\0"):
-        if ch in "+-" and buf.strip() and not buf.rstrip().endswith(("*", "^", "/")):
-            chunks.append((current_sign, buf, term_start))
-            current_sign = 1 if ch == "+" else -1
-            buf = ""
-        elif ch in "+-" and not buf.strip():
-            current_sign = -current_sign if ch == "-" else current_sign
-        elif ch != "\0":
-            if not (buf.strip() or ch.isspace()):
-                term_start = i
-            buf += ch
-    if buf.strip():
-        chunks.append((current_sign, buf, term_start))
-    if not chunks:
-        raise ParseError("empty polynomial", text, 0)
-    return Polynomial._sum(num_vars, (sgn * _parse_monomial(chunk, num_vars, text, offset)
-                                      for sgn, chunk, offset in chunks))
+    """Parse forms like ``3*x1^2*x2 - 1/2*x2 + 4``.
+
+    A run of signs multiplies out, as in :func:`parse_word_polynomial`:
+    ``a - -b`` is ``a + b`` and ``a - +b`` is ``a - b``.  Spaces are allowed
+    around ``*``, and a malformed term is reported at its column in ``text``
+    as typed.
+    """
+    return Polynomial._sum(num_vars, (sign * _parse_monomial(term, num_vars, text, column)
+                                      for sign, column, term in _signed_terms(text, "polynomial")))
 
 
-def _parse_monomial(chunk: str, num_vars: int, full: str, offset: int) -> Polynomial:
+def _parse_monomial(term: str, num_vars: int, full: str, offset: int) -> Polynomial:
     coeff: Scalar = 1
     exps = [0] * num_vars
-    for factor in chunk.split("*"):
-        piece = factor.strip()
+    for _, piece in pieces(term, "*"):
         if not piece:
             raise ParseError("empty factor", full, offset)
         if piece[0] == "x":
-            name, _, power = piece.partition("^")
-            idx_text = name[1:]
-            if not idx_text.isdigit():
+            name, hat, power = piece.partition("^")
+            if not name[1:].isdecimal():
                 raise ParseError(f"invalid variable {name!r}", full, offset)
-            idx = int(idx_text)
+            idx = int(name[1:])
             if not 1 <= idx <= num_vars:
                 raise ParseError(f"variable x{idx} out of range for n={num_vars}", full, offset)
-            if power and not power.strip().isdigit():
+            if hat and not power.strip().isdecimal():
                 raise ParseError(f"invalid exponent {power!r}", full, offset)
-            exps[idx - 1] += int(power) if power else 1
+            exps[idx - 1] += int(power) if hat else 1
         else:
             try:
                 value = Fraction(piece)
@@ -540,34 +542,23 @@ def verify_composition(word: Sequence[str], env: DerivationEnv, f: Polynomial) -
 def parse_word_polynomial(text: str) -> list[tuple[Fraction, tuple[str, ...]]]:
     """Parse ``E3,E2,E1 - E3,E1,E2 + 2*E1,E2`` into (coefficient, word) pairs.
 
-    A malformed coefficient or word is reported at its offset in ``text``.
+    A run of signs multiplies out, as in :func:`parse_polynomial`:
+    ``a - -b`` is ``a + b`` and ``a - +b`` is ``a - b``.  Spaces are allowed
+    around ``*`` and ``,``, and a malformed coefficient or word is reported at
+    its column in ``text`` as typed.
     """
-    if not text.strip():
-        raise ParseError("empty operator polynomial", text, 0)
     out: list[tuple[Fraction, tuple[str, ...]]] = []
-    sign = Fraction(1)
-    end = 0
-    for piece in re.split(r"([+-])", text):
-        start, end = end, end + len(piece)
-        chunk = piece.strip()
-        if not chunk:
-            continue
-        if chunk in ("+", "-"):
-            sign = Fraction(1 if chunk == "+" else -1)
-            continue
-        coeff = sign
-        body = chunk
-        at = start + len(piece) - len(piece.lstrip())
-        if "*" in chunk:
-            head, _, body = chunk.partition("*")
+    for sign, column, term in _signed_terms(text, "operator polynomial"):
+        coeff, at, word = Fraction(sign), column, term
+        if "*" in term:
+            (_, head), (at, _) = pieces(term, "*", column)[:2]
             try:
-                coeff = sign * Fraction(head.strip())
+                coeff *= Fraction(head)
             except (ValueError, ZeroDivisionError):
-                raise ParseError(f"invalid coefficient {head!r}", text, at) from None
-            at += len(head) + 1 + len(body) - len(body.lstrip())
-        letters = tuple(s.strip() for s in body.split(","))
-        if not all(s.isidentifier() for s in letters):
-            raise ParseError(f"invalid word {body!r}", text, at)
+                raise ParseError(f"invalid coefficient {head!r}", text, column) from None
+            word = term.partition("*")[2]
+        letters = tuple(letter for _, letter in pieces(word, ","))
+        if not all(letter.isidentifier() for letter in letters):
+            raise ParseError(f"invalid word {word!r}", text, at)
         out.append((coeff, letters))
-        sign = Fraction(1)
     return out

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 from . import axioms
-from .algebra import Immutable, LinearCombination, ParseError, TensorPair, Value, _set, check_budget
+from .algebra import Immutable, LinearCombination, ParseError, TensorPair, Value, _set, check_budget, pieces
 from .trees import Tree, canonicalize, is_standard_heap_tree
 
 
@@ -178,6 +179,7 @@ def heap_product(s: CyclePermutation, t: CyclePermutation) -> LinearCombination:
 def cycle_coproduct(p: CyclePermutation) -> LinearCombination:
     """Split the cycle set over all subsets, relabeling both parts."""
     cycles = p.cycles
+    check_budget(2 ** len(cycles), "cycle coproduct")
     terms: list[tuple[TensorPair, int]] = []
     for mask in range(1 << len(cycles)):
         kept = [c for i, c in enumerate(cycles) if mask >> i & 1]
@@ -294,34 +296,27 @@ HEAP_PRODUCT_ALGEBRA = PermutationHopfAlgebra()
 
 
 def parse_permutation(text: str, n: int | None = None) -> CyclePermutation:
-    """Parse standard cycle notation like ``(1 3)(4)(5 7)``; ``()`` is the
-    identity of S_0.  ``n`` forces the ambient symmetric group."""
-    stripped = text.strip()
-    if stripped == "()":
+    """Parse standard cycle notation like ``(1 3)(4)(5 7)``, entries separated by
+    spaces or commas; ``()`` is the identity of S_0.  ``n`` forces the ambient symmetric group."""
+    if text.strip() == "()":
         return CyclePermutation.identity(n or 0)
+    *closed, (end, rest) = pieces(text, ")")
     cycles: list[list[int]] = []
-    pos = 0
-    while pos < len(stripped):
-        ch = stripped[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch != "(":
-            raise ParseError("expected '('", stripped, pos)
-        end = stripped.find(")", pos)
-        if end < 0:
-            raise ParseError("unclosed cycle", stripped, pos)
-        body = stripped[pos + 1 : end]
+    for column, cycle in closed:
+        if not cycle.startswith("("):
+            raise ParseError("expected '('", text, column)
         entries = []
-        for piece in body.replace(",", " ").split():
-            if not piece.isdigit():
-                raise ParseError(f"invalid entry {piece!r}", stripped, pos + 1)
-            entries.append(int(piece))
+        for at, entry in pieces(re.sub(r"^\(|[\s,]", " ", cycle), " ", column):
+            if entry.isdecimal():
+                entries.append(int(entry))
+            elif entry:
+                raise ParseError(f"invalid entry {entry!r}", text, at)
         if not entries:
-            raise ParseError("empty cycle", stripped, pos)
+            raise ParseError("empty cycle", text, column)
         cycles.append(entries)
-        pos = end + 1
+    if rest:
+        raise ParseError("unclosed cycle" if rest[0] == "(" else "expected '('", text, end)
     try:
         return CyclePermutation.from_cycles(cycles, n=n)
     except ValueError as exc:
-        raise ParseError(str(exc), stripped, 0) from exc
+        raise ParseError(str(exc), text, 0) from exc

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .algebra import Immutable, LinearCombination, ParseError, TensorPair, Value, _set, check_budget
+from .algebra import Immutable, LinearCombination, ParseError, TensorPair, Value, _set, check_budget, identifiers
 from . import axioms
 
 
@@ -147,17 +147,8 @@ class ShuffleHopfAlgebra(Value):
 
 def parse_word(text: str) -> Word:
     """Parse a ``.``-joined word; ``1`` denotes the empty word."""
-    stripped = text.strip()
-    if stripped == "1":
+    if text.strip() == "1":
         return EMPTY_WORD
-    if not stripped:
+    if not text.strip():
         raise ParseError("empty word must be written '1'", text, 0)
-    letters = []
-    offset = 0
-    for chunk in stripped.split("."):
-        piece = chunk.strip()
-        if not piece or not piece.isidentifier():
-            raise ParseError(f"invalid letter {chunk!r}", text, offset)
-        letters.append(piece)
-        offset += len(chunk) + 1
-    return Word(tuple(letters))
+    return Word(tuple(identifiers(text, ".", "letter")))

@@ -17,7 +17,7 @@ import itertools
 import math
 from operator import attrgetter
 
-from .algebra import Immutable, LinearCombination, ParseError, Value, _set, check_budget
+from .algebra import Immutable, LinearCombination, ParseError, Value, _set, check_budget, pieces
 
 Label = str | int | None
 
@@ -535,15 +535,12 @@ class _TreeParser:
 
 def parse_forest(text: str) -> Forest:
     """Parse a ``*``-joined forest monomial; ``1`` denotes the empty forest."""
-    stripped = text.strip()
-    if stripped == "1":
+    if text.strip() == "1":
         return Forest()
     trees = []
-    offset = 0
-    for chunk in stripped.split("*"):
+    for column, piece in pieces(text, "*"):
         try:
-            trees.append(parse_tree(chunk.strip()))
+            trees.append(parse_tree(piece))
         except ParseError as exc:
-            raise ParseError(exc.message, text, offset + (exc.position or 0)) from exc
-        offset += len(chunk) + 1
+            raise exc.within(text, column) from exc
     return Forest.canonical(trees)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -405,3 +406,97 @@ def test_an_over_budget_basis_is_refused_before_it_is_listed(argv, message):
     assert_clean_error(result)
     assert result.stdout == ""
     assert result.stderr == f"error: {message}, more than the limit of {MAX_TERMS}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["perm", "coprod", "(20)"], "cycle coproduct would enumerate 1048576 terms"),  # 2^20 subsets
+        (["ck", "coprod", "(;" + "()" * 20 + ")"], "cut coproduct would enumerate 1048577 terms"),  # 2^20 + 1
+    ],
+)
+def test_an_over_budget_coproduct_is_refused_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: {message}, more than the limit of {MAX_TERMS}\n"
+    assert elapsed < 0.5
+
+
+# One row per kind of text argument: the argv with ``{}`` for the argument, a
+# valid value with spaces around its separators (around the labels, for a
+# tree), the same value unpadded, a malformed value, and the text that starts
+# at the bad piece.
+TEXT_ARGUMENTS = {
+    "tree": (["gl", "coprod", "--flavor", "labeled", "{}"],
+             "(;( E1 )( E2 ;( E1 )))", "(;(E1)(E2;(E1)))", "(;(E1)(1x))", "1x"),
+    "forest": (["ck", "coprod", "{}"], "  () *  (;()) * (;())  ", "()*(;())*(;())", " () *  (x y)", "x y"),
+    "word": (["shuffle", "mul", "{}", "c"], " a . b ", "a.b", "  a.1b", "1b"),
+    "permutation": (["perm", "mul", "{}", "(1)"], " ( 1 , 3 ) (2) ", "(1 3)(2)", "  (1 x)", "x"),
+    "polynomial": (["psi", "apply", "--env", "ENV", "--tree", "(;(E1))", "--f", "{}"],
+                   " x1 * x1 - 2 * x1 + 1 ", "x1*x1-2*x1+1", "x1 + 2*x9", "2*x9"),
+    "word polynomial": (["psi", "expand", "--env", "ENV", "--word", "{}"],
+                        " E1 , E2 - 2 * E2 , E1 ", "E1,E2-2*E2,E1", "E1,E2 - 2*E2,1", "E2,1"),
+    "--symbols": (["trees", "enum", "--family", "labeled", "--degree", "2", "--symbols", "{}"],
+                  " E1 , E2 ", "E1,E2", "E1,3", "3"),
+    "--word": (["psi", "check-diagram", "--env", "ENV", "--f", "x1^3", "--word", "{}"],
+               " E1 , E2 ", "E1,E2", "E1,E 2", "E 2"),
+}
+
+
+def _fill(argv, value, env_file):
+    return [value if a == "{}" else env_file if a == "ENV" else a for a in argv]
+
+
+def assert_caret_under(err: str, text: str, column: int):
+    """``err`` is one ``error:`` message that echoes ``text`` as typed with a caret at ``column``."""
+    first, echo, caret = err.split("\n")
+    assert first.startswith("error: ") and first.endswith(f" at position {column}")
+    assert (echo, caret) == ("  " + text, "  " + " " * column + "^")
+
+
+@pytest.mark.parametrize("kind", TEXT_ARGUMENTS)
+def test_spaces_around_separators_change_nothing_and_a_bad_piece_gets_the_caret(capsys, env_file, kind):
+    argv, padded, plain, bad, at = TEXT_ARGUMENTS[kind]
+    padded_run, plain_run = ((main(_fill(argv, v, env_file)), capsys.readouterr()) for v in (padded, plain))
+    assert padded_run == plain_run and plain_run[0] == 0 and plain_run[1].out
+    code, out, err = run(capsys, *_fill(argv, bad, env_file))
+    assert (code, out) == (1, "")
+    assert_caret_under(err, bad, bad.index(at))
+
+
+@pytest.mark.parametrize(
+    "argv, bad, column",
+    [
+        (["trees", "enum", "--family", "labeled", "--degree", "1", "--symbols"], "E1,", 3),
+        (["trees", "enum", "--family", "labeled", "--degree", "1", "--symbols"], "E1,3", 3),
+        (["verify", "--algebra", "shuffle", "--symbols"], "a,,b", 2),
+        (["verify", "--algebra", "gl", "--flavor", "labeled", "--symbols"], "E1, ,E2", 3),
+        (["gl", "mul", "--flavor", "labeled", "(;(E1))", "(;(E1))", "--symbols"], "E1,E 2", 3),
+    ],
+)
+def test_a_symbol_list_refuses_a_piece_that_is_not_an_identifier(capsys, argv, bad, column):
+    code, out, err = run(capsys, *argv, bad)
+    assert (code, out) == (1, "")
+    assert_caret_under(err, bad, column)
+
+
+@pytest.mark.parametrize(
+    "argv, value, same_as",
+    [
+        (["psi", "expand", "--env", "ENV", "--word", "{}"], "E1,E2 - +E2,E1", "E1,E2 - E2,E1"),
+        (["psi", "expand", "--env", "ENV", "--word", "{}"], "E1,E2 - -E2,E1", "E1,E2 + E2,E1"),
+        (["psi", "apply", "--env", "ENV", "--tree", "(;(E1))", "--f", "{}"], "x1^2 - +x1", "x1^2 - x1"),
+        (["psi", "apply", "--env", "ENV", "--tree", "(;(E1))", "--f", "{}"], "x1^2 - -x1", "x1^2 + x1"),
+    ],
+)
+def test_a_run_of_signs_multiplies_out_in_both_polynomial_grammars(capsys, env_file, argv, value, same_as):
+    got, expected = (run(capsys, *_fill(argv, v, env_file)) for v in (value, same_as))
+    assert got == expected and got[0] == 0
+
+
+def test_the_sign_rule_fixes_which_words_cancel(capsys, env_file):
+    code, out, _ = run(capsys, "psi", "expand", "--env", env_file, "--report", "--word", "E1,E2 - +E2,E1")
+    assert (code, out) == (0, "raw_trees: 4, cancelled: 2, surviving: 2")

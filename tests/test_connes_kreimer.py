@@ -194,3 +194,15 @@ def test_a_sweep_below_degree_zero_checks_one_duality():
         ("coassociativity", 0), ("counit", 0), ("grafting-duality", 1),
     ]
     assert report.passed
+
+
+def test_the_sweep_lists_the_rooted_trees_of_each_degree_once(monkeypatch):
+    calls = count_calls(monkeypatch, connes_kreimer, "rooted_trees")
+    verify_forest_algebra(4)
+    assert calls == [(d,) for d in range(5)]
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_the_predicted_cut_count_is_the_number_of_admissible_cuts(degree):
+    for tree in rooted_trees(degree):
+        assert connes_kreimer._cut_count(tree) == len(admissible_cuts(tree)), tree.encode()

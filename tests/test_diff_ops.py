@@ -273,6 +273,7 @@ def test_word_polynomial_parser():
         ("E1,E2 + *E1", "invalid coefficient ''", 8),
         ("E 1 + E2", "invalid word 'E 1'", 0),
         ("   ", "empty operator polynomial", 0),
+        ("E1 - E2 -", "missing term after sign", 8),
     ],
 )
 def test_word_polynomial_errors_point_at_the_bad_term(text, message, position):
@@ -294,6 +295,9 @@ def test_word_polynomial_errors_point_at_the_bad_term(text, message, position):
         ("x1^2*x2 + 3*x1^a", 2, "invalid exponent 'a'", 10),
         (" 1/0*x1", 1, "invalid coefficient '1/0'", 1),
         ("   ", 1, "empty polynomial", 0),
+        ("x1 + ", 1, "missing term after sign", 3),
+        ("x2 + x1^", 2, "invalid exponent ''", 5),
+        ("x²", 1, "invalid variable 'x²'", 0),
     ],
 )
 def test_polynomial_errors_point_at_the_bad_term(text, num_vars, message, position):

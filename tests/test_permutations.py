@@ -206,3 +206,29 @@ def test_cycle_permutation_is_an_immutable_value_with_a_cached_hash():
     with pytest.raises(AttributeError):
         del p.cycles
     assert not hasattr(p, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("  (1 x)", "invalid entry 'x'", 5),
+        ("(1 ²)", "invalid entry '²'", 3),
+        ("((1 2)", "invalid entry '(1'", 1),
+        ("x(1)(", "expected '('", 0),
+        ("(1 2)x", "expected '('", 5),
+        ("(1))", "expected '('", 3),
+        ("(1 2)(3", "unclosed cycle", 5),
+        ("(1)()", "empty cycle", 3),
+    ],
+)
+def test_permutation_errors_point_at_the_bad_piece(text, message, position):
+    from hopftrees import ParseError
+
+    with pytest.raises(ParseError) as info:
+        parse_permutation(text)
+    assert (info.value.message, info.value.text, info.value.position) == (message, text, position)
+
+
+def test_cycle_entries_are_separated_by_spaces_or_commas():
+    expected = parse_permutation("(1 3)(2)")
+    assert [parse_permutation(text) for text in (" ( 1 , 3 ) (2) ", "(1\t3)(2)", "(1,,3)(2)")] == [expected] * 3
