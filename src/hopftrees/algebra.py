@@ -179,8 +179,13 @@ class TensorPair(Immutable):
 class LinearCombination:
     """A finite formal sum ``sum_i c_i * b_i`` with nonzero exact coefficients.
 
-    Immutable.  Supports ``+``, ``-``, unary ``-`` and multiplication by a
-    scalar on either side.  Zero coefficients are purged on construction.
+    Immutable.  Supports ``+``, ``-``, unary ``-`` and multiplication by an
+    ``int`` or ``Fraction`` on either side.  Zero coefficients are purged on construction.
+    Combinations of different classes never mix: ``==`` is false and ``+``
+    raises ``TypeError``.  A subclass whose instances lie in several spaces
+    (a :class:`~hopftrees.diff_ops.Polynomial` in one per variable count)
+    overrides :meth:`_check` and the trusted constructor :meth:`_new`; one
+    whose basis has no ``encode`` overrides :meth:`terms` and :meth:`_term_text`.
     """
 
     __slots__ = ("_terms",)
@@ -198,6 +203,16 @@ class LinearCombination:
             else:
                 data.pop(basis, None)
         self._terms = data
+
+    def _new(self, terms: dict[Any, Scalar]) -> "LinearCombination":
+        """A combination in the space of ``self`` holding ``terms`` as they are:
+        exact, nonzero coefficients, nothing merged or checked."""
+        result = object.__new__(LinearCombination)
+        result._terms = terms
+        return result
+
+    def _check(self, other: "LinearCombination") -> None:
+        """Raise ``ValueError`` if ``other``, of the same class, lies in another space."""
 
     @classmethod
     def zero(cls) -> "LinearCombination":
@@ -240,18 +255,15 @@ class LinearCombination:
         return LinearCombination((fn(b), c) for b, c in self._terms.items())
 
     def __add__(self, other: "LinearCombination") -> "LinearCombination":
-        if not isinstance(other, LinearCombination):
+        if other.__class__ is not self.__class__:
             return NotImplemented
+        self._check(other)
         out = dict(self._terms)
         for basis, coeff in other._terms.items():
-            new = out.get(basis, 0) + coeff
-            if new:
-                out[basis] = new
-            else:
-                out.pop(basis, None)
-        result = LinearCombination.zero()
-        result._terms = out
-        return result
+            out[basis] = coeff = coeff + out.get(basis, 0)
+            if not coeff:
+                del out[basis]
+        return self._new(out)
 
     def __sub__(self, other: "LinearCombination") -> "LinearCombination":
         return self + (-other)
@@ -260,23 +272,26 @@ class LinearCombination:
         return (-1) * self
 
     def __rmul__(self, scalar: Scalar) -> "LinearCombination":
+        if not isinstance(scalar, (int, Fraction)):  # a float would become a binary fraction
+            return NotImplemented
         c = _exact(scalar)
-        if not c:
-            return LinearCombination.zero()
-        result = LinearCombination.zero()
-        result._terms = {b: c * v for b, v in self._terms.items()}
-        return result
+        return self._new({b: c * v for b, v in self._terms.items()} if c else {})
 
     def __mul__(self, scalar: Scalar) -> "LinearCombination":
         return self.__rmul__(scalar)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearCombination):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
+
+    def _term_text(self, basis: Any, magnitude: Scalar) -> str:
+        """The text of one term of :meth:`render` without its sign."""
+        body = basis.encode()
+        return body if magnitude == 1 else f"{magnitude}*{body}"
 
     def render(self) -> str:
         """Deterministic text form, e.g. ``(;()()) + 2*(;(;()))``."""
@@ -284,9 +299,7 @@ class LinearCombination:
             return "0"
         pieces: list[str] = []
         for basis, coeff in self.terms():
-            body = basis.encode()
-            mag = abs(coeff)
-            part = body if mag == 1 else f"{mag}*{body}"
+            part = self._term_text(basis, abs(coeff))
             if not pieces:
                 pieces.append(part if coeff > 0 else f"-{part}")
             else:
@@ -300,15 +313,18 @@ class LinearCombination:
         return f"LinearCombination({self.render()})"
 
 
-def _sum_scaled(pieces: Iterable[tuple[Scalar, LinearCombination]]) -> LinearCombination:
-    """``sum c * combo`` accumulated in one dict, zero coefficients purged."""
+_PLAIN = LinearCombination()
+
+
+def _sum_scaled(pieces: Iterable[tuple[Scalar, LinearCombination]],
+                space: LinearCombination = _PLAIN) -> LinearCombination:
+    """``sum c * combo`` accumulated in one dict, zero coefficients purged, as a
+    combination in the space of ``space`` (default: plain combinations)."""
     out: dict[Any, Scalar] = {}
     for scale, combo in pieces:
         for basis, coeff in combo._terms.items():
             out[basis] = out.get(basis, 0) + scale * coeff
-    result = LinearCombination.zero()
-    result._terms = {basis: coeff for basis, coeff in out.items() if coeff}
-    return result
+    return space._new({basis: coeff for basis, coeff in out.items() if coeff})
 
 
 def extend_linear(fn: Callable[[Any], LinearCombination], combo: LinearCombination) -> LinearCombination:

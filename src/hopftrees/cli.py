@@ -66,16 +66,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_element(value: str) -> str:
-    if value == "-":
-        return sys.stdin.read().strip()
-    return value
+    return sys.stdin.read().strip() if value == "-" else value
 
 
 def _cap(args) -> int | None:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
     env_value = os.environ.get("HOPF_MAX_DEGREE")
-    return int(env_value) if env_value else None
+    try:
+        return int(env_value) if args.cap is None and env_value else args.cap
+    except ValueError:
+        raise ValueError(f"HOPF_MAX_DEGREE must be an integer, not {env_value!r}") from None
 
 
 def _algebra_for(flavor: str, symbols) -> gl.TreeHopfAlgebra:

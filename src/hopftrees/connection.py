@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .algebra import pieces
+from .algebra import _sum_scaled, pieces
 from .diff_ops import (Derivation, DerivationEnv, Polynomial, _covariant_contraction, _spec_size,
                        _subtree_derivation, _tree_action, parse_polynomial)
 from .grossman_larson import TreeHopfAlgebra
@@ -154,8 +154,7 @@ def check_module_law(
     alg = TreeHopfAlgebra(ordered=True, symbols=env.symbols)
     memo: dict[Tree, Derivation] = {}
     lhs = _tree_action(t, env, conn._gamma, a * b, memo)
-    rhs = Polynomial._sum(env.num_vars, (
-        coeff * (_tree_action(pair.left, env, conn._gamma, a, memo)
-                 * _tree_action(pair.right, env, conn._gamma, b, memo))
-        for pair, coeff in alg.coproduct(t)))
+    rhs = _sum_scaled(((coeff, _tree_action(pair.left, env, conn._gamma, a, memo)
+                        * _tree_action(pair.right, env, conn._gamma, b, memo))
+                       for pair, coeff in alg.coproduct(t)), lhs)
     return lhs == rhs

@@ -1,5 +1,9 @@
 """Sparse exact polynomials, derivations, and the tree-to-operator expansion.
 
+A :class:`Polynomial` is a :class:`~hopftrees.algebra.LinearCombination` of
+exponent vectors: sums, scalar multiples and the signed-sum text are shared,
+and this module adds only the product, the derivative and the monomial text.
+
 A labeled tree encodes a higher-order differential operator, evaluated bottom
 up: a node labeled E with children ``u_1 .. u_k`` becomes the k-th
 differential of E contracted with the children's derivations (a leaf is E),
@@ -24,116 +28,73 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import (Immutable, LinearCombination, ParseError, Record, Scalar, _exact, _set,
+from .algebra import (Immutable, LinearCombination, ParseError, Record, Scalar, _set,
                       _sum_scaled, extend_bilinear, format_fraction, pieces)
 from .grossman_larson import labeled_algebra
 from .trees import Tree, _preorder, canonicalize
 
 
-class Polynomial:
-    """Sparse multivariate polynomial with exact coefficients.
+class Polynomial(LinearCombination):
+    """Sparse multivariate polynomial with exact coefficients: a
+    :class:`LinearCombination` whose basis elements are exponent vectors
+    (tuples of length ``num_vars``), in the space of polynomials in
+    ``num_vars`` variables.
 
-    Terms map exponent vectors (tuples of length ``num_vars``) to nonzero
-    coefficients.  An ``int`` coefficient stays an ``int`` and anything else
-    becomes a ``Fraction``, so a coefficient turns rational only where a
-    ``Fraction`` or a division comes in.  Immutable by convention.  Only the
-    public constructor validates; arithmetic builds its results with
-    :meth:`_trusted`.
+    The store, sums, scalar multiples and the signed-sum text are those of
+    :class:`LinearCombination`; this class adds the variable count, the
+    product, the derivative, the degree-lex order of :meth:`terms` and the
+    text of one monomial.  Only the public constructor validates.
     """
 
-    __slots__ = ("num_vars", "_terms")
+    __slots__ = ("num_vars",)
 
     def __init__(self, num_vars: int, terms: Mapping | Iterable = ()):
-        self.num_vars = int(num_vars)
-        data: dict[tuple[int, ...], Scalar] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exponents, coeff in items:
+        self.num_vars = n = int(num_vars)
+        items = []
+        for exponents, coeff in (terms.items() if isinstance(terms, Mapping) else terms):
             exps = tuple(int(e) for e in exponents)
-            if len(exps) != self.num_vars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps} for {self.num_vars} variables")
-            c = _exact(coeff)
-            if c:
-                data[exps] = c = c + data.get(exps, 0)
-                if not c:
-                    del data[exps]
-        self._terms = data
+            if len(exps) != n or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent vector {exps} for {n} variables")
+            items.append((exps, coeff))
+        LinearCombination.__init__(self, items)
 
-    @classmethod
-    def _trusted(cls, num_vars: int, terms: dict) -> "Polynomial":
-        """``terms`` as they are: exponent vectors of length ``num_vars``, nonzero coefficients."""
-        p = object.__new__(cls)
-        p.num_vars = num_vars
-        p._terms = terms
+    def _new(self, terms: dict) -> "Polynomial":
+        p = object.__new__(Polynomial)
+        p.num_vars, p._terms = self.num_vars, terms
         return p
 
     @classmethod
     def zero(cls, num_vars: int) -> "Polynomial":
-        return cls._trusted(int(num_vars), {})
+        p = object.__new__(cls)
+        p.num_vars, p._terms = int(num_vars), {}
+        return p
 
-    @classmethod
-    def _sum(cls, num_vars: int, pieces: Iterable["Polynomial"]) -> "Polynomial":
-        """The sum of ``pieces``, all over ``num_vars`` variables, accumulated in one dict."""
-        out: dict[tuple[int, ...], Scalar] = {}
-        for p in pieces:
-            for e, c in p._terms.items():
-                out[e] = out.get(e, 0) + c
-        return cls._trusted(int(num_vars), {e: c for e, c in out.items() if c})
+    def _check(self, other: "Polynomial") -> None:
+        if self.num_vars != other.num_vars:
+            raise ValueError("variable counts differ")
 
     def terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
+        if other.__class__ is not Polynomial:
             return NotImplemented
         return self.num_vars == other.num_vars and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self.num_vars, frozenset(self._terms.items())))
 
-    def _check(self, other: "Polynomial") -> None:
-        if self.num_vars != other.num_vars:
-            raise ValueError("variable counts differ")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = c = c + out.get(e, 0)
-            if not c:
-                del out[e]
-        return Polynomial._trusted(self.num_vars, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.num_vars, {e: -c for e, c in self._terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            self._check(other)
-            out: dict[tuple[int, ...], Scalar] = {}
-            add = operator.add
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    key = tuple(map(add, e1, e2))
-                    out[key] = out.get(key, 0) + c1 * c2
-            return Polynomial._trusted(self.num_vars, {e: c for e, c in out.items() if c})
-        if isinstance(other, (int, Fraction)):
-            c = _exact(other)
-            terms = {e: c * v for e, v in self._terms.items()} if c else {}
-            return Polynomial._trusted(self.num_vars, terms)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+        if other.__class__ is not Polynomial:
+            return self.__rmul__(other)
+        self._check(other)
+        out: dict[tuple[int, ...], Scalar] = {}
+        add = operator.add
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return self._new({e: c for e, c in out.items() if c})
 
     def derivative(self, index: int) -> "Polynomial":
         """Formal partial derivative with respect to ``x_index`` (1-based)."""
@@ -145,29 +106,13 @@ class Polynomial:
             k = exps[i]
             if k:  # lowering x_i is one-to-one, so no two terms meet
                 out[exps[:i] + (k - 1,) + exps[i + 1 :]] = coeff * k
-        return Polynomial._trusted(self.num_vars, out)
+        return self._new(out)
 
-    def render(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for exps, coeff in self.terms():
-            factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e > 0]
-            mag = abs(coeff)
-            if not factors:
-                body = format_fraction(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = format_fraction(mag) + "*" + "*".join(factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append((" + " if coeff > 0 else " - ") + body)
-        return "".join(pieces)
-
-    def __str__(self) -> str:
-        return self.render()
+    def _term_text(self, exps: tuple[int, ...], magnitude: Scalar) -> str:
+        factors = "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e)
+        if not factors:
+            return format_fraction(magnitude)
+        return factors if magnitude == 1 else f"{format_fraction(magnitude)}*{factors}"
 
     def __repr__(self) -> str:
         return f"Polynomial({self.num_vars}, {self.render()!r})"
@@ -203,12 +148,12 @@ def parse_polynomial(text: str, num_vars: int) -> Polynomial:
     around ``*``, and a malformed term is reported at its column in ``text``
     as typed.
     """
-    return Polynomial._sum(num_vars, (sign * _parse_monomial(term, num_vars, text, column)
-                                      for sign, column, term in _signed_terms(text, "polynomial")))
+    return Polynomial(num_vars, [_parse_monomial(sign, term, num_vars, text, column)
+                                 for sign, column, term in _signed_terms(text, "polynomial")])
 
 
-def _parse_monomial(term: str, num_vars: int, full: str, offset: int) -> Polynomial:
-    coeff: Scalar = 1
+def _parse_monomial(coeff: Scalar, term: str, num_vars: int, full: str, offset: int) -> tuple:
+    """``coeff`` times the monomial ``term`` as (exponent vector, coefficient)."""
     exps = [0] * num_vars
     for _, piece in pieces(term, "*"):
         if not piece:
@@ -229,7 +174,7 @@ def _parse_monomial(term: str, num_vars: int, full: str, offset: int) -> Polynom
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"invalid coefficient {piece!r}", full, offset) from None
             coeff *= value.numerator if value.denominator == 1 else value
-    return Polynomial(num_vars, {tuple(exps): coeff})
+    return tuple(exps), coeff
 
 
 class Derivation(Immutable):
@@ -264,7 +209,7 @@ class Derivation(Immutable):
         if f.num_vars != self.num_vars:
             raise ValueError("variable counts differ")
         coeffs = enumerate(self.coeffs, start=1)
-        return Polynomial._sum(self.num_vars, (a * f.derivative(mu) for mu, a in coeffs if a))
+        return _sum_scaled(((1, a * f.derivative(mu)) for mu, a in coeffs if a), f)
 
     def __add__(self, other: "Derivation") -> "Derivation":
         if not isinstance(other, Derivation):
@@ -531,8 +476,7 @@ def verify_composition(word: Sequence[str], env: DerivationEnv, f: Polynomial) -
     nested application of its derivations, left to right."""
     trees = word_to_trees(tuple(word), env.symbols)
     memo: dict[Tree, Derivation] = {}
-    tree_side = Polynomial._sum(env.num_vars,
-                                (coeff * _tree_action(t, env, {}, f, memo) for t, coeff in trees))
+    tree_side = _sum_scaled(((coeff, _tree_action(t, env, {}, f, memo)) for t, coeff in trees), f)
     nested = f
     for symbol in reversed(tuple(word)):
         nested = env[symbol].apply(nested)

@@ -60,24 +60,24 @@ class CyclePermutation(Immutable):
 
     @classmethod
     def from_cycles(cls, cycles, n: int | None = None) -> "CyclePermutation":
-        """Normalize raw cycles to standard order, adding fixed points up to ``n``."""
-        seen: set[int] = set()
+        """Normalize raw cycles to standard order, adding fixed points up to ``n``.
+
+        A bad entry raises :class:`ParseError` positioned at its index among all the entries."""
+        seen: dict[int, int] = {}  # entry -> its index among all the entries
         cleaned: list[tuple[int, ...]] = []
         for cycle in cycles:
             entries = tuple(int(x) for x in cycle)
-            if not entries:
-                continue
             for x in entries:
-                if x <= 0:
-                    raise ValueError(f"entries must be positive, got {x}")
-                if x in seen:
-                    raise ValueError(f"duplicate entry {x} across cycles")
-                seen.add(x)
-            cleaned.append(entries)
+                if x <= 0 or x in seen:
+                    problem = f"duplicate entry {x} across cycles" if x > 0 else f"entries must be positive, got {x}"
+                    raise ParseError(problem, position=len(seen))
+                seen[x] = len(seen)
+            if entries:
+                cleaned.append(entries)
         top = max(seen, default=0)
         size = top if n is None else int(n)
         if size < top:
-            raise ValueError(f"entry {top} out of range for S_{size}")
+            raise ParseError(f"entry {top} out of range for S_{size}", position=seen.get(top))
         for fixed in range(1, size + 1):
             if fixed not in seen:
                 cleaned.append((fixed,))
@@ -148,10 +148,8 @@ def heap_product(s: CyclePermutation, t: CyclePermutation) -> LinearCombination:
     n = t.size
     shifted = shift(s, n).cycles  # heads strictly decreasing
     check_budget((n + 1) ** len(shifted), "heap product")
-    letters = [
-        (ci, pi) for ci, cycle in enumerate(t.cycles) for pi in range(len(cycle))
-    ]
-    points: list[tuple] = list(letters) + [_STANDALONE]
+    points: list[tuple] = [(ci, pi) for ci, cycle in enumerate(t.cycles) for pi in range(len(cycle))]
+    points.append(_STANDALONE)
     counts: dict[CyclePermutation, int] = {}
     for assignment in itertools.product(points, repeat=len(shifted)):
         blocks: dict[tuple, list[tuple[int, ...]]] = {}
@@ -302,6 +300,7 @@ def parse_permutation(text: str, n: int | None = None) -> CyclePermutation:
         return CyclePermutation.identity(n or 0)
     *closed, (end, rest) = pieces(text, ")")
     cycles: list[list[int]] = []
+    columns: list[int] = []  # of every entry, in order
     for column, cycle in closed:
         if not cycle.startswith("("):
             raise ParseError("expected '('", text, column)
@@ -309,6 +308,7 @@ def parse_permutation(text: str, n: int | None = None) -> CyclePermutation:
         for at, entry in pieces(re.sub(r"^\(|[\s,]", " ", cycle), " ", column):
             if entry.isdecimal():
                 entries.append(int(entry))
+                columns.append(at)
             elif entry:
                 raise ParseError(f"invalid entry {entry!r}", text, at)
         if not entries:
@@ -318,5 +318,5 @@ def parse_permutation(text: str, n: int | None = None) -> CyclePermutation:
         raise ParseError("unclosed cycle" if rest[0] == "(" else "expected '('", text, end)
     try:
         return CyclePermutation.from_cycles(cycles, n=n)
-    except ValueError as exc:
-        raise ParseError(str(exc), text, 0) from exc
+    except ParseError as exc:
+        raise ParseError(exc.message, text, columns[exc.position]) from None

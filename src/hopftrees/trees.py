@@ -517,7 +517,7 @@ class _TreeParser:
         raw = self.text[start : self.pos].strip()
         if not raw:
             return None
-        if raw.isdigit():
+        if raw.isdecimal():
             value = int(raw)
             if value <= 0:
                 self.pos = start

@@ -78,6 +78,39 @@ def random_polynomial(rng: random.Random, num_vars: int, max_degree: int) -> Pol
 
 
 # ---------------------------------------------------------------------------
+# oracle: polynomial arithmetic on plain dicts from exponent vectors to coefficients
+
+
+def dict_sum(*scaled: tuple) -> dict[tuple[int, ...], Fraction]:
+    """``sum c * terms`` over (c, terms) pairs of plain dicts, zero coefficients dropped."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for scale, terms in scaled:
+        for exps, coeff in terms.items():
+            out[exps] = out.get(exps, Fraction(0)) + Fraction(scale) * coeff
+    return {exps: coeff for exps, coeff in out.items() if coeff}
+
+
+def dict_product(a: dict, b: dict) -> dict[tuple[int, ...], Fraction]:
+    """Every term of ``a`` times every term of ``b``, exponents added."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for (e1, c1), (e2, c2) in itertools.product(a.items(), b.items()):
+        exps = tuple(x + y for x, y in zip(e1, e2))
+        out[exps] = out.get(exps, Fraction(0)) + Fraction(c1) * c2
+    return dict_sum((1, out))
+
+
+def dict_derivative(a: dict, index: int) -> dict[tuple[int, ...], Fraction]:
+    """The power rule in ``x_index`` (1-based), term by term."""
+    out = {}
+    for exps, coeff in a.items():
+        lowered = list(exps)
+        lowered[index - 1] -= 1
+        if lowered[index - 1] >= 0:
+            out[tuple(lowered)] = exps[index - 1] * Fraction(coeff)
+    return dict_sum((1, out))
+
+
+# ---------------------------------------------------------------------------
 # oracle: the grafting sum over all (n+1)^r assignments
 
 

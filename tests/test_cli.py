@@ -85,6 +85,12 @@ def test_trees_enum_respects_env_cap(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_a_non_integer_env_cap_is_a_clean_error(capsys, monkeypatch):
+    monkeypatch.setenv("HOPF_MAX_DEGREE", "x")
+    code, out, err = run(capsys, "trees", "count", "--family", "rooted", "--degree", "2")
+    assert (code, out, err) == (1, "", "error: HOPF_MAX_DEGREE must be an integer, not 'x'")
+
+
 def test_psi_expand_report(capsys, env_file):
     code, out, _ = run(
         capsys,
@@ -500,3 +506,26 @@ def test_a_run_of_signs_multiplies_out_in_both_polynomial_grammars(capsys, env_f
 def test_the_sign_rule_fixes_which_words_cancel(capsys, env_file):
     code, out, _ = run(capsys, "psi", "expand", "--env", env_file, "--report", "--word", "E1,E2 - +E2,E1")
     assert (code, out) == (0, "raw_trees: 4, cancelled: 2, surviving: 2")
+
+
+def test_a_superscript_digit_is_an_invalid_tree_label(capsys):
+    code, out, err = run(capsys, "gl", "coprod", "(;(²))")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid label '²' at")
+    assert_caret_under(err, "(;(²))", 3)
+
+
+@pytest.mark.parametrize(
+    "argv, text, message, column",
+    [
+        (["perm", "mul", "{}", "(1)"], "  (1 1)", "duplicate entry 1 across cycles", 5),
+        (["perm", "mul", "{}", "(1)"], "(1 0)", "entries must be positive, got 0", 3),
+        (["perm", "mul", "--n", "2", "{}", "(1)"], "(1 3)", "entry 3 out of range for S_2", 3),
+        (["perm", "coprod", "{}"], "(2 4)(1 3 4)", "duplicate entry 4 across cycles", 10),
+    ],
+)
+def test_a_refused_permutation_entry_gets_the_caret(capsys, argv, text, message, column):
+    code, out, err = run(capsys, *_fill(argv, text, None))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message} at")
+    assert_caret_under(err, text, column)

@@ -1,5 +1,6 @@
 """Polynomials, derivations, and labeled trees acting as differential operators."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -20,7 +21,9 @@ from hopftrees import (
     verify_composition,
     word_to_trees,
 )
-from helpers import count_calls, lc, random_polynomial, subtrees, t, tree_operator_by_index_sum
+from hopftrees.algebra import _sum_scaled
+from helpers import (count_calls, dict_derivative, dict_product, dict_sum, lc, random_polynomial, subtrees, t,
+                     tree_operator_by_index_sum)
 
 
 ENV1 = DerivationEnv.from_dict({"n": 1, "E1": ["x1"], "E2": ["x1^2"]})
@@ -123,11 +126,73 @@ def test_unknown_label_error_names_the_first_unknown_node_in_postorder():
         apply_tree_operator(t("(;(E1;(E8)(E2;(E7)))(E9))"), ENV1, CUBE)
 
 
+scalars = st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+@st.composite
+def term_dict_pairs(draw):
+    """A variable count from 1 to 3 and two dicts of terms over it."""
+    n = draw(st.integers(1, 3))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), scalars, max_size=5)
+    return n, draw(terms), draw(terms)
+
+
+@settings(max_examples=80)
+@given(term_dict_pairs(), scalars, st.integers(1, 3))
+def test_polynomial_arithmetic_matches_a_plain_dict_oracle(pair, c, index):
+    n, da, db = pair
+    a, b = Polynomial(n, da), Polynomial(n, db)
+    i = min(index, n)
+    results = {
+        "a": (a, dict_sum((1, da))),
+        "a + b": (a + b, dict_sum((1, da), (1, db))),
+        "a - b": (a - b, dict_sum((1, da), (-1, db))),
+        "-a": (-a, dict_sum((-1, da))),
+        "c * a": (c * a, dict_sum((c, da))),
+        "a * c": (a * c, dict_sum((c, da))),
+        "a * b": (a * b, dict_product(da, db)),
+        "d_i a": (a.derivative(i), dict_derivative(da, i)),
+    }
+    for name, (got, expected) in results.items():
+        assert type(got) is Polynomial and got.num_vars == n, name
+        assert dict(got) == expected, name
+        assert parse_polynomial(got.render(), n) == got, name
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    assert a - b + b == a and hash(a - b + b) == hash(a)
+    reordered = Polynomial(n, list(da.items())[::-1])
+    assert reordered == a and hash(reordered) == hash(a)
+
+
+def test_a_polynomial_never_mixes_with_a_plain_combination():
+    plains = [LinearCombination(), lc((t("(;())"), 2))]
+    polys = [Polynomial.zero(1), parse_polynomial("2*x1", 1)]
+    for p in polys:
+        for q in plains:
+            assert p != q and q != p and not p == q and not q == p
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(p, q)
+                with pytest.raises(TypeError):
+                    op(q, p)
+        for x in (p, *plains):
+            for scalar in (0.5, "2", None):
+                with pytest.raises(TypeError):
+                    scalar * x
+                with pytest.raises(TypeError):
+                    x * scalar
+    one, two = parse_polynomial("x1", 1), parse_polynomial("x1*x2", 2)
+    assert Polynomial.zero(1) != Polynomial.zero(2)
+    for op in (operator.add, operator.sub, operator.mul):
+        for x, y in ((one, two), (two, one), (Polynomial.zero(1), Polynomial.zero(2))):
+            with pytest.raises(ValueError, match="variable counts differ"):
+                op(x, y)
+
+
 def test_sums_merge_in_one_dict_and_drop_cancelled_terms():
     p = parse_polynomial("x1 + 2 - x1 + 1/2*x1^2 + 1/2*x1^2", 1)
     assert p._terms == {(0,): 2, (2,): 1}
     assert type(p._terms[(0,)]) is int
-    assert Polynomial._sum(2, []) == Polynomial.zero(2)
+    assert _sum_scaled([], Polynomial.zero(2)) == Polynomial.zero(2)
     assert ENV1["E1"].apply(parse_polynomial("x1^2 - x1^2", 1)) == Polynomial.zero(1)
 
 

@@ -45,6 +45,8 @@ def test_standard_order_rejects_duplicates_and_bad_ranges():
         CyclePermutation.from_cycles([(1, 2), (2, 3)])
     with pytest.raises(ValueError):
         CyclePermutation.from_cycles([(4,)], n=2)
+    with pytest.raises(ValueError, match=r"^entry 0 out of range for S_-1$"):
+        CyclePermutation.identity(-1)
 
 
 def test_shift_examples():

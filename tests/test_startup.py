@@ -210,9 +210,11 @@ def test_import_registers_every_module_without_running_it():
     assert found == {f"hopftrees.{m}": [True, False] for m in MODULES}
 
 
-def test_the_tracer_sees_a_traced_cli_call():
+def run_traced_cli(argv: list[str]) -> list:
+    """``hopftrees.cli.main(argv)`` run in a fresh interpreter under the benchmark's
+    tracer: [exit code, standard output, the tracer's counts]."""
     tracer = ROOT / "bench" / "tracer.py"
-    found = run_python(
+    return run_python(
         f"""
         import contextlib, importlib.util, io, json
         import hopftrees.cli
@@ -223,12 +225,28 @@ def test_the_tracer_sees_a_traced_cli_call():
         probe.install()
         probe.reset()
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = hopftrees.cli.main(["gl", "mul", "(;())", "(;())"])
+            code = hopftrees.cli.main({argv!r})
         print(json.dumps([code, out.getvalue(), probe.snapshot()["counts"]]))
         """
     )
-    code, out, counts = found
+
+
+def test_the_tracer_sees_a_traced_cli_call():
+    code, out, counts = run_traced_cli(["gl", "mul", "(;())", "(;())"])
     assert (code, out) == (0, "(;()()) + (;(;()))\n")
     assert counts["gl.product.calls"] == 1
     assert counts["trees.attach_all.calls"] == 1
     assert counts["trees.parse.calls"] == 2
+
+
+def test_the_tracer_counts_the_polynomial_layer_of_a_traced_psi_apply(tmp_path):
+    # polynomials add through ``LinearCombination.__add__``, which the tracer
+    # counts; a psi apply adds no other combinations
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps({"n": 2, "E1": ["x2", "x1"], "E2": ["x1*x2", "1"]}))
+    argv = ["psi", "apply", "--env", str(env), "--tree", "(;(E1)(E2))", "--f", "x1^2*x2"]
+    code, out, counts = run_traced_cli(argv)
+    assert (code, out) == (0, "2*x1*x2 + 2*x1*x2^3 + 2*x1^3*x2\n")  # sum E1^a E2^b d_a d_b f
+    assert counts["diff_ops.poly_mul.calls"] > 0
+    assert counts["diff_ops.derivative.calls"] > 0
+    assert counts["algebra.lc_add.calls"] > 0
