@@ -19,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
 
+from . import axioms  # the package's lazy module object: it runs when a sweep first needs it
+
 
 Scalar = Fraction | int
 """Anything accepted where a coefficient is expected."""
@@ -39,6 +41,15 @@ def check_budget(count: int, what: str) -> None:
     """Raise ``ValueError`` if an enumeration of ``count`` terms is over :data:`MAX_TERMS`."""
     if count > MAX_TERMS:
         raise ValueError(f"{what} would enumerate {count} terms, more than the limit of {MAX_TERMS}")
+
+
+def splits(items: tuple, what: str) -> Iterator[tuple[tuple, tuple]]:
+    """Every split of ``items`` into ``(kept, rest)``, both in order, by mask ``0 .. 2^r - 1``
+    (bit ``i`` keeps ``items[i]``); the ``2^r`` splits of ``what`` are checked against the budget."""
+    check_budget(2 ** len(items), what)
+    for mask in range(1 << len(items)):
+        yield (tuple([x for i, x in enumerate(items) if mask >> i & 1]),
+               tuple([x for i, x in enumerate(items) if not mask >> i & 1]))
 
 
 class ParseError(ValueError):
@@ -132,6 +143,23 @@ class Value(Immutable, Record):
 
     def __hash__(self) -> int:
         return hash(self._fields())
+
+
+class GradedHopfAlgebra(Value):
+    """A graded connected Hopf algebra: a subclass states ``unit``, ``degree``, ``basis``, ``product``,
+    ``coproduct`` and ``describe``, and the counit, antipode and axiom sweep follow from the grading."""
+
+    __slots__ = ()
+
+    def counit(self, x: Any) -> int:
+        return 1 if self.degree(x) == 0 else 0
+
+    def antipode(self, x: Any) -> LinearCombination:
+        return axioms.graded_antipode(self, x)
+
+    def verify(self, max_degree: int, name: str | None = None) -> axioms.VerificationReport:
+        """Run the Hopf axiom sweep on all basis elements up to ``max_degree``."""
+        return axioms.verify_hopf_axioms(self, max_degree, name or self.describe())
 
 
 def _exact(coeff: Scalar) -> Scalar:

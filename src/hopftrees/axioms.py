@@ -7,7 +7,9 @@ recursion and one set of checks work for all of them: a predicate per axiom
 (:func:`graded_tuples`) and one runner (:func:`check`) that counts the cases
 and keeps the first failure.  :func:`verify_hopf_axioms` and the forest sweep
 ``connes_kreimer.verify_forest_algebra`` are built from them; failures are
-data, not exceptions.
+data, not exceptions.  :class:`~hopftrees.algebra.GradedHopfAlgebra` derives its
+``antipode`` and ``verify`` from :func:`graded_antipode` and :func:`verify_hopf_axioms`;
+a sweep reads only ``unit``, ``degree``, ``basis``, ``product``, ``coproduct`` and ``counit``.
 
 A sweep asks for the same products, coproducts and antipodes many times over
 (a degree-4 sweep of rooted trees makes over a thousand product calls on fewer
@@ -21,19 +23,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
-from .algebra import (LinearCombination, Record, TensorPair, _sum_scaled, extend_bilinear,
-                      extend_linear, tensor)
-
-
-class GradedBialgebra(Protocol):
-    def unit(self) -> Any: ...
-    def degree(self, element: Any) -> int: ...
-    def basis(self, degree: int) -> list[Any]: ...
-    def product(self, a: Any, b: Any) -> LinearCombination: ...
-    def coproduct(self, element: Any) -> LinearCombination: ...
-    def counit(self, element: Any) -> int: ...
+from .algebra import (GradedHopfAlgebra, LinearCombination, Record, TensorPair, _sum_scaled,
+                      extend_bilinear, extend_linear, tensor)
 
 
 ANTIPODE_CACHE_SIZE = 1024
@@ -46,7 +39,7 @@ their antipodes in their own memo.
 
 
 def _antipode(
-    alg: GradedBialgebra, element: Any, antipode: Callable[[Any], LinearCombination]
+    alg: GradedHopfAlgebra, element: Any, antipode: Callable[[Any], LinearCombination]
 ) -> LinearCombination:
     """The antipode recursion, taking the antipodes of lower degrees from ``antipode``.
 
@@ -97,7 +90,7 @@ class _SweepMemo:
     memo.
     """
 
-    def __init__(self, alg: GradedBialgebra):
+    def __init__(self, alg: GradedHopfAlgebra):
         self.unit, self.degree, self.basis = alg.unit, alg.degree, alg.basis
         self.counit = alg.counit
         self.product = memoize(alg.product)
@@ -249,7 +242,7 @@ def antipodal(alg, x) -> bool:
     return left == target and right == target
 
 
-def verify_hopf_axioms(alg: GradedBialgebra, max_degree: int, name: str) -> VerificationReport:
+def verify_hopf_axioms(alg: GradedHopfAlgebra, max_degree: int, name: str) -> VerificationReport:
     """Exhaustively check the Hopf axioms on small basis elements.
 
     Per-element checks (unit, coassociativity, counit, antipode) run on every

@@ -264,13 +264,14 @@ def _cmd_conn(args) -> int:
         result = connection.covariant_derivative(conn, lower, upper)
         _emit(args, result.render(), {"derivation": result.render()})
         return 0
-    # check-module: sweep all ordered labeled trees up to --max-degree with
-    # seeded random polynomial pairs
+    # check-module: sweep all ordered labeled trees up to --max-degree with seeded random
+    # polynomial pairs, listing every degree first, largest first, so an over-budget one fails at once
     rng = random.Random(args.seed)
     failures: list[str] = []
     checked = 0
+    trees = {d: ordered_labeled_trees(d, env.symbols) for d in reversed(range(args.max_degree + 1))}
     for degree in range(args.max_degree + 1):
-        for tree in ordered_labeled_trees(degree, env.symbols):
+        for tree in trees[degree]:
             a = _random_polynomial(rng, env.num_vars, 2)
             b = _random_polynomial(rng, env.num_vars, 2)
             checked += 1
@@ -397,6 +398,8 @@ def _validate(args) -> None:
             raise CliError(f"error: psi {args.operation} needs --word", 1)
         if args.operation == "check-diagram" and not args.f:
             raise CliError("error: psi check-diagram needs --f", 1)
+    if getattr(args, "max_degree", 0) < 0:
+        raise CliError(f"error: degree must be >= 0, got {args.max_degree}", 1)
     if args.command == "conn" and args.operation == "apply" and len(args.fields) != 2:
         raise CliError("error: conn apply needs two derivation symbols", 1)
 

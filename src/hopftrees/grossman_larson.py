@@ -15,8 +15,7 @@ that basis elements stay in standard form.
 
 from __future__ import annotations
 
-from . import axioms
-from .algebra import LinearCombination, TensorPair, Value, _set, check_budget
+from .algebra import GradedHopfAlgebra, LinearCombination, TensorPair, _set, splits
 from .trees import (
     Forest,
     Tree,
@@ -35,7 +34,7 @@ from .trees import (
 )
 
 
-class TreeHopfAlgebra(Value):
+class TreeHopfAlgebra(GradedHopfAlgebra):
     """Grafting product / root-split coproduct on a chosen tree variant."""
 
     __slots__ = ("ordered", "heap", "symbols")
@@ -89,31 +88,21 @@ class TreeHopfAlgebra(Value):
     def coproduct(self, t: Tree) -> LinearCombination:
         """Split the root's children over all position subsets; cocommutative."""
         self._check_member(t)
-        children = t.children
-        check_budget(2 ** len(children), "root split")
         terms: list[tuple[TensorPair, int]] = []
-        for mask in range(1 << len(children)):
-            kept = tuple(c for i, c in enumerate(children) if mask >> i & 1)
-            rest = tuple(c for i, c in enumerate(children) if not mask >> i & 1)
-            left = add_root(Forest(kept), self.ordered)
-            right = add_root(Forest(rest), self.ordered)
+        for kept, rest in splits(t.children, "root split"):
+            left, right = add_root(Forest(kept), self.ordered), add_root(Forest(rest), self.ordered)
             if self.heap:
-                left = relabel_standard(left)
-                right = relabel_standard(right)
+                left, right = relabel_standard(left), relabel_standard(right)
             terms.append((TensorPair(left, right), 1))
         return LinearCombination(terms)
 
     def counit(self, t: Tree) -> int:
         self._check_member(t)
-        return 1 if t.degree() == 0 else 0
+        return super().counit(t)
 
     def antipode(self, t: Tree) -> LinearCombination:
         self._check_member(t)
-        return axioms.graded_antipode(self, canonicalize(t))
-
-    def verify(self, max_degree: int, name: str | None = None) -> axioms.VerificationReport:
-        """Run the Hopf axiom sweep on all basis trees up to ``max_degree``."""
-        return axioms.verify_hopf_axioms(self, max_degree, name or self.describe())
+        return super().antipode(canonicalize(t))
 
     def describe(self) -> str:
         if self.heap:

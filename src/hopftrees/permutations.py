@@ -7,12 +7,14 @@ points kept as explicit 1-cycles.  The heap product of ``s in S_m`` with
 cycle strings either immediately to the right of a letter of ``t`` or as a
 standalone cycle, one term per assignment, ``(n+1)^r`` terms in all.  The
 coproduct splits the cycle set over all subsets, relabeling each part
-order-isomorphically down to an initial segment.
+order-isomorphically down to an initial segment.  The product also lists the
+basis: S_{k+1} is the support of the products of ``(1)`` with S_k.
 
 The same structure lives on standard heap-ordered trees: a cycle string maps
 to the subtree in which each entry hangs below its nearest smaller left
-neighbor, and the string is recovered by listing children in decreasing label
-order.  :func:`permutation_to_tree` / :func:`tree_to_permutation` realize this
+neighbor (the head over the left-to-right minima of the rest), and the string
+is recovered by listing children in decreasing label order.
+:func:`permutation_to_tree` / :func:`tree_to_permutation` realize this
 bijection; the exhaustive sweeps in the tests check that it intertwines both
 products and both coproducts.
 """
@@ -23,8 +25,8 @@ import itertools
 import math
 import re
 
-from . import axioms
-from .algebra import Immutable, LinearCombination, ParseError, TensorPair, Value, _set, check_budget, pieces
+from .algebra import (GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _set,
+                      check_budget, pieces, splits)
 from .trees import Tree, canonicalize, is_standard_heap_tree
 
 
@@ -176,14 +178,8 @@ def heap_product(s: CyclePermutation, t: CyclePermutation) -> LinearCombination:
 
 def cycle_coproduct(p: CyclePermutation) -> LinearCombination:
     """Split the cycle set over all subsets, relabeling both parts."""
-    cycles = p.cycles
-    check_budget(2 ** len(cycles), "cycle coproduct")
-    terms: list[tuple[TensorPair, int]] = []
-    for mask in range(1 << len(cycles)):
-        kept = [c for i, c in enumerate(cycles) if mask >> i & 1]
-        rest = [c for i, c in enumerate(cycles) if not mask >> i & 1]
-        terms.append((TensorPair(relabel(kept), relabel(rest)), 1))
-    return LinearCombination(terms)
+    return LinearCombination((TensorPair(relabel(kept), relabel(rest)), 1)
+                             for kept, rest in splits(p.cycles, "cycle coproduct"))
 
 
 def perm_counit(p: CyclePermutation) -> int:
@@ -191,25 +187,13 @@ def perm_counit(p: CyclePermutation) -> int:
 
 
 def symmetric_group(n: int) -> list[CyclePermutation]:
-    """All elements of S_n in standard cycle form."""
+    """All elements of S_n in standard cycle form, sorted by encoding.  S_{k+1} grows from S_k by
+    the heap product with ``(1)``, which puts ``k+1`` after one letter or alone: each element once."""
     check_budget(math.factorial(max(n, 0)), f"symmetric group S_{n}")
-    out = []
-    for images in itertools.permutations(range(1, n + 1)):
-        mapping = {i + 1: images[i] for i in range(n)}
-        remaining = set(mapping)
-        cycles = []
-        while remaining:
-            start = min(remaining)
-            cycle = [start]
-            remaining.discard(start)
-            nxt = mapping[start]
-            while nxt != start:
-                cycle.append(nxt)
-                remaining.discard(nxt)
-                nxt = mapping[nxt]
-            cycles.append(tuple(cycle))
-        out.append(CyclePermutation(_standardize(cycles)))
-    return sorted(out, key=CyclePermutation.encode)
+    group, one = [CyclePermutation()], CyclePermutation(((1,),))
+    for _ in range(n):
+        group = [q for p in group for q, _ in heap_product(one, p)]
+    return sorted(group, key=CyclePermutation.encode)
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +201,12 @@ def symmetric_group(n: int) -> list[CyclePermutation]:
 
 
 def _string_to_subtree(string: tuple[int, ...]) -> Tree:
-    """Each entry becomes a child of its nearest smaller left neighbor."""
-    children_of: dict[int, list[int]] = {x: [] for x in string}
-    roots: list[int] = []
-    stack: list[int] = []
-    for x in string:
-        while stack and stack[-1] > x:
-            stack.pop()
-        if stack:
-            children_of[stack[-1]].append(x)
-        else:
-            roots.append(x)
-        stack.append(x)
-
-    def build(x: int) -> Tree:
-        return canonicalize(Tree(x, tuple(build(c) for c in children_of[x])))
-
-    assert len(roots) == 1  # a standard-order string starts with its minimum
-    return build(roots[0])
+    """The head is the root; its children are the left-to-right minima of the
+    rest, each over the entries up to the next minimum."""
+    head, rest = string[0], string[1:]
+    starts = [i for i, low in enumerate(itertools.accumulate(rest, min)) if rest[i] == low]
+    bounds = zip(starts, starts[1:] + [len(rest)])
+    return canonicalize(Tree(head, tuple(_string_to_subtree(rest[a:b]) for a, b in bounds)))
 
 
 def permutation_to_tree(p: CyclePermutation) -> Tree:
@@ -260,7 +232,7 @@ def tree_to_permutation(t: Tree) -> CyclePermutation:
     return CyclePermutation(_standardize(cycles))
 
 
-class PermutationHopfAlgebra(Value):
+class PermutationHopfAlgebra(GradedHopfAlgebra):
     """Adapter exposing the heap product algebra to the generic axiom sweep."""
 
     __slots__ = ()
@@ -280,14 +252,8 @@ class PermutationHopfAlgebra(Value):
     def coproduct(self, p: CyclePermutation) -> LinearCombination:
         return cycle_coproduct(p)
 
-    def counit(self, p: CyclePermutation) -> int:
-        return perm_counit(p)
-
-    def antipode(self, p: CyclePermutation) -> LinearCombination:
-        return axioms.graded_antipode(self, p)
-
-    def verify(self, max_degree: int) -> axioms.VerificationReport:
-        return axioms.verify_hopf_axioms(self, max_degree, "heap product algebra")
+    def describe(self) -> str:
+        return "heap product algebra"
 
 
 HEAP_PRODUCT_ALGEBRA = PermutationHopfAlgebra()

@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .algebra import Immutable, LinearCombination, ParseError, TensorPair, Value, _set, check_budget, identifiers
-from . import axioms
+from .algebra import (GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _set,
+                      check_budget, identifiers)
 
 
 class Word(Immutable):
@@ -109,7 +109,7 @@ def word_count(alphabet, total_degree: int) -> int:
     return counts[total_degree]
 
 
-class ShuffleHopfAlgebra(Value):
+class ShuffleHopfAlgebra(GradedHopfAlgebra):
     """Shuffle product + deconcatenation over a finite degree-1 alphabet."""
 
     __slots__ = ("letters",)
@@ -133,16 +133,11 @@ class ShuffleHopfAlgebra(Value):
     def coproduct(self, w: Word) -> LinearCombination:
         return deconcatenation(w)
 
-    def counit(self, w: Word) -> int:
-        return word_counit(w)
-
     def antipode(self, w: Word) -> LinearCombination:
         return shuffle_antipode(w)
 
-    def verify(self, max_degree: int) -> axioms.VerificationReport:
-        return axioms.verify_hopf_axioms(
-            self, max_degree, f"shuffle algebra on {{{', '.join(self.letters)}}}"
-        )
+    def describe(self) -> str:
+        return f"shuffle algebra on {{{', '.join(self.letters)}}}"
 
 
 def parse_word(text: str) -> Word:

@@ -5,12 +5,13 @@ isomorphism classes (unlabeled, labeled, and root-stripped as forest
 monomials) are found through parent arrays and nested tuples, planar
 labelings by writing labels into a shape's text in preorder, grafting
 products through every one of the (n+1)^r assignments, shuffles through their
-defining recursion, heap products as maps with spliced cycles, automorphism
-counts through plane-representation counting, and cuts through edge-subset
-filtering.  Trees act on polynomials here through the two
-textbook definitions the library replaces by one contraction: the flat sum
-over all index assignments of a tree's nodes, and the recursive m-th
-covariant differentials of a connection.
+defining recursion, heap products as maps with spliced cycles, symmetric
+groups by walking the cycles of every image tuple, the tree of a cycle string
+by a stack of its smaller left neighbors, automorphism counts through
+plane-representation counting, and cuts through edge-subset filtering.  Trees
+act on polynomials here through the two textbook definitions the library
+replaces by one contraction: the flat sum over all index assignments of a
+tree's nodes, and the recursive m-th covariant differentials of a connection.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import random
 from fractions import Fraction
 
 from hopftrees import (
+    CyclePermutation,
     Derivation,
     Forest,
     LinearCombination,
@@ -147,7 +149,8 @@ def attach_all_by_assignments(forest: Forest, target: Tree) -> LinearCombination
 
 
 # ---------------------------------------------------------------------------
-# oracle: shuffles by the defining recursion, heap products as maps
+# oracle: shuffles by the defining recursion, heap products as maps,
+# symmetric groups by cycle walks, cycle strings as trees by a stack
 
 
 def shuffles_by_recursion(u: tuple, v: tuple) -> dict[tuple, int]:
@@ -198,6 +201,50 @@ def heap_product_by_maps(s_cycles, t_cycles) -> dict[tuple[int, ...], int]:
         key = _as_tuple(image)
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def symmetric_group_by_cycle_walk(n: int) -> list[CyclePermutation]:
+    """S_n from every image tuple of ``1..n``, each cut into cycles by following
+    ``x -> image(x)`` from the smallest point not yet seen; sorted by encoding."""
+    out = []
+    for images in itertools.permutations(range(1, n + 1)):
+        mapping = {i + 1: images[i] for i in range(n)}
+        remaining = set(mapping)
+        cycles = []
+        while remaining:
+            start = min(remaining)
+            cycle = [start]
+            remaining.discard(start)
+            nxt = mapping[start]
+            while nxt != start:
+                cycle.append(nxt)
+                remaining.discard(nxt)
+                nxt = mapping[nxt]
+            cycles.append(tuple(cycle))
+        out.append(CyclePermutation.from_cycles(cycles))
+    return sorted(out, key=CyclePermutation.encode)
+
+
+def permutation_to_tree_by_stack(p: CyclePermutation) -> Tree:
+    """Each entry of each cycle string hangs below its nearest smaller left
+    neighbor, found with a stack; the strings' heads hang below the root."""
+
+    def subtree(string: tuple[int, ...]) -> Tree:
+        children_of: dict[int, list[int]] = {x: [] for x in string}
+        stack: list[int] = []
+        for x in string:
+            while stack and stack[-1] > x:
+                stack.pop()
+            if stack:
+                children_of[stack[-1]].append(x)
+            stack.append(x)
+
+        def build(x: int) -> Tree:
+            return Tree(x, tuple(build(c) for c in children_of[x]))
+
+        return build(string[0])
+
+    return canonicalize(Tree(None, tuple(subtree(c) for c in p.cycles)))
 
 
 # ---------------------------------------------------------------------------

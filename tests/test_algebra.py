@@ -18,6 +18,7 @@ from hopftrees import (
     symmetric_group,
     tensor,
 )
+from hopftrees.algebra import splits
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,16 @@ class Sym:
 
 
 A, B, C = Sym("a"), Sym("b"), Sym("c")
+
+
+def test_splits_come_in_mask_order_and_refuse_an_over_budget_count():
+    assert list(splits(("a", "b", "c"), "split")) == [
+        ((), ("a", "b", "c")), (("a",), ("b", "c")), (("b",), ("a", "c")), (("a", "b"), ("c",)),
+        (("c",), ("a", "b")), (("a", "c"), ("b",)), (("b", "c"), ("a",)), (("a", "b", "c"), ()),
+    ]
+    assert list(splits((), "split")) == [((), ())]
+    with pytest.raises(ValueError, match="wide split would enumerate 262144 terms"):  # 2^18
+        next(splits(tuple(range(18)), "wide split"))
 
 
 def test_addition_cancels_to_empty():

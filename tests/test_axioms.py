@@ -23,9 +23,13 @@ from hopftrees import (
     forest_counit,
     graded_antipode,
     labeled_algebra,
+    perm_counit,
     verify_forest_algebra,
+    word_counit,
 )
 from hopftrees import axioms
+from hopftrees.algebra import GradedHopfAlgebra
+from hopftrees.connes_kreimer import _ForestAlgebra
 from helpers import t
 
 ROOTED_SIZES = [1, 1, 2, 4, 9, 20, 48, 115]  # rooted trees with d + 1 nodes (OEIS A000081)
@@ -290,6 +294,17 @@ def test_the_memo_does_not_outlive_the_sweep(monkeypatch):
         gc.enable()
     assert report.passed
     assert graded_antipode.cache_info() == cache_before
+
+
+def test_the_derived_counit_is_each_algebras_own_up_to_degree_four():
+    own = [(ShuffleHopfAlgebra(("a", "b")), word_counit), (HEAP_PRODUCT_ALGEBRA, perm_counit),
+           (_ForestAlgebra(), forest_counit)]
+    own += [(alg, alg.counit) for alg in (ROOTED, ORDERED, HEAP_ORDERED, labeled_algebra(["E1", "E2"]),
+                                          labeled_algebra(["E1", "E2"], ordered=True))]
+    for alg, counit in own:
+        for degree in range(5):
+            for x in alg.basis(degree):
+                assert GradedHopfAlgebra.counit(alg, x) == counit(x) == (x == alg.unit()), (alg, x)
 
 
 def coefficients(*combos):

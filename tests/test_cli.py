@@ -382,6 +382,37 @@ def test_a_forest_sweep_over_the_cap_is_a_one_line_error():
     assert result.stderr == "error: degree 9 exceeds enumeration cap 8\n"
 
 
+@pytest.mark.parametrize(
+    "degree, message",
+    [
+        ("8", f"ordered labeled trees of degree 8 would enumerate 366080 terms, more than the limit of {MAX_TERMS}"),
+        ("9", "degree 9 exceeds enumeration cap 8"),
+    ],
+)
+def test_conn_check_module_refuses_an_over_budget_degree_before_any_check(
+    capsys, tmp_path, conn_file, degree, message
+):
+    env = tmp_path / "two.json"
+    env.write_text(json.dumps({"n": 1, "E1": ["x1"], "E2": ["x1^2"]}))
+    start = time.perf_counter()
+    code = main(["conn", "check-module", "--connection", conn_file, "--env", str(env), "--max-degree", degree])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+    assert elapsed < 0.5  # degrees 0-7 alone hold 64,979 trees to check
+
+
+def test_a_negative_max_degree_is_refused_like_a_negative_degree(capsys, env_file, conn_file):
+    for argv in (
+        ["verify", "--algebra", "shuffle", "--max-degree", "-1"],
+        ["conn", "check-module", "--connection", conn_file, "--env", env_file, "--max-degree", "-1"],
+        ["trees", "count", "--family", "rooted", "--degree", "-1"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", "error: degree must be >= 0, got -1\n"), argv
+
+
 SIXTY = ",".join(f"E{i}" for i in range(1, 61))
 
 

@@ -22,7 +22,8 @@ from hopftrees import (
     symmetric_group,
     tree_to_permutation,
 )
-from helpers import heap_product_by_maps, lc, permutation_as_map, t
+from helpers import (heap_product_by_maps, lc, permutation_as_map, permutation_to_tree_by_stack,
+                     symmetric_group_by_cycle_walk, t)
 
 
 ID0 = CyclePermutation()
@@ -127,6 +128,17 @@ def test_tree_bijection_small_cases():
     assert permutation_to_tree(one) == t("(;(1))")
     assert permutation_to_tree(parse_permutation("(1 2)")) == t("(;(1;(2)))")
     assert permutation_to_tree(parse_permutation("(2)(1)")) == t("(;(1)(2))")
+
+
+def test_symmetric_group_grown_by_the_heap_product_is_the_cycle_walk_list():
+    for n in range(7):
+        assert symmetric_group(n) == symmetric_group_by_cycle_walk(n), n
+
+
+def test_the_minima_recursion_builds_the_stack_walk_tree():
+    for n in range(7):
+        for p in symmetric_group_by_cycle_walk(n):
+            assert permutation_to_tree(p) == permutation_to_tree_by_stack(p), p
 
 
 def test_tree_bijection_is_a_bijection_per_degree():
