@@ -43,6 +43,12 @@ def check_budget(count: int, what: str) -> None:
         raise ValueError(f"{what} would enumerate {count} terms, more than the limit of {MAX_TERMS}")
 
 
+def check_degree(degree: int) -> None:
+    """Raise ``ValueError`` if ``degree`` is negative; every algebra's basis listing checks here."""
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+
+
 def splits(items: tuple, what: str) -> Iterator[tuple[tuple, tuple]]:
     """Every split of ``items`` into ``(kept, rest)``, both in order, by mask ``0 .. 2^r - 1``
     (bit ``i`` keeps ``items[i]``); the ``2^r`` splits of ``what`` are checked against the budget."""

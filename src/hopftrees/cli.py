@@ -26,18 +26,7 @@ from . import grossman_larson as gl
 from . import permutations as perm
 from . import shuffle as sh
 from .algebra import LinearCombination, ParseError, TensorPair, format_fraction, identifiers
-from .trees import (
-    DEFAULT_DEGREE_CAP,
-    HEAP_DEGREE_CAP,
-    Tree,
-    heap_ordered_trees,
-    labeled_trees,
-    ordered_labeled_trees,
-    ordered_trees,
-    parse_forest,
-    parse_tree,
-    rooted_trees,
-)
+from .trees import DEFAULT_DEGREE_CAP, HEAP_DEGREE_CAP, ordered_labeled_trees, parse_forest, parse_tree
 
 FLAVORS = ("rooted", "ordered", "labeled", "ordered-labeled", "hot")
 
@@ -182,20 +171,10 @@ def _cmd_perm(args) -> int:
     return 0
 
 
-def _enumerate_family(args) -> list[Tree]:
-    cap = _cap(args)
-    family = args.family
-    if family == "rooted":
-        return rooted_trees(args.degree, cap)
-    if family == "ordered":
-        return ordered_trees(args.degree, cap)
-    if family == "hot":
-        return heap_ordered_trees(args.degree, cap)
-    return labeled_trees(args.degree, identifiers(args.symbols or "E1,E2", ",", "symbol"), cap)
-
-
 def _cmd_trees(args) -> int:
-    members = _enumerate_family(args)
+    cap = _cap(args)
+    symbols = identifiers(args.symbols or "E1,E2", ",", "symbol") if args.family == "labeled" else ()
+    members = _algebra_for(args.family, symbols).basis(args.degree, cap)
     if args.operation == "count":
         _emit(args, str(len(members)), {"count": len(members)})
     else:

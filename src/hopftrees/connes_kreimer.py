@@ -29,7 +29,7 @@ import math
 
 from .algebra import GradedHopfAlgebra, LinearCombination, TensorPair, check_budget, extend_bilinear
 from . import axioms
-from .trees import Forest, Tree, add_root, canonicalize, rooted_trees, strip_root
+from .trees import Forest, Tree, add_root, rooted_trees, strip_root
 
 
 def admissible_cuts(t: Tree) -> list[tuple[Forest, Tree]]:
@@ -40,7 +40,6 @@ def admissible_cuts(t: Tree) -> list[tuple[Forest, Tree]]:
     """
     if t.ordered:
         raise ValueError("cuts are defined on unordered trees")
-    t = canonicalize(t)
 
     def options(child: Tree) -> list[tuple[tuple[Tree, ...], Tree | None]]:
         return [((child,), None)] + [(cut.trees, kept) for cut, kept in admissible_cuts(child)]
@@ -53,9 +52,7 @@ def admissible_cuts(t: Tree) -> list[tuple[Forest, Tree]]:
             pruned.extend(fell)
             if kept is not None:
                 kept_children.append(kept)
-        results.append(
-            (Forest.canonical(pruned), canonicalize(Tree(None, tuple(kept_children))))
-        )
+        results.append((Forest.canonical(pruned), Tree(None, kept_children)))
     return results
 
 
@@ -80,8 +77,8 @@ def forest_coproduct(m: Forest) -> LinearCombination:
 
 
 def _tree_coproduct(t: Tree) -> LinearCombination:
-    terms = [(TensorPair(cut, Forest.canonical([root])), 1) for cut, root in admissible_cuts(t)]
-    return LinearCombination([(TensorPair(Forest.canonical([t]), Forest()), 1)] + terms)
+    terms = [(TensorPair(cut, Forest((root,))), 1) for cut, root in admissible_cuts(t)]
+    return LinearCombination([(TensorPair(Forest((t,)), Forest()), 1)] + terms)
 
 
 def _pairwise_union(a: LinearCombination, b: LinearCombination) -> LinearCombination:
@@ -114,7 +111,6 @@ def symmetry_factor(t: Tree) -> int:
 
 def forest_symmetry_factor(f: Forest) -> int:
     """Automorphism count of a forest: tree factors times multiplicity factorials."""
-    f = Forest.canonical(f.trees)
     factor = 1
     counts: dict[str, int] = {}
     for t in f.trees:
@@ -134,7 +130,7 @@ def dual_pairing(t: Tree, a: Forest) -> int:
     if t.ordered:
         raise ValueError("the pairing is defined on unordered trees")
     _check_unlabeled((t,) + a.trees)
-    stripped = Forest.canonical(strip_root(canonicalize(t)).trees)
+    stripped = strip_root(t)
     if stripped != Forest.canonical(a.trees):
         return 0
     return forest_symmetry_factor(stripped)
@@ -188,7 +184,7 @@ def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
     # the duality check grafts two single nodes even when max_degree < 0
     by_degree = [alg.basis(d) for d in range(max(max_degree, 0) + 1)]
     monomials = list(axioms.graded_tuples(by_degree, 1, 0, max_degree))
-    trees = [(Forest.canonical([add_root(m)]),) for level in by_degree[:max_degree + 1] for m in level]
+    trees = [(Forest((add_root(m),)),) for level in by_degree[:max_degree + 1] for m in level]
     report = axioms.VerificationReport(_ForestAlgebra().describe())
     for name, cases, holds in (
         ("commutativity", axioms.graded_tuples(by_degree, 2, 0, max_degree),

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 from .algebra import (Immutable, LinearCombination, ParseError, Record, Scalar, _set,
                       _sum_scaled, extend_bilinear, format_fraction, pieces)
 from .grossman_larson import labeled_algebra
-from .trees import Tree, _preorder, canonicalize
+from .trees import Tree, _preorder
 
 
 class Polynomial(LinearCombination):
@@ -382,7 +382,7 @@ def word_to_trees(word: Sequence[str], symbols: Iterable[str] | None = None) -> 
     alg = labeled_algebra(alphabet)
     result = LinearCombination.single(alg.unit())
     for letter in reversed(word):
-        generator = canonicalize(Tree(None, (Tree(letter),)))
+        generator = Tree(None, (Tree(letter),))
         result = extend_bilinear(alg.product, LinearCombination.single(generator), result)
     return result
 

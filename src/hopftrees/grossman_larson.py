@@ -21,7 +21,6 @@ from .trees import (
     Tree,
     add_root,
     attach_all,
-    canonicalize,
     heap_ordered_trees,
     is_standard_heap_tree,
     labeled_trees,
@@ -102,7 +101,7 @@ class TreeHopfAlgebra(GradedHopfAlgebra):
 
     def antipode(self, t: Tree) -> LinearCombination:
         self._check_member(t)
-        return super().antipode(canonicalize(t))
+        return super().antipode(t)
 
     def describe(self) -> str:
         if self.heap:

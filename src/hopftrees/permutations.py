@@ -26,8 +26,8 @@ import math
 import re
 
 from .algebra import (GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _set,
-                      check_budget, pieces, splits)
-from .trees import Tree, canonicalize, is_standard_heap_tree
+                      check_budget, check_degree, pieces, splits)
+from .trees import Tree, is_standard_heap_tree
 
 
 class CyclePermutation(Immutable):
@@ -189,7 +189,8 @@ def perm_counit(p: CyclePermutation) -> int:
 def symmetric_group(n: int) -> list[CyclePermutation]:
     """All elements of S_n in standard cycle form, sorted by encoding.  S_{k+1} grows from S_k by
     the heap product with ``(1)``, which puts ``k+1`` after one letter or alone: each element once."""
-    check_budget(math.factorial(max(n, 0)), f"symmetric group S_{n}")
+    check_degree(n)
+    check_budget(math.factorial(n), f"symmetric group S_{n}")
     group, one = [CyclePermutation()], CyclePermutation(((1,),))
     for _ in range(n):
         group = [q for p in group for q, _ in heap_product(one, p)]
@@ -206,15 +207,14 @@ def _string_to_subtree(string: tuple[int, ...]) -> Tree:
     head, rest = string[0], string[1:]
     starts = [i for i, low in enumerate(itertools.accumulate(rest, min)) if rest[i] == low]
     bounds = zip(starts, starts[1:] + [len(rest)])
-    return canonicalize(Tree(head, tuple(_string_to_subtree(rest[a:b]) for a, b in bounds)))
+    return Tree(head, [_string_to_subtree(rest[a:b]) for a, b in bounds])
 
 
 def permutation_to_tree(p: CyclePermutation) -> Tree:
     """Standard-order cycles become the root subtrees of a heap-ordered tree."""
     if not p.is_standard_domain():
         raise ValueError("expected a permutation of {1..n}")
-    subtrees = tuple(_string_to_subtree(c) for c in p.cycles)
-    return canonicalize(Tree(None, subtrees))
+    return Tree(None, [_string_to_subtree(c) for c in p.cycles])
 
 
 def _subtree_to_string(t: Tree) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ import itertools
 import math
 
 from .algebra import (GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _set,
-                      check_budget, identifiers)
+                      check_budget, check_degree, identifiers)
 
 
 class Word(Immutable):
@@ -124,6 +124,7 @@ class ShuffleHopfAlgebra(GradedHopfAlgebra):
         return len(w)
 
     def basis(self, degree: int) -> list[Word]:
+        check_degree(degree)
         check_budget(len(self.letters) ** degree, f"shuffle basis of degree {degree}")
         return [Word(combo) for combo in itertools.product(self.letters, repeat=degree)]
 

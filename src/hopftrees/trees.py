@@ -3,8 +3,10 @@
 A :class:`Tree` node carries an optional label (``None``, an identifier string
 such as ``"E1"``, or a positive integer) and a flag saying whether the child
 sequence is significant (``ordered=True``, planar trees) or a multiset
-(``ordered=False``, in which case children are kept sorted by their canonical
-encoding).
+(``ordered=False``).  An unordered tree stands for its isomorphism class, and
+the constructor is the one place that decides its representative: it sorts
+the children by their canonical encoding, so every tree is canonical from
+construction and no caller canonicalizes.
 
 The canonical text grammar is ``tree := '(' label? (';' tree*)? ')'``; the
 single-node tree is ``()``, a two-node chain is ``(;())`` and a labeled leaf
@@ -17,7 +19,7 @@ import itertools
 import math
 from operator import attrgetter
 
-from .algebra import Immutable, LinearCombination, ParseError, Value, _set, check_budget, pieces
+from .algebra import Immutable, LinearCombination, ParseError, Value, _set, check_budget, check_degree, pieces
 
 Label = str | int | None
 
@@ -31,24 +33,27 @@ MAX_TREE_DEPTH = 300
 
 
 class Tree(Immutable):
-    """A finite rooted tree. Immutable; use :func:`canonicalize` after surgery.
+    """A finite rooted tree, immutable and canonical from construction.
 
-    Each tree computes its derived facts once and keeps them: the node count
-    at construction, the encoding on first use (the hash is the encoding's,
-    which Python keeps on the string), and its canonical form once
-    :func:`canonicalize` has seen it.  Trees are equal when they have the same
-    flavor and the same encoding.
+    An unordered tree's children are sorted by encoding, so a tree built from
+    canonical children is canonical: the bottom-up isomorphism test of
+    Aho, Hopcroft and Ullman (*The Design and Analysis of Computer
+    Algorithms*, 1974).  A planar tree keeps its children in the given order.
+    Children are stored as a tuple; the node count and the encoding are
+    computed at construction from the children's (the hash is the encoding's,
+    which Python keeps on the string).  Trees are equal when they have the
+    same flavor and the same encoding.
     """
 
-    __slots__ = ("label", "children", "ordered", "_size", "_code", "_canon")
+    __slots__ = ("label", "children", "ordered", "_size", "_code")
 
-    def __init__(self, label: Label = None, children: tuple["Tree", ...] = (), ordered: bool = False):
+    def __init__(self, label: Label = None, children=(), ordered: bool = False):
+        children = tuple(children) if ordered else tuple(sorted(children, key=_code))
         _set(self, "label", label)
         _set(self, "children", children)
         _set(self, "ordered", ordered)
         _set(self, "_size", 1 + sum([c._size for c in children]))
-        _set(self, "_code", None)
-        _set(self, "_canon", None)
+        _set(self, "_code", _join(label, children))
 
     def __reduce__(self):
         return Tree, (self.label, self.children, self.ordered)
@@ -58,29 +63,15 @@ class Tree(Immutable):
             return True
         if not isinstance(other, Tree):
             return NotImplemented
-        return self.ordered == other.ordered and (self._code or self.encode()) == (
-            other._code or other.encode()
-        )
+        return self.ordered == other.ordered and self._code == other._code
 
     def __hash__(self) -> int:
-        return hash(self._code or self.encode())
+        return hash(self._code)
 
     def __repr__(self) -> str:
-        return f"Tree({self.encode()!r}, ordered={self.ordered})"
+        return f"Tree({self._code!r}, ordered={self.ordered})"
 
     def encode(self) -> str:
-        if self._code is None:
-            # Post-order without recursion: products can be deeper than the
-            # parser's limit.  A node with an encoding has encoded descendants.
-            stack = [self]
-            while stack:
-                node = stack[-1]
-                pending = [c for c in node.children if c._code is None]
-                if pending:
-                    stack.extend(pending)
-                else:
-                    stack.pop()
-                    _set(node, "_code", _join(node.label, node.children))
         return self._code
 
     def node_count(self) -> int:
@@ -101,26 +92,18 @@ class Tree(Immutable):
         return out
 
     def __str__(self) -> str:
-        return self.encode()
+        return self._code
 
 
 _code = attrgetter("_code")
 
 
 def _join(label: Label, children) -> str:
-    """Encoding of a node from its children's (already computed) encodings."""
+    """Encoding of a node from its children's encodings."""
     head = "" if label is None else str(label)
     if not children:
         return f"({head})"
     return f"({head};" + "".join([c._code for c in children]) + ")"
-
-
-def _canonical_node(label: Label, children: tuple[Tree, ...], ordered: bool) -> Tree:
-    """A node over encoded canonical children, in order, marked canonical."""
-    node = Tree(label, children, ordered)
-    _set(node, "_code", _join(label, children))
-    _set(node, "_canon", node)
-    return node
 
 
 class Forest(Value):
@@ -143,9 +126,8 @@ class Forest(Value):
 
     @classmethod
     def canonical(cls, trees) -> "Forest":
-        """Multiset form: members canonicalized and sorted by encoding."""
-        fixed = sorted((canonicalize(t) for t in trees), key=Tree.encode)
-        return cls(tuple(fixed))
+        """Multiset form: members sorted by encoding."""
+        return cls(tuple(sorted(trees, key=_code)))
 
     def encode(self) -> str:
         if not self.trees:
@@ -163,23 +145,8 @@ class Forest(Value):
 
 
 def canonicalize(t: Tree) -> Tree:
-    """Sort unordered children recursively by encoding; identity on ordered trees.
-
-    The result is recorded on ``t`` and marked canonical, so a second call on
-    either tree is a lookup.
-    """
-    if t.ordered:
-        return t
-    if t._canon is not None:
-        return t._canon
-    children = tuple(sorted(map(canonicalize, t.children), key=Tree.encode))
-    if all(a is b for a, b in zip(children, t.children)):
-        _set(t, "_code", t._code or _join(t.label, children))
-        _set(t, "_canon", t)
-        return t
-    result = _canonical_node(t.label, children, False)
-    _set(t, "_canon", result)
-    return result
+    """The canonical form of ``t``, which is ``t``: every tree is canonical from construction."""
+    return t
 
 
 def strip_root(t: Tree) -> Forest:
@@ -189,15 +156,7 @@ def strip_root(t: Tree) -> Forest:
 
 def add_root(f: Forest, ordered: bool = False) -> Tree:
     """Graft a forest under a fresh unlabeled root; inverse of :func:`strip_root`."""
-    return canonicalize(Tree(None, f.trees, ordered))
-
-
-def _prepared(t: Tree) -> Tree:
-    """``t`` in canonical form, with every node's encoding computed."""
-    if not (t.ordered or t._canon is t):
-        t = canonicalize(t)
-    t.encode()
-    return t
+    return Tree(None, f.trees, ordered)
 
 
 def _preorder(t: Tree) -> tuple[list[Tree], list[list[int]], list[tuple[int, ...]]]:
@@ -224,8 +183,7 @@ def _graft_blocks(nodes, kids, paths, blocks: dict[int, list[Tree]], ordered: bo
     """Prepend ``blocks[i]`` to the children of preorder node ``i``.
 
     Only the nodes on the paths from the root to the receiving nodes are
-    rebuilt; every other subtree is reused.  With canonical, encoded inputs the
-    result is canonical and marked so.
+    rebuilt; every other subtree is reused.
     """
     touched: set[int] = set()
     for i in blocks:
@@ -233,9 +191,7 @@ def _graft_blocks(nodes, kids, paths, blocks: dict[int, list[Tree]], ordered: bo
     rebuilt: dict[int, Tree] = {}
     for i in sorted(touched, reverse=True):  # children before their parents
         children = blocks.get(i, []) + [rebuilt.get(c, nodes[c]) for c in kids[i]]
-        if not ordered:
-            children.sort(key=_code)
-        rebuilt[i] = _canonical_node(nodes[i].label, tuple(children), ordered)
+        rebuilt[i] = Tree(nodes[i].label, children, ordered)
     return rebuilt.get(0, nodes[0])
 
 
@@ -266,8 +222,8 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
     """
     if any(s.ordered != t.ordered for s in f.trees):
         raise ValueError("forest and target tree have different ordered/unordered flavor")
-    nodes, kids, paths = _preorder(_prepared(t))
-    runs = [(m, len(list(g))) for m, g in itertools.groupby(map(_prepared, f.trees))]
+    nodes, kids, paths = _preorder(t)
+    runs = [(m, len(list(g))) for m, g in itertools.groupby(f.trees)]
     size = len(nodes)
     check_budget(math.prod(math.comb(size + k - 1, k) for _, k in runs), "grafting product")
     choices = [
@@ -283,19 +239,19 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
             weight *= ways
             for i in combo:
                 blocks.setdefault(i, []).append(member)
-        key = canonicalize(_graft_blocks(nodes, kids, paths, blocks, t.ordered))
+        key = _graft_blocks(nodes, kids, paths, blocks, t.ordered)
         out[key] = out.get(key, 0) + weight
     return LinearCombination(out)
 
 
 def _map_integer_labels(t: Tree, new_label) -> Tree:
-    """``t`` with each integer label ``x`` replaced by ``new_label(x)``, canonicalized."""
+    """``t`` with each integer label ``x`` replaced by ``new_label(x)``."""
 
     def walk(node: Tree) -> Tree:
         lab = new_label(node.label) if isinstance(node.label, int) else node.label
         return Tree(lab, tuple(walk(c) for c in node.children), node.ordered)
 
-    return canonicalize(walk(t))
+    return walk(t)
 
 
 def relabel_standard(t: Tree) -> Tree:
@@ -336,8 +292,7 @@ def is_standard_heap_tree(t: Tree) -> bool:
 
 def _check_degree(degree: int, cap: int | None, default_cap: int) -> None:
     limit = default_cap if cap is None else cap
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+    check_degree(degree)
     if degree > limit:
         raise ValueError(f"degree {degree} exceeds enumeration cap {limit}")
 
@@ -369,7 +324,7 @@ def _planted(roots: tuple, nodes: int, labels: tuple, cache: dict) -> tuple[Tree
             cache[k] = _planted(labels, k, labels, cache)
         universe.extend(cache[k])
     trees = (
-        canonicalize(Tree(root, forest))
+        Tree(root, forest)
         for root in roots
         for forest in _multiset_forests(nodes, universe, 0)
     )
@@ -448,9 +403,9 @@ def heap_ordered_trees(degree: int, cap: int | None = None) -> list[Tree]:
     """
     _check_degree(degree, cap, HEAP_DEGREE_CAP)
     check_budget(math.factorial(degree), f"heap-ordered trees of degree {degree}")
-    trees = [canonicalize(Tree())]
+    trees = [Tree()]
     for k in range(1, degree + 1):
-        leaf = Forest((canonicalize(Tree(k)),))
+        leaf = Forest((Tree(k),))
         trees = [grown for t in trees for grown, _ in attach_all(leaf, t)]
     return trees
 
@@ -474,11 +429,11 @@ def ordered_labeled_trees(degree: int, symbols, cap: int | None = None) -> list[
 
 
 def parse_tree(text: str, ordered: bool = False) -> Tree:
-    """Parse the canonical tree grammar; unordered trees are canonicalized."""
+    """Parse the canonical tree grammar; an unordered tree comes out canonical, as every tree does."""
     parser = _TreeParser(text, ordered)
     tree = parser.parse_tree()
     parser.expect_end()
-    return canonicalize(tree)
+    return tree
 
 
 class _TreeParser:
@@ -508,7 +463,7 @@ class _TreeParser:
         if self.peek() != ")":
             raise self.error("expected ')'")
         self.pos += 1
-        return Tree(label, tuple(children), self.ordered)
+        return Tree(label, children, self.ordered)
 
     def _parse_label(self) -> Label:
         start = self.pos

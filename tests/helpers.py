@@ -12,6 +12,9 @@ plane-representation counting, and cuts through edge-subset filtering.  Trees
 act on polynomials here through the two textbook definitions the library
 replaces by one contraction: the flat sum over all index assignments of a
 tree's nodes, and the recursive m-th covariant differentials of a connection.
+The trees the oracles build are put in canonical form by the ``Tree``
+constructor itself; ``tests/test_trees.py`` checks that constructor against
+the text oracle ``_encode_shape``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from hopftrees import (
     LinearCombination,
     Polynomial,
     Tree,
-    canonicalize,
     parse_tree,
 )
 from hopftrees.algebra import Value
@@ -116,14 +118,6 @@ def dict_derivative(a: dict, index: int) -> dict[tuple[int, ...], Fraction]:
 # oracle: the grafting sum over all (n+1)^r assignments
 
 
-def canonical_by_sorting(tree: Tree) -> Tree:
-    """A fresh copy with unordered children sorted by encoding at every level."""
-    children = tuple(canonical_by_sorting(c) for c in tree.children)
-    if not tree.ordered:
-        children = tuple(sorted(children, key=Tree.encode))
-    return Tree(tree.label, children, tree.ordered)
-
-
 def attach_all_by_assignments(forest: Forest, target: Tree) -> LinearCombination:
     """Each member independently picks a node of ``target`` (nodes in preorder);
     members sharing a node go in front of its children in forest order."""
@@ -143,7 +137,7 @@ def attach_all_by_assignments(forest: Forest, target: Tree) -> LinearCombination
         placement: dict[int, list[Tree]] = {}
         for member, node in zip(forest.trees, assignment):
             placement.setdefault(node, []).append(member)
-        key = canonical_by_sorting(graft(target, 0, placement)[0])
+        key = graft(target, 0, placement)[0]
         out[key] = out.get(key, 0) + 1
     return LinearCombination(out)
 
@@ -244,7 +238,7 @@ def permutation_to_tree_by_stack(p: CyclePermutation) -> Tree:
 
         return build(string[0])
 
-    return canonicalize(Tree(None, tuple(subtree(c) for c in p.cycles)))
+    return Tree(None, tuple(subtree(c) for c in p.cycles))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +391,7 @@ def apply_cut(tree: Tree, cut: Cut) -> tuple[Forest, Tree]:
         return Tree(node.label, tuple(kept), node.ordered)
 
     root_part = walk(tree, ())
-    return Forest.canonical(pruned), canonicalize(root_part)
+    return Forest.canonical(pruned), root_part
 
 
 def cuts_by_subset_filter(tree: Tree) -> list[tuple[Forest, Tree]]:

@@ -179,6 +179,13 @@ def test_a_wrong_forest_algebra_fails_with_the_same_report(monkeypatch, name, wr
     assert verify_forest_algebra(5).render() == expected
 
 
+@pytest.mark.parametrize("alg", [s[1] for s in SWEEPS] + [_ForestAlgebra()],
+                         ids=[s[0] for s in SWEEPS] + ["forest"])
+def test_every_basis_refuses_a_negative_degree(alg):
+    with pytest.raises(ValueError, match=r"^degree must be >= 0, got -1$"):
+        alg.basis(-1)
+
+
 def test_a_sweep_refuses_an_over_budget_basis_before_building_the_others():
     built = []
 

@@ -153,7 +153,7 @@ print(json.dumps({{
         (["gl", "mul", "(;())", "(;())"], "(;()()) + (;(;()))\n",
          ["algebra", "cli", "grossman_larson", "trees"]),
         (["trees", "count", "--family", "hot", "--degree", "4"], "24\n",
-         ["algebra", "cli", "trees"]),
+         ["algebra", "cli", "grossman_larson", "trees"]),
         (["shuffle", "mul", "x1", "x2"], "x1.x2 + x2.x1\n",
          ["algebra", "cli", "shuffle", "trees"]),
         (["perm", "mul", "(1)", "(1)"], "(1 2) + (2)(1)\n",
@@ -210,12 +210,11 @@ def test_import_registers_every_module_without_running_it():
     assert found == {f"hopftrees.{m}": [True, False] for m in MODULES}
 
 
-def run_traced_cli(argv: list[str]) -> list:
-    """``hopftrees.cli.main(argv)`` run in a fresh interpreter under the benchmark's
-    tracer: [exit code, standard output, the tracer's counts]."""
+def run_traced(body: str):
+    """``body`` run in a fresh interpreter after the benchmark's tracer, loaded
+    unedited, is installed and reset as ``probe``; the JSON it prints last."""
     tracer = ROOT / "bench" / "tracer.py"
-    return run_python(
-        f"""
+    prelude = f"""
         import contextlib, importlib.util, io, json
         import hopftrees.cli
         spec = importlib.util.spec_from_file_location("tracer", {str(tracer)!r})
@@ -224,11 +223,35 @@ def run_traced_cli(argv: list[str]) -> list:
         probe = tracer.Tracer()
         probe.install()
         probe.reset()
+        """
+    return run_python(textwrap.dedent(prelude) + textwrap.dedent(body))
+
+
+def run_traced_cli(argv: list[str]) -> list:
+    """``hopftrees.cli.main(argv)`` run in a fresh interpreter under the benchmark's
+    tracer: [exit code, standard output, the tracer's counts]."""
+    return run_traced(
+        f"""
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = hopftrees.cli.main({argv!r})
         print(json.dumps([code, out.getvalue(), probe.snapshot()["counts"]]))
         """
     )
+
+
+def test_the_tracer_installs_and_counts_a_product_and_a_sweep():
+    # the tracer wraps library entry points by name: a renamed one fails here
+    # rather than in a traced benchmark round
+    counts = run_traced(
+        """
+        from hopftrees import ROOTED, parse_tree
+        ROOTED.product(parse_tree("(;())"), parse_tree("(;()())"))
+        ROOTED.verify(2)
+        print(json.dumps(probe.snapshot()["counts"]))
+        """
+    )
+    assert counts["trees.attach_all.calls"] > 0
+    assert counts["axioms.verify.checks"] > 0
 
 
 def test_the_tracer_sees_a_traced_cli_call():

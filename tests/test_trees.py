@@ -26,8 +26,8 @@ from hopftrees import (
 from hopftrees import trees as trees_module
 from hopftrees.trees import _rooted_count
 from helpers import (
+    _encode_shape,
     attach_all_by_assignments,
-    canonical_by_sorting,
     label_in_preorder,
     tree_encodings_by_parent_arrays,
     lc,
@@ -286,8 +286,8 @@ def test_attach_all_ordered_forest_with_non_adjacent_equal_members():
 
 
 def test_attach_all_non_canonical_inputs():
-    unsorted_v = Tree(None, (V, LEAF))  # canonical order is (LEAF, V)
-    assert canonicalize(unsorted_v) != unsorted_v
+    unsorted_v = Tree(None, (V, LEAF))  # given out of order
+    assert unsorted_v.children == (LEAF, V)
     targets = (unsorted_v, Tree(None, (unsorted_v, CHAIN2, LEAF)))
     forests = (
         Forest((CHAIN2, LEAF, CHAIN2)),  # unsorted, equal members apart
@@ -342,8 +342,32 @@ def test_canonicalize_is_idempotent_and_marks_its_result(tree):
     fixed = canonicalize(tree)
     assert canonicalize(fixed) is fixed
     assert canonicalize(tree) is fixed
-    assert fixed == canonical_by_sorting(tree)
     assert fixed.node_count() == tree.node_count()
+
+
+SHAPES = st.recursive(
+    st.tuples(LABELS, st.just(())),
+    lambda kids: st.tuples(LABELS, st.lists(kids, max_size=3).map(tuple)),
+    max_leaves=12,
+)
+
+
+def _tree_from_shape(shape, ordered: bool = False, reverse: bool = False) -> Tree:
+    """The nested ``(label, children)`` shape as a tree, children given as a list,
+    in drawn order or reversed."""
+    label, children = shape
+    kids = [_tree_from_shape(c, ordered, reverse) for c in children]
+    return Tree(label, kids[::-1] if reverse else kids, ordered)
+
+
+@given(SHAPES)
+def test_the_constructor_puts_children_in_the_text_oracle_order(shape):
+    drawn, mirrored = _tree_from_shape(shape), _tree_from_shape(shape, reverse=True)
+    assert drawn.encode() == mirrored.encode() == _encode_shape(shape)
+    assert drawn == mirrored and hash(drawn) == hash(mirrored)
+    planar = _tree_from_shape(shape, ordered=True)
+    assert type(drawn.children) is type(planar.children) is tuple
+    assert [c.label for c in planar.children] == [label for label, _ in shape[1]]
 
 
 @given(random_trees(False))
