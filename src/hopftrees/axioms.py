@@ -11,22 +11,21 @@ data, not exceptions.  :class:`~hopftrees.algebra.GradedHopfAlgebra` derives its
 ``antipode`` and ``verify`` from :func:`graded_antipode` and :func:`verify_hopf_axioms`;
 a sweep reads only ``unit``, ``degree``, ``basis``, ``product``, ``coproduct`` and ``counit``.
 
-A sweep asks for the same products, coproducts and antipodes many times over
-(a degree-4 sweep of rooted trees makes over a thousand product calls on fewer
-than a hundred distinct pairs), so it reads the algebra through a
-:class:`_SweepMemo`: plain dicts keyed by basis elements, created for one
-:func:`verify_hopf_axioms` call and dropped when it returns.  Nothing the
-sweep computes outlives it.
+A sweep asks for the same products, coproducts and antipodes many times
+over, so it reads the algebra as integer structure constants: a
+:class:`_SweepMemo` numbers each basis element once and keeps products,
+coproducts and antipodes as ``int``-keyed dicts, each computed once.  The
+predicates are identities between such dicts, and only a failure is turned
+back into elements.  The tables die with the sweep call.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Any, Callable
+from typing import Any
 
-from .algebra import (GradedHopfAlgebra, LinearCombination, Record, TensorPair, _sum_scaled,
-                      extend_bilinear, extend_linear, tensor)
+from .algebra import GradedHopfAlgebra, LinearCombination, Record, _sum_scaled
 
 
 ANTIPODE_CACHE_SIZE = 1024
@@ -34,73 +33,85 @@ ANTIPODE_CACHE_SIZE = 1024
 
 The cache is shared by every algebra in the process, so it is bounded; the
 least recently used entries go first.  Axiom sweeps do not use it: they keep
-their antipodes in their own memo.
+their antipodes in their own tables.
 """
 
 
-def _antipode(
-    alg: GradedHopfAlgebra, element: Any, antipode: Callable[[Any], LinearCombination]
-) -> LinearCombination:
-    """The antipode recursion, taking the antipodes of lower degrees from ``antipode``.
-
-    ``S(e) = e`` and, for positive degree,
-    ``S(x) = -x - sum S(x') * x''`` over the proper part of the coproduct.
-    """
+@functools.lru_cache(maxsize=ANTIPODE_CACHE_SIZE)
+def graded_antipode(alg: Any, element: Any) -> LinearCombination:
+    """Antipode by the recursion available in any graded connected bialgebra:
+    ``S(e) = e`` and, for positive degree, ``S(x) = -x - sum S(x') * x''``
+    over the proper part of the coproduct."""
     deg = alg.degree(element)
     if deg == 0:
         return LinearCombination.single(element)
     pieces = [(-1, LinearCombination.single(element))]
     for pair, coeff in alg.coproduct(element):
-        left, right = pair.left, pair.right
-        if alg.degree(left) in (0, deg):
-            continue
-        pieces.extend(
-            (-coeff * s_coeff, alg.product(s_term, right)) for s_term, s_coeff in antipode(left)
-        )
+        if alg.degree(pair.left) not in (0, deg):
+            pieces.extend((-coeff * s_coeff, alg.product(s_term, pair.right))
+                          for s_term, s_coeff in graded_antipode(alg, pair.left))
     return _sum_scaled(pieces)
 
 
-@functools.lru_cache(maxsize=ANTIPODE_CACHE_SIZE)
-def graded_antipode(alg: Any, element: Any) -> LinearCombination:
-    """Antipode by the recursion available in any graded connected bialgebra."""
-    return _antipode(alg, element, lambda x: graded_antipode(alg, x))
-
-
-def memoize(fn: Callable) -> Callable:
-    """``fn`` with its values kept in a dict keyed by the arguments.
-
-    The dict lives exactly as long as the returned function.
-    """
-    values: dict = {}
-
-    def memoized(*args):
-        value = values.get(args)
-        if value is None:
-            value = values[args] = fn(*args)
-        return value
-
-    return memoized
+def _collect(terms) -> dict:
+    """``sum c * key`` over the ``(key, c)`` terms, as a dict without zero coefficients."""
+    out: dict = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
 class _SweepMemo:
-    """An algebra whose products, coproducts and antipodes are each computed once.
+    """The integer structure tables of one algebra, filled during one sweep.
 
-    Made for one sweep and dropped with it.  The antipode is the recursion of
-    :func:`graded_antipode`, reading its products and coproducts through the
-    memo.
+    ``number`` gives each basis element an index the first time the sweep
+    meets it (``index`` maps an element to it, ``elems`` back) and reads its
+    ``degrees`` and ``counits`` once through the algebra's own methods.  The
+    product ``(i, j) -> {k: c}``, the coproduct ``i -> {(j, k): c}`` and the
+    antipode ``i -> {k: c}`` (the recursion of :func:`graded_antipode`, over
+    indices) are filled on demand, each entry computed once.  A store is made
+    for one sweep call and dies with it.
     """
 
     def __init__(self, alg: GradedHopfAlgebra):
-        self.unit, self.degree, self.basis = alg.unit, alg.degree, alg.basis
-        self.counit = alg.counit
-        self.product = memoize(alg.product)
-        self.coproduct = memoize(alg.coproduct)
-        self._antipodes: dict[Any, LinearCombination] = {}
+        self.alg, self.index, self.elems, self.degrees, self.counits = alg, {}, [], [], []
+        self._products: dict[tuple[int, int], dict[int, int]] = {}
+        self._coproducts: dict[int, dict[tuple[int, int], int]] = {}
+        self._antipodes: dict[int, dict[int, int]] = {}
+        self.unit = self.number(alg.unit())
 
-    def antipode(self, element: Any) -> LinearCombination:
-        value = self._antipodes.get(element)
+    def number(self, element: Any) -> int:
+        i = self.index.get(element)
+        if i is None:
+            i = self.index[element] = len(self.elems)
+            self.elems.append(element)
+            self.degrees.append(self.alg.degree(element))
+            self.counits.append(self.alg.counit(element))
+        return i
+
+    def product(self, i: int, j: int) -> dict[int, int]:
+        value = self._products.get((i, j))
         if value is None:
-            value = self._antipodes[element] = _antipode(self, element, self.antipode)
+            number = self.number
+            value = self._products[i, j] = {
+                number(x): c for x, c in self.alg.product(self.elems[i], self.elems[j])}
+        return value
+
+    def coproduct(self, i: int) -> dict[tuple[int, int], int]:
+        value = self._coproducts.get(i)
+        if value is None:
+            number = self.number
+            value = self._coproducts[i] = {
+                (number(pair.left), number(pair.right)): c for pair, c in self.alg.coproduct(self.elems[i])}
+        return value
+
+    def antipode(self, i: int) -> dict[int, int]:
+        value = self._antipodes.get(i)
+        if value is None:
+            deg, degrees = self.degrees[i], self.degrees
+            value = self._antipodes[i] = {i: 1} if deg == 0 else _collect(itertools.chain([(i, -1)], (
+                (k, -c * e * d) for (a, b), c in self.coproduct(i).items() if degrees[a] not in (0, deg)
+                for s, e in self.antipode(a).items() for k, d in self.product(s, b).items())))
         return value
 
 
@@ -144,16 +155,16 @@ class VerificationReport(Record):
         return self.render()
 
 
-def check(report: VerificationReport, alg, name: str, cases, holds, render=None) -> None:
-    """Append to ``report`` how many ``cases`` there were and the first for which
-    ``holds(alg, *case)`` is false, shown by ``render(*case)`` (by default the
-    encoding of its one element, or of its elements in parentheses)."""
+def check(report: VerificationReport, memo: _SweepMemo, name: str, cases, holds, render=None) -> None:
+    """Append to ``report`` how many ``cases`` (tuples of indices) there were and the first
+    for which ``holds(memo, *case)`` is false, shown by ``render`` on its elements (by
+    default the encoding of its one element, or of its elements in parentheses)."""
     checked, failed = 0, None
     for case in cases:
         checked += 1
-        if not holds(alg, *case) and failed is None:
+        if not holds(memo, *case) and failed is None:
             failed = case
-    shown = None if failed is None else (render or _encode_case)(*failed)
+    shown = None if failed is None else (render or _encode_case)(*[memo.elems[i] for i in failed])
     report.checks.append(AxiomCheck(name, checked, failed is None, shown))
 
 
@@ -182,63 +193,54 @@ def graded_tuples(basis, arity: int, lowest: int, cap: int):
         yield from itertools.product(*(basis[d] for d in combo))
 
 
-def unital(alg, x) -> bool:
-    single, unit = LinearCombination.single(x), alg.unit()
-    return alg.product(unit, x) == single and alg.product(x, unit) == single
+def unital(memo: _SweepMemo, x: int) -> bool:
+    single = {x: 1}
+    return memo.product(memo.unit, x) == single and memo.product(x, memo.unit) == single
 
 
-def associative(alg, x, y, z) -> bool:
-    left = extend_linear(lambda s: alg.product(s, z), alg.product(x, y))
-    right = extend_linear(lambda s: alg.product(x, s), alg.product(y, z))
+def associative(memo: _SweepMemo, x: int, y: int, z: int) -> bool:
+    product = memo.product
+    left = _collect((k, c * d) for s, c in product(x, y).items() for k, d in product(s, z).items())
+    right = _collect((k, c * d) for s, c in product(y, z).items() for k, d in product(x, s).items())
     return left == right
 
 
-def coassociative(alg, x) -> bool:
-    """``(Delta (x) id) Delta x = (id (x) Delta) Delta x``, both over ``(a (x) b) (x) c``."""
-    delta = alg.coproduct(x)
-    left = extend_linear(
-        lambda pair: alg.coproduct(pair.left).map_basis(lambda p: TensorPair(p, pair.right)), delta
-    )
-    right = extend_linear(
-        lambda pair: alg.coproduct(pair.right).map_basis(
-            lambda p: TensorPair(TensorPair(pair.left, p.left), p.right)
-        ),
-        delta,
-    )
+def coassociative(memo: _SweepMemo, x: int) -> bool:
+    """``(Delta (x) id) Delta x = (id (x) Delta) Delta x``, both over index triples ``(a, b, c)``."""
+    coproduct = memo.coproduct
+    delta = coproduct(x).items()
+    left = _collect(((a1, a2, b), c * d) for (a, b), c in delta for (a1, a2), d in coproduct(a).items())
+    right = _collect(((a, b1, b2), c * d) for (a, b), c in delta for (b1, b2), d in coproduct(b).items())
     return left == right
 
 
-def counital(alg, x) -> bool:
+def counital(memo: _SweepMemo, x: int) -> bool:
     """``(counit (x) id) Delta x = (id (x) counit) Delta x = x``."""
-    single, delta = LinearCombination.single(x), alg.coproduct(x)
-    left = LinearCombination((pair.right, coeff * alg.counit(pair.left)) for pair, coeff in delta)
-    right = LinearCombination((pair.left, coeff * alg.counit(pair.right)) for pair, coeff in delta)
-    return left == single and right == single
+    single, delta, counits = {x: 1}, memo.coproduct(x).items(), memo.counits
+    return (_collect((b, c * counits[a]) for (a, b), c in delta) == single
+            and _collect((a, c * counits[b]) for (a, b), c in delta) == single)
 
 
-def compatible(alg, x, y) -> bool:
+def compatible(memo: _SweepMemo, x: int, y: int) -> bool:
     """The coproduct is an algebra morphism: ``Delta(x y) = Delta(x) Delta(y)``."""
-    def pairwise(p: TensorPair, q: TensorPair) -> LinearCombination:
-        return tensor(alg.product(p.left, q.left), alg.product(p.right, q.right))
+    product, coproduct = memo.product, memo.coproduct
+    lhs = _collect((pair, c * d) for s, c in product(x, y).items() for pair, d in coproduct(s).items())
+    rhs = _collect(
+        ((k1, k2), c1 * c2 * d1 * d2)
+        for (a1, b1), c1 in coproduct(x).items() for (a2, b2), c2 in coproduct(y).items()
+        for k1, d1 in product(a1, a2).items() for k2, d2 in product(b1, b2).items()
+    )
+    return lhs == rhs
 
-    lhs = extend_linear(alg.coproduct, alg.product(x, y))
-    return lhs == extend_bilinear(pairwise, alg.coproduct(x), alg.coproduct(y))
 
-
-def antipodal(alg, x) -> bool:
+def antipodal(memo: _SweepMemo, x: int) -> bool:
     """``m(S (x) id) Delta x = m(id (x) S) Delta x = counit(x) 1``."""
-    target = alg.counit(x) * LinearCombination.single(alg.unit())
-    delta = alg.coproduct(x)
-    left = _sum_scaled(
-        (coeff * s_coeff, alg.product(s, pair.right))
-        for pair, coeff in delta
-        for s, s_coeff in alg.antipode(pair.left)
-    )
-    right = _sum_scaled(
-        (coeff * s_coeff, alg.product(pair.left, s))
-        for pair, coeff in delta
-        for s, s_coeff in alg.antipode(pair.right)
-    )
+    product, antipode, delta = memo.product, memo.antipode, memo.coproduct(x).items()
+    target = {memo.unit: memo.counits[x]} if memo.counits[x] else {}
+    left = _collect((k, c * e * d) for (a, b), c in delta
+                    for s, e in antipode(a).items() for k, d in product(s, b).items())
+    right = _collect((k, c * e * d) for (a, b), c in delta
+                     for s, e in antipode(b).items() for k, d in product(a, s).items())
     return left == target and right == target
 
 
@@ -249,12 +251,12 @@ def verify_hopf_axioms(alg: GradedHopfAlgebra, max_degree: int, name: str) -> Ve
     basis element of degree <= ``max_degree``; pair and triple checks
     (compatibility, associativity) run on tuples of positive-degree elements
     whose degrees sum to at most ``max_degree + 1``.  Each product, coproduct
-    and antipode is computed once per call (see :class:`_SweepMemo`); the
-    antipode is the recursion of :func:`graded_antipode`.
+    and antipode is computed once per call, into the tables of a
+    :class:`_SweepMemo`; the antipode is the recursion of :func:`graded_antipode`.
     """
-    alg = _SweepMemo(alg)
+    memo = _SweepMemo(alg)
     # largest first, so an over-budget basis is refused before the others are built
-    basis = {d: list(alg.basis(d)) for d in reversed(range(max_degree + 1))}
+    basis = {d: list(map(memo.number, alg.basis(d))) for d in reversed(range(max_degree + 1))}
     elements = list(graded_tuples(basis, 1, 0, max_degree))
     report = VerificationReport(name)
     for axiom, cases, holds in (
@@ -265,5 +267,5 @@ def verify_hopf_axioms(alg: GradedHopfAlgebra, max_degree: int, name: str) -> Ve
         ("compatibility", graded_tuples(basis, 2, 1, max_degree + 1), compatible),
         ("antipode", elements, antipodal),
     ):
-        check(report, alg, axiom, cases, holds)
+        check(report, memo, axiom, cases, holds)
     return report

@@ -24,6 +24,7 @@ node count) and runs the shared checks of :mod:`hopftrees.axioms` on it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -52,7 +53,7 @@ def admissible_cuts(t: Tree) -> list[tuple[Forest, Tree]]:
             pruned.extend(fell)
             if kept is not None:
                 kept_children.append(kept)
-        results.append((Forest.canonical(pruned), Tree(None, kept_children)))
+        results.append((Forest(pruned), Tree(None, kept_children)))
     return results
 
 
@@ -63,7 +64,7 @@ def _cut_count(t: Tree) -> int:
 
 def monomial_product(a: Forest, b: Forest) -> Forest:
     """Multiset union; the commutative product of the forest algebra."""
-    return Forest.canonical(a.trees + b.trees)
+    return Forest(a.trees + b.trees)
 
 
 def forest_coproduct(m: Forest) -> LinearCombination:
@@ -130,10 +131,7 @@ def dual_pairing(t: Tree, a: Forest) -> int:
     if t.ordered:
         raise ValueError("the pairing is defined on unordered trees")
     _check_unlabeled((t,) + a.trees)
-    stripped = strip_root(t)
-    if stripped != Forest.canonical(a.trees):
-        return 0
-    return forest_symmetry_factor(stripped)
+    return forest_symmetry_factor(a) if strip_root(t) == a else 0
 
 
 def forest_monomials(total_nodes: int) -> list[Forest]:
@@ -174,41 +172,39 @@ def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
 
     The product checks run on monomials (the empty one included) whose node
     counts sum to at most ``max_degree``, coassociativity on the single trees
-    with at most ``max_degree + 1`` nodes.  Each product, coproduct, grafting
-    product and pairing is computed once per call."""
+    with at most ``max_degree + 1`` nodes, all read from the integer tables of
+    one :class:`~hopftrees.axioms._SweepMemo`.  Each product, coproduct,
+    grafting product and pairing is computed once per call."""
     from .grossman_larson import ROOTED
 
-    alg = axioms._SweepMemo(_ForestAlgebra())
-    graft, pairing = axioms.memoize(ROOTED.product), axioms.memoize(dual_pairing)
+    memo = axioms._SweepMemo(_ForestAlgebra())
+    graft, pairing = functools.cache(ROOTED.product), functools.cache(dual_pairing)
     # each degree is listed once: its trees are its monomials under a root, in rooted_trees order;
     # the duality check grafts two single nodes even when max_degree < 0
-    by_degree = [alg.basis(d) for d in range(max(max_degree, 0) + 1)]
+    by_degree = [list(map(memo.number, memo.alg.basis(d))) for d in range(max(max_degree, 0) + 1)]
     monomials = list(axioms.graded_tuples(by_degree, 1, 0, max_degree))
-    trees = [(Forest((add_root(m),)),) for level in by_degree[:max_degree + 1] for m in level]
-    report = axioms.VerificationReport(_ForestAlgebra().describe())
+    trees = [(memo.number(Forest((add_root(memo.elems[m]),))),) for (m,) in monomials]
+    report = axioms.VerificationReport(memo.alg.describe())
     for name, cases, holds in (
         ("commutativity", axioms.graded_tuples(by_degree, 2, 0, max_degree),
-         lambda alg, a, b: alg.product(a, b) == alg.product(b, a)),
+         lambda memo, a, b: memo.product(a, b) == memo.product(b, a)),
         ("associativity", axioms.graded_tuples(by_degree, 3, 0, max_degree), axioms.associative),
         ("unit", monomials, axioms.unital),
         ("coassociativity", trees, axioms.coassociative),
         ("counit", monomials, axioms.counital),
     ):
-        axioms.check(report, alg, name, cases, holds)
+        axioms.check(report, memo, name, cases, holds)
 
-    def dual(alg, t1: Tree, t2: Tree, a: Forest) -> bool:
-        lhs = sum(coeff * pairing(s, a) for s, coeff in graft(t1, t2))
-        rhs = sum(
-            coeff * pairing(t1, pair.left) * pairing(t2, pair.right)
-            for pair, coeff in alg.coproduct(a)
-        )
-        return lhs == rhs
+    def dual(memo, m1: int, m2: int, a: int) -> bool:
+        t1, t2, elems = add_root(memo.elems[m1]), add_root(memo.elems[m2]), memo.elems
+        return sum(coeff * pairing(s, elems[a]) for s, coeff in graft(t1, t2)) == sum(
+            c * pairing(t1, elems[l]) * pairing(t2, elems[r]) for (l, r), c in memo.coproduct(a).items())
 
-    small = [add_root(m) for level in by_degree[:max(0, max_degree // 2) + 1] for m in level]
+    small = [m for level in by_degree[:max(0, max_degree // 2) + 1] for m in level]
     axioms.check(
-        report, alg, "grafting-duality",
-        ((t1, t2, a) for t1 in small for t2 in small for a in by_degree[t1.degree() + t2.degree()]),
+        report, memo, "grafting-duality",
+        ((m1, m2, a) for m1 in small for m2 in small for a in by_degree[memo.degrees[m1] + memo.degrees[m2]]),
         dual,
-        lambda t1, t2, a: f"({t1.encode()}, {t2.encode()}; {a.encode()})",
+        lambda m1, m2, a: f"({add_root(m1).encode()}, {add_root(m2).encode()}; {a.encode()})",
     )
     return report

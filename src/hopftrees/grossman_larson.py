@@ -19,7 +19,6 @@ from .algebra import GradedHopfAlgebra, LinearCombination, TensorPair, _set, spl
 from .trees import (
     Forest,
     Tree,
-    add_root,
     attach_all,
     heap_ordered_trees,
     is_standard_heap_tree,
@@ -89,7 +88,7 @@ class TreeHopfAlgebra(GradedHopfAlgebra):
         self._check_member(t)
         terms: list[tuple[TensorPair, int]] = []
         for kept, rest in splits(t.children, "root split"):
-            left, right = add_root(Forest(kept), self.ordered), add_root(Forest(rest), self.ordered)
+            left, right = Tree(None, kept, self.ordered), Tree(None, rest, self.ordered)
             if self.heap:
                 left, right = relabel_standard(left), relabel_standard(right)
             terms.append((TensorPair(left, right), 1))

@@ -107,12 +107,18 @@ def _join(label: Label, children) -> str:
 
 
 class Forest(Value):
-    """A sequence of trees; a multiset when the trees are unordered-flavor."""
+    """A sequence of trees; a multiset when the trees are unordered-flavor.
+
+    Like a tree's children, the members of an unordered forest are sorted by
+    encoding at construction, so equal monomials are equal forests; a planar
+    forest keeps its order.
+    """
 
     __slots__ = ("trees",)
 
-    def __init__(self, trees: tuple[Tree, ...] = ()):
-        _set(self, "trees", trees)
+    def __init__(self, trees=()):
+        trees = tuple(trees)
+        _set(self, "trees", trees if trees and trees[0].ordered else tuple(sorted(trees, key=_code)))
 
     # the forest algebra's basis elements are dictionary keys: its one field
     # is compared and hashed directly rather than through ``Value._fields``
@@ -126,8 +132,8 @@ class Forest(Value):
 
     @classmethod
     def canonical(cls, trees) -> "Forest":
-        """Multiset form: members sorted by encoding."""
-        return cls(tuple(sorted(trees, key=_code)))
+        """The forest of ``trees``, which the constructor already puts in multiset form."""
+        return cls(tuple(trees))
 
     def encode(self) -> str:
         if not self.trees:
@@ -498,4 +504,4 @@ def parse_forest(text: str) -> Forest:
             trees.append(parse_tree(piece))
         except ParseError as exc:
             raise exc.within(text, column) from exc
-    return Forest.canonical(trees)
+    return Forest(trees)

@@ -8,10 +8,12 @@ products through every one of the (n+1)^r assignments, shuffles through their
 defining recursion, heap products as maps with spliced cycles, symmetric
 groups by walking the cycles of every image tuple, the tree of a cycle string
 by a stack of its smaller left neighbors, automorphism counts through
-plane-representation counting, and cuts through edge-subset filtering.  Trees
-act on polynomials here through the two textbook definitions the library
-replaces by one contraction: the flat sum over all index assignments of a
-tree's nodes, and the recursive m-th covariant differentials of a connection.
+plane-representation counting, cuts through edge-subset filtering, and the
+Hopf axioms as identities between ``LinearCombination``s of elements, the
+reading that the sweep's integer tables replace.  Trees act on polynomials
+here through the two textbook definitions the library replaces by one
+contraction: the flat sum over all index assignments of a tree's nodes, and
+the recursive m-th covariant differentials of a connection.
 The trees the oracles build are put in canonical form by the ``Tree``
 constructor itself; ``tests/test_trees.py`` checks that constructor against
 the text oracle ``_encode_shape``.
@@ -19,6 +21,7 @@ the text oracle ``_encode_shape``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -33,7 +36,7 @@ from hopftrees import (
     Tree,
     parse_tree,
 )
-from hopftrees.algebra import Value
+from hopftrees.algebra import TensorPair, Value, _sum_scaled, extend_bilinear, extend_linear, tensor
 
 
 def t(text: str) -> Tree:
@@ -500,3 +503,89 @@ def connection_action_by_recursion(tree: Tree, env, conn, f: Polynomial) -> Poly
     differential of ``f`` on its children's folded derivations, in order."""
     fields = [subtree_derivation_by_recursion(s, env, conn) for s in tree.children]
     return covariant_differential_by_recursion(f, fields, conn)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the Hopf axioms as identities between combinations of elements
+
+
+class ObjectSweep:
+    """An algebra whose products, coproducts and antipodes are each computed
+    once and kept as ``LinearCombination``s of elements; the antipode is the
+    recursion ``S(x) = -x - sum S(x') x''`` over the proper part of ``Delta x``."""
+
+    def __init__(self, alg):
+        self.unit, self.degree, self.counit = alg.unit, alg.degree, alg.counit
+        self.product = functools.cache(alg.product)
+        self.coproduct = functools.cache(alg.coproduct)
+        self.antipode = functools.cache(self._antipode)
+
+    def _antipode(self, x) -> LinearCombination:
+        deg = self.degree(x)
+        if deg == 0:
+            return LinearCombination.single(x)
+        pieces = [(-1, LinearCombination.single(x))]
+        for pair, coeff in self.coproduct(x):
+            if self.degree(pair.left) not in (0, deg):
+                pieces.extend((-coeff * c, self.product(s, pair.right)) for s, c in self.antipode(pair.left))
+        return _sum_scaled(pieces)
+
+
+def unital(alg, x) -> bool:
+    single, unit = LinearCombination.single(x), alg.unit()
+    return alg.product(unit, x) == single and alg.product(x, unit) == single
+
+
+def associative(alg, x, y, z) -> bool:
+    left = extend_linear(lambda s: alg.product(s, z), alg.product(x, y))
+    right = extend_linear(lambda s: alg.product(x, s), alg.product(y, z))
+    return left == right
+
+
+def coassociative(alg, x) -> bool:
+    """``(Delta (x) id) Delta x = (id (x) Delta) Delta x``, both over ``(a (x) b) (x) c``."""
+    delta = alg.coproduct(x)
+    left = extend_linear(
+        lambda pair: alg.coproduct(pair.left).map_basis(lambda p: TensorPair(p, pair.right)), delta
+    )
+    right = extend_linear(
+        lambda pair: alg.coproduct(pair.right).map_basis(
+            lambda p: TensorPair(TensorPair(pair.left, p.left), p.right)
+        ),
+        delta,
+    )
+    return left == right
+
+
+def counital(alg, x) -> bool:
+    """``(counit (x) id) Delta x = (id (x) counit) Delta x = x``."""
+    single, delta = LinearCombination.single(x), alg.coproduct(x)
+    left = LinearCombination((pair.right, coeff * alg.counit(pair.left)) for pair, coeff in delta)
+    right = LinearCombination((pair.left, coeff * alg.counit(pair.right)) for pair, coeff in delta)
+    return left == single and right == single
+
+
+def compatible(alg, x, y) -> bool:
+    """The coproduct is an algebra morphism: ``Delta(x y) = Delta(x) Delta(y)``."""
+    def pairwise(p: TensorPair, q: TensorPair) -> LinearCombination:
+        return tensor(alg.product(p.left, q.left), alg.product(p.right, q.right))
+
+    lhs = extend_linear(alg.coproduct, alg.product(x, y))
+    return lhs == extend_bilinear(pairwise, alg.coproduct(x), alg.coproduct(y))
+
+
+def antipodal(alg, x) -> bool:
+    """``m(S (x) id) Delta x = m(id (x) S) Delta x = counit(x) 1``."""
+    target = alg.counit(x) * LinearCombination.single(alg.unit())
+    delta = alg.coproduct(x)
+    left = _sum_scaled(
+        (coeff * s_coeff, alg.product(s, pair.right))
+        for pair, coeff in delta
+        for s, s_coeff in alg.antipode(pair.left)
+    )
+    right = _sum_scaled(
+        (coeff * s_coeff, alg.product(pair.left, s))
+        for pair, coeff in delta
+        for s, s_coeff in alg.antipode(pair.right)
+    )
+    return left == target and right == target

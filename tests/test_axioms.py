@@ -28,8 +28,9 @@ from hopftrees import (
     word_counit,
 )
 from hopftrees import axioms
-from hopftrees.algebra import GradedHopfAlgebra
+from hopftrees.algebra import GradedHopfAlgebra, LinearCombination
 from hopftrees.connes_kreimer import _ForestAlgebra
+import helpers
 from helpers import t
 
 ROOTED_SIZES = [1, 1, 2, 4, 9, 20, 48, 115]  # rooted trees with d + 1 nodes (OEIS A000081)
@@ -248,11 +249,13 @@ def test_a_wrong_product_fails_with_the_same_report(sweep, expected):
 
 
 class CountingAlgebra:
-    """Delegates to an algebra and counts each product and coproduct call."""
+    """Delegates to an algebra and counts each product and coproduct call;
+    ``active`` is how many of those calls are running."""
 
     def __init__(self, alg):
         self.alg = alg
         self.calls = Counter()
+        self.active = 0
 
     def unit(self):
         return self.alg.unit()
@@ -268,11 +271,18 @@ class CountingAlgebra:
 
     def product(self, a, b):
         self.calls["product", a, b] += 1
-        return self.alg.product(a, b)
+        return self._run(self.alg.product, a, b)
 
     def coproduct(self, element):
         self.calls["coproduct", element] += 1
-        return self.alg.coproduct(element)
+        return self._run(self.alg.coproduct, element)
+
+    def _run(self, structure_map, *args):
+        self.active += 1
+        try:
+            return structure_map(*args)
+        finally:
+            self.active -= 1
 
 
 @pytest.mark.parametrize("alg", [ROOTED, ShuffleHopfAlgebra(("a", "b")), HEAP_PRODUCT_ALGEBRA])
@@ -281,6 +291,22 @@ def test_a_sweep_computes_each_product_and_coproduct_once(alg):
     report = axioms.verify_hopf_axioms(counting, 3, "counted")
     assert report.passed, report.render()
     assert counting.calls and set(counting.calls.values()) == {1}
+
+
+@pytest.mark.parametrize("alg", [ROOTED, ShuffleHopfAlgebra(("a", "b"))], ids=["rooted", "shuffle"])
+def test_a_sweep_builds_no_combination_outside_the_structure_maps(monkeypatch, alg):
+    # the checks read integer tables: every LinearCombination comes from a product or coproduct call
+    counting, outside = CountingAlgebra(alg), Counter()
+    for name in ("__init__", "_new"):
+        def counted(self, *args, original=getattr(LinearCombination, name), name=name):
+            if not counting.active:
+                outside[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(LinearCombination, name, counted)
+    report = axioms.verify_hopf_axioms(counting, 3, "counted")
+    assert report.passed, report.render()
+    assert counting.calls and not outside, outside
 
 
 def test_the_memo_does_not_outlive_the_sweep(monkeypatch):
@@ -341,3 +367,44 @@ def test_hopf_algebra_results_carry_int_coefficients():
         ROOTED.product(x, y).coefficient(t("()")),
     ]
     assert all(type(c) is int for c in scalars)
+
+
+class CherryCoproductDoubled(_ForestAlgebra):
+    """The forest algebra with the coproduct of one monomial doubled."""
+
+    __slots__ = ()
+
+    def coproduct(self, m):
+        return coproduct_doubled_on_the_cherry(super().coproduct)(m)
+
+
+# (name, algebra, top degree, the axioms that fail on some case)
+ORACLE_SWEEPS = [(name, alg, top, set()) for name, alg, _, top in SWEEPS] + [
+    ("forest", _ForestAlgebra(), 4, set()),
+    ("one wrong pair", OnePairWrong(), 3, {"associative", "compatible", "antipodal"}),
+    ("wrong shuffle", WrongShuffle(("a", "b")), 3, {"associative", "compatible", "antipodal"}),
+    ("doubled cherry coproduct", CherryCoproductDoubled(), 3,
+     {"coassociative", "counital", "compatible", "antipodal"}),
+]
+
+
+@pytest.mark.parametrize("name, alg, top, failing", ORACLE_SWEEPS, ids=[s[0] for s in ORACLE_SWEEPS])
+def test_the_table_predicates_agree_with_the_object_level_oracle_on_every_case(name, alg, top, failing):
+    memo, objects = axioms._SweepMemo(alg), helpers.ObjectSweep(alg)
+    basis = {d: alg.basis(d) for d in range(top + 1)}
+    elements = list(axioms.graded_tuples(basis, 1, 0, top))
+    failed = set()
+    for cases, tables, oracle in (
+        (elements, axioms.unital, helpers.unital),
+        (axioms.graded_tuples(basis, 3, 1, top + 1), axioms.associative, helpers.associative),
+        (elements, axioms.coassociative, helpers.coassociative),
+        (elements, axioms.counital, helpers.counital),
+        (axioms.graded_tuples(basis, 2, 1, top + 1), axioms.compatible, helpers.compatible),
+        (elements, axioms.antipodal, helpers.antipodal),
+    ):
+        for case in cases:
+            holds = oracle(objects, *case)
+            assert tables(memo, *map(memo.number, case)) is holds, (oracle.__name__, case)
+            if not holds:
+                failed.add(oracle.__name__)
+    assert failed == failing

@@ -39,7 +39,7 @@ def values():
     """(instance, an equal instance built apart, a different instance, repr) per value class."""
     return [
         (Forest((t("(;())"), t("()"))), Forest(trees=(t("(;())"), t("()"))), Forest((t("()"),)),
-         "Forest(trees=(Tree('(;())', ordered=False), Tree('()', ordered=False)))"),
+         "Forest(trees=(Tree('()', ordered=False), Tree('(;())', ordered=False)))"),
         (Cut(frozenset({(0,), (1, 0)})), Cut(removed_edges=frozenset({(1, 0), (0,)})),
          Cut(frozenset()), "Cut(removed_edges=frozenset({(0,), (1, 0)}))"),
         (labeled_algebra(["E1", "E2"], ordered=True),
