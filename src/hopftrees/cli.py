@@ -281,8 +281,11 @@ def _cmd_verify(args) -> int:
         flavors = [args.flavor] if args.flavor else ["rooted", "ordered", "labeled", "hot"]
         symbols = identifiers(args.symbols or "E1,E2", ",", "symbol")
         combined = axioms.VerificationReport(f"tree algebra sweep (degree <= {degree})")
-        for flavor in flavors:
-            report = _algebra_for(flavor, symbols).verify(degree)
+        algebras = [(flavor, _algebra_for(flavor, symbols)) for flavor in flavors]
+        for _, alg in algebras:  # every flavor's cap, before the first sweep
+            alg.check_degree(degree)
+        for flavor, alg in algebras:
+            report = alg.verify(degree)
             for check in report.checks:
                 check.name = f"{flavor}/{check.name}"
                 combined.checks.append(check)

@@ -9,7 +9,7 @@ is the standard recursion.
 
 One object, :class:`TreeHopfAlgebra`, covers plain, labeled, ordered,
 ordered-labeled and standard heap-ordered trees; the heap variant shifts
-labels on the product side and restandardizes them on the coproduct side so
+labels on the product side and ranks them to ``1..k`` on the coproduct side so
 that basis elements stay in standard form.
 """
 
@@ -17,17 +17,20 @@ from __future__ import annotations
 
 from .algebra import GradedHopfAlgebra, LinearCombination, TensorPair, _set, splits
 from .trees import (
+    DEFAULT_DEGREE_CAP,
+    HEAP_DEGREE_CAP,
     Forest,
     Tree,
+    _check_degree,
     attach_all,
     heap_ordered_trees,
     is_standard_heap_tree,
     labeled_trees,
     ordered_labeled_trees,
     ordered_trees,
-    relabel_standard,
     rooted_trees,
     shift_labels,
+    standard_root,
     strip_root,
 )
 
@@ -61,6 +64,11 @@ class TreeHopfAlgebra(GradedHopfAlgebra):
             return ordered_trees(degree, cap)
         return rooted_trees(degree, cap)
 
+    def check_degree(self, degree: int) -> None:
+        """Refuse ``degree`` above this flavor's enumeration cap, as :meth:`basis` would,
+        without building anything."""
+        _check_degree(degree, None, HEAP_DEGREE_CAP if self.heap else DEFAULT_DEGREE_CAP)
+
     def _check_member(self, t: Tree) -> None:
         if t.ordered != self.ordered:
             raise ValueError(f"tree {t.encode()} has the wrong ordered/unordered flavor")
@@ -87,11 +95,9 @@ class TreeHopfAlgebra(GradedHopfAlgebra):
         """Split the root's children over all position subsets; cocommutative."""
         self._check_member(t)
         terms: list[tuple[TensorPair, int]] = []
+        half = standard_root if self.heap else lambda kept: Tree(None, kept, self.ordered)
         for kept, rest in splits(t.children, "root split"):
-            left, right = Tree(None, kept, self.ordered), Tree(None, rest, self.ordered)
-            if self.heap:
-                left, right = relabel_standard(left), relabel_standard(right)
-            terms.append((TensorPair(left, right), 1))
+            terms.append((TensorPair(half(kept), half(rest)), 1))
         return LinearCombination(terms)
 
     def counit(self, t: Tree) -> int:

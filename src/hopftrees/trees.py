@@ -185,11 +185,14 @@ def _preorder(t: Tree) -> tuple[list[Tree], list[list[int]], list[tuple[int, ...
     return nodes, kids, paths
 
 
-def _graft_blocks(nodes, kids, paths, blocks: dict[int, list[Tree]], ordered: bool) -> Tree:
+def _graft_blocks(nodes, kids, paths, blocks: dict[int, list[Tree]], ordered: bool, built: dict) -> Tree:
     """Prepend ``blocks[i]`` to the children of preorder node ``i``.
 
     Only the nodes on the paths from the root to the receiving nodes are
-    rebuilt; every other subtree is reused.
+    rebuilt; every other subtree is reused.  A rebuilt non-root node is looked
+    up in ``built`` by its preorder index and the ``id``s of its new children,
+    so the placements of one product share each rebuilt subtree; the root,
+    whose key almost never repeats, is always built anew.
     """
     touched: set[int] = set()
     for i in blocks:
@@ -197,8 +200,14 @@ def _graft_blocks(nodes, kids, paths, blocks: dict[int, list[Tree]], ordered: bo
     rebuilt: dict[int, Tree] = {}
     for i in sorted(touched, reverse=True):  # children before their parents
         children = blocks.get(i, []) + [rebuilt.get(c, nodes[c]) for c in kids[i]]
-        rebuilt[i] = Tree(nodes[i].label, children, ordered)
-    return rebuilt.get(0, nodes[0])
+        if not i:
+            return Tree(nodes[0].label, children, ordered)
+        key = (i, *map(id, children))
+        node = built.get(key)
+        if node is None:
+            node = built[key] = Tree(nodes[i].label, children, ordered)
+        rebuilt[i] = node
+    return nodes[0]
 
 
 def _multinomial(combo: tuple[int, ...]) -> int:
@@ -225,6 +234,13 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
     ``prod C(n+k, k)`` placements instead of ``(n+1)^r``.  Each placement
     rebuilds only the paths from the root to the nodes that receive members;
     terms come in placement order (one member: by its node, in preorder).
+
+    Rebuilt subtrees are shared within the call (hash-consing scoped to one
+    product): a table made here maps a non-root node's preorder index and the
+    ``id``s of its new children to the node built from them, so each placement
+    builds only its root.  The ``id``s are safe keys because each names a
+    member of ``f``, a node of ``t`` or a value of the table, all alive until
+    the call returns; the table dies with the call.
     """
     if any(s.ordered != t.ordered for s in f.trees):
         raise ValueError("forest and target tree have different ordered/unordered flavor")
@@ -238,6 +254,7 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
         for member, k in runs
     ]
     out: dict[Tree, int] = {}
+    built: dict[tuple[int, ...], Tree] = {}
     for placement in itertools.product(*choices):
         blocks: dict[int, list[Tree]] = {}
         weight = 1
@@ -245,7 +262,7 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
             weight *= ways
             for i in combo:
                 blocks.setdefault(i, []).append(member)
-        key = _graft_blocks(nodes, kids, paths, blocks, t.ordered)
+        key = _graft_blocks(nodes, kids, paths, blocks, t.ordered, built)
         out[key] = out.get(key, 0) + weight
     return LinearCombination(out)
 
@@ -255,7 +272,7 @@ def _map_integer_labels(t: Tree, new_label) -> Tree:
 
     def walk(node: Tree) -> Tree:
         lab = new_label(node.label) if isinstance(node.label, int) else node.label
-        return Tree(lab, tuple(walk(c) for c in node.children), node.ordered)
+        return Tree(lab, [walk(c) for c in node.children], node.ordered)
 
     return walk(t)
 
@@ -264,6 +281,19 @@ def relabel_standard(t: Tree) -> Tree:
     """Relabel integer-labeled nodes order-isomorphically to ``1..k``."""
     present = sorted(x for x in t.labels() if isinstance(x, int))
     return _map_integer_labels(t, {old: new for new, old in enumerate(present, start=1)}.get)
+
+
+def standard_root(subtrees) -> Tree:
+    """``relabel_standard(Tree(None, subtrees))`` in one pass: ``subtrees`` under an
+    unlabeled unordered root, their integer labels ranked to ``1..k``.  A subtree
+    whose labels keep their ranks is reused."""
+    found = [s.labels() for s in subtrees]
+    present = sorted([x for ls in found for x in ls if isinstance(x, int)])
+    rank = {old: new for new, old in enumerate(present, start=1)}
+    return Tree(None, [
+        s if all(rank.get(x, x) == x for x in ls) else _map_integer_labels(s, rank.get)
+        for s, ls in zip(subtrees, found)
+    ])
 
 
 def shift_labels(t: Tree, offset: int) -> Tree:

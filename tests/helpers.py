@@ -2,14 +2,15 @@
 
 The oracles here deliberately avoid the library's own algorithms: tree
 isomorphism classes (unlabeled, labeled, and root-stripped as forest
-monomials) are found through parent arrays and nested tuples, planar
-labelings by writing labels into a shape's text in preorder, grafting
-products through every one of the (n+1)^r assignments, shuffles through their
-defining recursion, heap products as maps with spliced cycles, symmetric
-groups by walking the cycles of every image tuple, the tree of a cycle string
-by a stack of its smaller left neighbors, automorphism counts through
-plane-representation counting, cuts through edge-subset filtering, and the
-Hopf axioms as identities between ``LinearCombination``s of elements, the
+monomials) are found through parent arrays and nested tuples, planar labelings
+by writing labels into a shape's text in preorder, grafting products through
+every one of the (n+1)^r assignments (and, for the order of terms, through the
+library's placement loop with every placement rebuilt from scratch), shuffles
+through their defining recursion, heap products as maps with spliced cycles,
+symmetric groups by walking the cycles of every image tuple, the tree of a
+cycle string by a stack of its smaller left neighbors, automorphism counts
+through plane-representation counting, cuts through edge-subset filtering, and
+the Hopf axioms as identities between ``LinearCombination``s of elements, the
 reading that the sweep's integer tables replace.  Trees act on polynomials
 here through the two textbook definitions the library replaces by one
 contraction: the flat sum over all index assignments of a tree's nodes, and
@@ -37,6 +38,7 @@ from hopftrees import (
     parse_tree,
 )
 from hopftrees.algebra import TensorPair, Value, _sum_scaled, extend_bilinear, extend_linear, tensor
+from hopftrees.trees import _multinomial, _preorder
 
 
 def t(text: str) -> Tree:
@@ -142,6 +144,34 @@ def attach_all_by_assignments(forest: Forest, target: Tree) -> LinearCombination
             placement.setdefault(node, []).append(member)
         key = graft(target, 0, placement)[0]
         out[key] = out.get(key, 0) + 1
+    return LinearCombination(out)
+
+
+def attach_all_by_placements(f: Forest, t: Tree) -> LinearCombination:
+    """The placement loop of ``attach_all`` without its shared subtrees: runs of
+    equal adjacent members go to multisets of nodes, and every placement
+    rebuilds each node on its touched paths.  Terms come in the same order."""
+    nodes, kids, paths = _preorder(t)
+    choices = [
+        [(member, combo, _multinomial(combo))
+         for combo in itertools.combinations_with_replacement(range(len(nodes)), k)]
+        for member, k in ((m, len(list(g))) for m, g in itertools.groupby(f.trees))
+    ]
+    out: dict[Tree, int] = {}
+    for placement in itertools.product(*choices):
+        blocks: dict[int, list[Tree]] = {}
+        weight = 1
+        for member, combo, ways in placement:
+            weight *= ways
+            for i in combo:
+                blocks.setdefault(i, []).append(member)
+        touched = {j for i in blocks for j in paths[i]}
+        rebuilt: dict[int, Tree] = {}
+        for i in sorted(touched, reverse=True):
+            children = blocks.get(i, []) + [rebuilt.get(c, nodes[c]) for c in kids[i]]
+            rebuilt[i] = Tree(nodes[i].label, children, t.ordered)
+        key = rebuilt.get(0, nodes[0])
+        out[key] = out.get(key, 0) + weight
     return LinearCombination(out)
 
 

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from hopftrees import grossman_larson as gl
 from hopftrees.algebra import MAX_TERMS
 from hopftrees.cli import main
 from hopftrees.trees import MAX_TREE_DEPTH
+from helpers import count_calls
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -179,6 +181,21 @@ def test_verify_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--algebra", "shuffle", "--max-degree", "2")
     assert code == 0
     assert "result: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-degree", "7"], "error: degree 7 exceeds enumeration cap 6"),
+        (["--max-degree", "7", "--flavor", "hot"], "error: degree 7 exceeds enumeration cap 6"),
+        (["--max-degree", "9"], "error: degree 9 exceeds enumeration cap 8"),
+    ],
+)
+def test_verify_refuses_an_over_cap_degree_before_any_sweep(capsys, monkeypatch, argv, message):
+    products = count_calls(monkeypatch, gl.TreeHopfAlgebra, "product")
+    assert main(["verify", "--algebra", "gl", *argv]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
+    assert products == []
 
 
 def test_verify_failure_maps_to_exit_two(capsys):
@@ -537,6 +554,12 @@ def test_a_run_of_signs_multiplies_out_in_both_polynomial_grammars(capsys, env_f
 def test_the_sign_rule_fixes_which_words_cancel(capsys, env_file):
     code, out, _ = run(capsys, "psi", "expand", "--env", env_file, "--report", "--word", "E1,E2 - +E2,E1")
     assert (code, out) == (0, "raw_trees: 4, cancelled: 2, surviving: 2")
+
+
+def test_a_non_positive_integer_label_gets_the_caret(capsys):
+    code, out, err = run(capsys, "gl", "--flavor", "hot", "coprod", "(;(0))")
+    assert (code, out) == (1, "")
+    assert err == "error: integer labels must be positive at position 3\n  (;(0))\n     ^"
 
 
 def test_a_superscript_digit_is_an_invalid_tree_label(capsys):

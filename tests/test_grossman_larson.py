@@ -12,19 +12,22 @@ from hopftrees import (
     LinearCombination,
     ShuffleHopfAlgebra,
     TensorPair,
+    Tree,
     Word,
     extend_bilinear,
     extend_linear,
     graded_antipode,
+    heap_ordered_trees,
     heap_product,
     labeled_algebra,
     ordered_trees,
+    relabel_standard,
     rooted_trees,
     shuffle_product,
     tensor,
     word_count,
 )
-from hopftrees.algebra import MAX_TERMS, check_budget
+from hopftrees.algebra import MAX_TERMS, check_budget, splits
 from hopftrees.axioms import ANTIPODE_CACHE_SIZE
 from helpers import lc, ot, t
 
@@ -178,6 +181,15 @@ def test_heap_flavor_shifts_labels():
     one = t("(;(1))")
     expected = lc((t("(;(1)(2))"), 1), (t("(;(1;(2)))"), 1))
     assert HEAP_ORDERED.product(one, one) == expected
+
+
+def test_heap_coproduct_ranks_each_half_as_relabel_standard_does():
+    for tree in (x for d in range(6) for x in heap_ordered_trees(d)):
+        expected = [
+            (TensorPair(relabel_standard(Tree(None, kept)), relabel_standard(Tree(None, rest))), 1)
+            for kept, rest in splits(tree.children, "root split")
+        ]
+        assert list(HEAP_ORDERED.coproduct(tree)) == list(LinearCombination(expected)), tree
 
 
 def test_bialgebra_compatibility_spot_check():

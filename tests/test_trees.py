@@ -1,13 +1,16 @@
 """Tree surgery, canonical forms, and exhaustive enumeration."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hopftrees import (
     Forest,
+    ParseError,
     Tree,
     add_root,
     attach_all,
@@ -28,10 +31,12 @@ from hopftrees.trees import _rooted_count
 from helpers import (
     _encode_shape,
     attach_all_by_assignments,
+    attach_all_by_placements,
     label_in_preorder,
     tree_encodings_by_parent_arrays,
     lc,
     ot,
+    subtrees,
     t,
 )
 
@@ -256,6 +261,12 @@ def test_enumeration_caps():
     assert len(rooted_trees(9, cap=9)) == 719  # cap override
 
 
+def test_a_non_positive_integer_label_is_refused_at_its_column():
+    with pytest.raises(ParseError, match="integer labels must be positive") as caught:
+        parse_tree("(;(0))")
+    assert caught.value.position == 3
+
+
 def test_forest_parsing():
     assert parse_forest("1") == Forest()
     assert parse_forest("()*(;())") == Forest((LEAF, CHAIN2))
@@ -291,6 +302,7 @@ def test_attach_all_ordered_forest_with_non_adjacent_equal_members():
             forest = Forest(members)
             result = attach_all(forest, target)
             assert result == attach_all_by_assignments(forest, target)
+            assert list(result) == list(attach_all_by_placements(forest, target))
             assert result.total_multiplicity() == target.node_count() ** len(members)
 
 
@@ -306,6 +318,83 @@ def test_attach_all_non_canonical_inputs():
     for target in targets:
         for forest in forests:
             assert attach_all(forest, target) == attach_all_by_assignments(forest, target)
+
+
+GRAFT_BASES = {
+    "rooted": [x for d in range(4) for x in rooted_trees(d)],
+    "ordered": [x for d in range(4) for x in ordered_trees(d)],
+    "labeled": [x for d in range(3) for x in labeled_trees(d, ("E1", "E2"))],
+    "ordered-labeled": [x for d in range(3) for x in ordered_labeled_trees(d, ("E1", "E2"))],
+    "heap": [x for d in range(4) for x in heap_ordered_trees(d)],
+}
+
+
+def _graft_case(flavor: str, target_index: int, picks: list[int]) -> tuple[Forest, Tree]:
+    """A target of ``flavor`` and a forest of its root-subtrees, both drawn by index:
+    heap-ordered members come from one tree, shifted above the target's labels;
+    the other flavors take any sequence of members, equal ones apart or together."""
+    basis = GRAFT_BASES[flavor]
+    target = basis[target_index % len(basis)]
+    if flavor == "heap":
+        donor = basis[sum(picks) % len(basis)]
+        return Forest(shift_labels(s, target.degree()) for s in donor.children), target
+    pool = sorted(subtrees(*basis), key=Tree.encode)
+    return Forest(pool[i % len(pool)] for i in picks), target
+
+
+@settings(derandomize=True, max_examples=150)
+@given(st.sampled_from(sorted(GRAFT_BASES)), st.integers(0, 99), st.lists(st.integers(0, 99), max_size=3))
+def test_attach_all_matches_both_oracles_term_for_term(flavor, target_index, picks):
+    forest, target = _graft_case(flavor, target_index, picks)
+    result = attach_all(forest, target)
+    by_placements = attach_all_by_placements(forest, target)
+    assert result == attach_all_by_assignments(forest, target) == by_placements
+    assert list(result) == list(by_placements)
+
+
+def _one_object_per_value(combo) -> bool:
+    """Whether equal non-root subtrees across all terms of ``combo`` are one object."""
+    seen: dict[Tree, Tree] = {}
+    stack = [c for tree, _ in combo for c in tree.children]
+    while stack:
+        node = stack.pop()
+        if seen.setdefault(node, node) is not node:
+            return False
+        stack.extend(node.children)
+    return True
+
+
+def test_attach_all_shares_equal_rebuilt_subtrees_across_terms():
+    # no two positions of the target give equal subtrees, so equal ones come
+    # from the same node rebuilt with the same members below it
+    target, leaf = t("(;(E1;(E2))(E1))"), t("(E3)")
+    forest = Forest((leaf, leaf))
+    result = attach_all(forest, target)
+    assert len(result) == 10 and result.total_multiplicity() == 16
+    assert _one_object_per_value(result)
+    assert not _one_object_per_value(attach_all_by_placements(forest, target))
+
+
+def test_the_shared_subtrees_die_with_the_call(monkeypatch):
+    built = []
+
+    class Traced(Tree):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    target = t("(;(;())(;()()))")
+    monkeypatch.setattr(trees_module, "Tree", Traced)
+    gc.disable()  # reference counts alone must free the table and its trees
+    try:
+        result = attach_all(Forest((LEAF, CHAIN2, LEAF)), target)
+        assert len(built) > len(result)
+        del result
+        assert [ref for ref in built if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_attach_all_reuses_untouched_subtrees():
