@@ -31,23 +31,23 @@ _EXPORTS = {
     "connection": ("Connection", "apply_connection_operator", "check_module_law",
                    "covariant_derivative", "covariant_differential", "subtree_derivation",
                    "vector_covariant_differential"),
-    "connes_kreimer": ("admissible_cuts", "dual_pairing", "forest_coproduct", "forest_counit",
-                       "forest_monomials", "forest_symmetry_factor", "monomial_product",
-                       "symmetry_factor", "verify_forest_algebra"),
+    "connes_kreimer": ("admissible_cuts", "dual_pairing", "forest_coproduct", "forest_monomials",
+                       "forest_symmetry_factor", "monomial_product", "symmetry_factor",
+                       "verify_forest_algebra"),
     "diff_ops": ("CompositionCheck", "Derivation", "DerivationEnv", "OperatorExpansion",
                  "Polynomial", "apply_tree_operator", "expand_operator", "parse_polynomial",
                  "parse_word_polynomial", "verify_composition", "word_to_trees"),
     "grossman_larson": ("HEAP_ORDERED", "ORDERED", "ROOTED", "TreeHopfAlgebra",
                         "labeled_algebra"),
     "permutations": ("HEAP_PRODUCT_ALGEBRA", "CyclePermutation", "cycle_coproduct",
-                     "heap_product", "parse_permutation", "perm_counit", "permutation_to_tree",
-                     "relabel", "shift", "symmetric_group", "tree_to_permutation"),
+                     "heap_product", "parse_permutation", "permutation_to_tree", "relabel",
+                     "shift", "symmetric_group", "tree_to_permutation"),
     "shuffle": ("EMPTY_WORD", "ShuffleHopfAlgebra", "Word", "deconcatenation", "parse_word",
-                "shuffle_antipode", "shuffle_product", "word_count", "word_counit"),
+                "shuffle_antipode", "shuffle_product", "word_count"),
     "trees": ("Forest", "Tree", "add_root", "attach_all", "canonicalize", "heap_ordered_trees",
               "is_standard_heap_tree", "labeled_trees", "ordered_labeled_trees",
-              "ordered_trees", "parse_forest", "parse_tree", "relabel_standard",
-              "rooted_trees", "shift_labels", "strip_root"),
+              "ordered_trees", "parse_forest", "parse_tree", "rooted_trees", "shift_labels",
+              "strip_root"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -56,14 +55,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_element(value: str) -> str:
     return sys.stdin.read().strip() if value == "-" else value
-
-
-def _cap(args) -> int | None:
-    env_value = os.environ.get("HOPF_MAX_DEGREE")
-    try:
-        return int(env_value) if args.cap is None and env_value else args.cap
-    except ValueError:
-        raise ValueError(f"HOPF_MAX_DEGREE must be an integer, not {env_value!r}") from None
 
 
 def _algebra_for(flavor: str, symbols) -> gl.TreeHopfAlgebra:
@@ -120,7 +111,7 @@ def _report_exit(args, report: axioms.VerificationReport) -> int:
 def _cmd_gl(args) -> int:
     ordered = args.flavor in ("ordered", "ordered-labeled")
     elements = [parse_tree(_read_element(e), ordered=ordered) for e in args.elements]
-    symbols = identifiers(args.symbols, ",", "symbol") if args.symbols else sorted(
+    symbols = identifiers(args.symbols, ",", "symbol") if args.symbols is not None else sorted(
         {lab for t in elements for lab in t.labels() if isinstance(lab, str)}
     )
     alg = _algebra_for(args.flavor, symbols)
@@ -172,9 +163,8 @@ def _cmd_perm(args) -> int:
 
 
 def _cmd_trees(args) -> int:
-    cap = _cap(args)
-    symbols = identifiers(args.symbols or "E1,E2", ",", "symbol") if args.family == "labeled" else ()
-    members = _algebra_for(args.family, symbols).basis(args.degree, cap)
+    symbols = identifiers(args.symbols, ",", "symbol") if args.family == "labeled" else ()
+    members = _algebra_for(args.family, symbols).basis(args.degree, args.cap)
     if args.operation == "count":
         _emit(args, str(len(members)), {"count": len(members)})
     else:
@@ -279,7 +269,7 @@ def _cmd_verify(args) -> int:
     degree = args.max_degree
     if args.algebra == "gl":
         flavors = [args.flavor] if args.flavor else ["rooted", "ordered", "labeled", "hot"]
-        symbols = identifiers(args.symbols or "E1,E2", ",", "symbol")
+        symbols = identifiers("E1,E2" if args.symbols is None else args.symbols, ",", "symbol")
         combined = axioms.VerificationReport(f"tree algebra sweep (degree <= {degree})")
         algebras = [(flavor, _algebra_for(flavor, symbols)) for flavor in flavors]
         for _, alg in algebras:  # every flavor's cap, before the first sweep
@@ -293,7 +283,7 @@ def _cmd_verify(args) -> int:
     if args.algebra == "ck":
         return _report_exit(args, ck.verify_forest_algebra(degree))
     if args.algebra == "shuffle":
-        letters = tuple(identifiers(args.symbols or "x1,x2", ",", "symbol"))
+        letters = tuple(identifiers("x1,x2" if args.symbols is None else args.symbols, ",", "symbol"))
         return _report_exit(args, sh.ShuffleHopfAlgebra(letters).verify(degree))
     return _report_exit(args, perm.HEAP_PRODUCT_ALGEBRA.verify(degree))
 
@@ -336,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tp.add_argument("operation", choices=("enum", "count"))
     tp.add_argument("--family", choices=("rooted", "ordered", "hot", "labeled"), required=True)
     tp.add_argument("--degree", type=int, required=True)
-    tp.add_argument("--symbols", help="labels for the labeled family (default E1,E2)")
+    tp.add_argument("--symbols", default="E1,E2", help="labels for the labeled family (default %(default)s)")
     tp.add_argument("--cap", type=int, help=f"enumeration cap (defaults {DEFAULT_DEGREE_CAP}, hot {HEAP_DEGREE_CAP})")
     tp.set_defaults(handler=_cmd_trees)
 

@@ -97,10 +97,6 @@ def _check_unlabeled(trees) -> None:
             raise ValueError(f"the forest algebra takes unlabeled trees, got {t.encode()}")
 
 
-def forest_counit(m: Forest) -> int:
-    return 1 if not m.trees else 0
-
-
 def symmetry_factor(t: Tree) -> int:
     """Order of the automorphism group of a rooted tree.
 

@@ -27,7 +27,7 @@ import re
 
 from .algebra import (GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _set,
                       check_budget, check_degree, pieces, splits)
-from .trees import Tree, is_standard_heap_tree
+from .trees import HEAP_DEGREE_CAP, Tree, _check_degree, is_standard_heap_tree
 
 
 class CyclePermutation(Immutable):
@@ -182,10 +182,6 @@ def cycle_coproduct(p: CyclePermutation) -> LinearCombination:
                              for kept, rest in splits(p.cycles, "cycle coproduct"))
 
 
-def perm_counit(p: CyclePermutation) -> int:
-    return 1 if not p.cycles else 0
-
-
 def symmetric_group(n: int) -> list[CyclePermutation]:
     """All elements of S_n in standard cycle form, sorted by encoding.  S_{k+1} grows from S_k by
     the heap product with ``(1)``, which puts ``k+1`` after one letter or alone: each element once."""
@@ -244,6 +240,10 @@ class PermutationHopfAlgebra(GradedHopfAlgebra):
         return p.size
 
     def basis(self, degree: int) -> list[CyclePermutation]:
+        """S_degree, refused above the cap of heap-ordered trees (the same algebra) after the budget check."""
+        check_degree(degree)
+        check_budget(math.factorial(degree), f"symmetric group S_{degree}")
+        _check_degree(degree, None, HEAP_DEGREE_CAP)
         return symmetric_group(degree)
 
     def product(self, a: CyclePermutation, b: CyclePermutation) -> LinearCombination:

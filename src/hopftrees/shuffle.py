@@ -82,10 +82,6 @@ def deconcatenation(w: Word) -> LinearCombination:
     return LinearCombination(terms)
 
 
-def word_counit(w: Word) -> int:
-    return 1 if not w.letters else 0
-
-
 def shuffle_antipode(w: Word) -> LinearCombination:
     """Reverse the word with sign ``(-1)^|w|``."""
     return LinearCombination.single(Word(tuple(reversed(w.letters))), (-1) ** len(w))

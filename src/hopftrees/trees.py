@@ -130,11 +130,6 @@ class Forest(Value):
     def __hash__(self) -> int:
         return hash((self.trees,))
 
-    @classmethod
-    def canonical(cls, trees) -> "Forest":
-        """The forest of ``trees``, which the constructor already puts in multiset form."""
-        return cls(tuple(trees))
-
     def encode(self) -> str:
         if not self.trees:
             return "1"
@@ -277,16 +272,10 @@ def _map_integer_labels(t: Tree, new_label) -> Tree:
     return walk(t)
 
 
-def relabel_standard(t: Tree) -> Tree:
-    """Relabel integer-labeled nodes order-isomorphically to ``1..k``."""
-    present = sorted(x for x in t.labels() if isinstance(x, int))
-    return _map_integer_labels(t, {old: new for new, old in enumerate(present, start=1)}.get)
-
-
 def standard_root(subtrees) -> Tree:
-    """``relabel_standard(Tree(None, subtrees))`` in one pass: ``subtrees`` under an
-    unlabeled unordered root, their integer labels ranked to ``1..k``.  A subtree
-    whose labels keep their ranks is reused."""
+    """``subtrees`` under an unlabeled unordered root, their integer labels ranked
+    order-isomorphically to ``1..k`` as the tree is built.  A subtree whose labels
+    keep their ranks is reused."""
     found = [s.labels() for s in subtrees]
     present = sorted([x for ls in found for x in ls if isinstance(x, int)])
     rank = {old: new for new, old in enumerate(present, start=1)}

@@ -5,7 +5,8 @@ isomorphism classes (unlabeled, labeled, and root-stripped as forest
 monomials) are found through parent arrays and nested tuples, planar labelings
 by writing labels into a shape's text in preorder, grafting products through
 every one of the (n+1)^r assignments (and, for the order of terms, through the
-library's placement loop with every placement rebuilt from scratch), shuffles
+library's placement loop with every placement rebuilt from scratch), heap
+labels ranked to ``1..k`` by rebuilding the whole tree, shuffles
 through their defining recursion, heap products as maps with spliced cycles,
 symmetric groups by walking the cycles of every image tuple, the tree of a
 cycle string by a stack of its smaller left neighbors, automorphism counts
@@ -173,6 +174,18 @@ def attach_all_by_placements(f: Forest, t: Tree) -> LinearCombination:
         key = rebuilt.get(0, nodes[0])
         out[key] = out.get(key, 0) + weight
     return LinearCombination(out)
+
+
+def relabel_standard(t: Tree) -> Tree:
+    """``t`` with its integer labels ranked order-isomorphically to ``1..k``, the
+    whole tree rebuilt: the oracle of ``trees.standard_root``."""
+    present = sorted(x for x in t.labels() if isinstance(x, int))
+    rank = {old: new for new, old in enumerate(present, start=1)}
+
+    def walk(node: Tree) -> Tree:
+        return Tree(rank.get(node.label, node.label), [walk(c) for c in node.children], node.ordered)
+
+    return walk(t)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +437,7 @@ def apply_cut(tree: Tree, cut: Cut) -> tuple[Forest, Tree]:
         return Tree(node.label, tuple(kept), node.ordered)
 
     root_part = walk(tree, ())
-    return Forest.canonical(pruned), root_part
+    return Forest(pruned), root_part
 
 
 def cuts_by_subset_filter(tree: Tree) -> list[tuple[Forest, Tree]]:

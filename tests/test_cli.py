@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hopftrees import grossman_larson as gl
+from hopftrees import permutations as perm
 from hopftrees.algebra import MAX_TERMS
 from hopftrees.cli import main
 from hopftrees.trees import MAX_TREE_DEPTH
@@ -80,17 +81,18 @@ def test_trees_count_hot(capsys):
     assert (code, out) == (0, "24")
 
 
-def test_trees_enum_respects_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("HOPF_MAX_DEGREE", "2")
-    code, _, err = run(capsys, "trees", "enum", "--family", "rooted", "--degree", "3")
+def test_trees_enum_respects_env_cap(capsys):
+    code, _, err = run(capsys, "trees", "enum", "--family", "rooted", "--degree", "3", "--cap", "2")
     assert code == 1
     assert "cap" in err
 
 
-def test_a_non_integer_env_cap_is_a_clean_error(capsys, monkeypatch):
-    monkeypatch.setenv("HOPF_MAX_DEGREE", "x")
-    code, out, err = run(capsys, "trees", "count", "--family", "rooted", "--degree", "2")
-    assert (code, out, err) == (1, "", "error: HOPF_MAX_DEGREE must be an integer, not 'x'")
+def test_the_environment_sets_no_cap(capsys, monkeypatch):
+    plain = run(capsys, "trees", "enum", "--family", "rooted", "--degree", "3")
+    for value in ("2", "x"):
+        monkeypatch.setenv("HOPF_MAX_DEGREE", value)
+        assert run(capsys, "trees", "enum", "--family", "rooted", "--degree", "3") == plain
+    assert plain[0] == 0 and len(plain[1].splitlines()) == 4
 
 
 def test_psi_expand_report(capsys, env_file):
@@ -198,6 +200,15 @@ def test_verify_refuses_an_over_cap_degree_before_any_sweep(capsys, monkeypatch,
     assert products == []
 
 
+def test_verify_perm_refuses_an_over_cap_degree_before_any_product(capsys, monkeypatch):
+    products = count_calls(monkeypatch, perm, "heap_product")
+    start = time.perf_counter()
+    assert main(["verify", "--algebra", "perm", "--max-degree", "7"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: degree 7 exceeds enumeration cap 6\n")
+    assert products == []
+
+
 def test_verify_failure_maps_to_exit_two(capsys):
     from hopftrees.axioms import AxiomCheck, VerificationReport
     from hopftrees.cli import _report_exit
@@ -258,9 +269,18 @@ def test_json_combination_schema(capsys):
 
 
 def test_tree_flavors_reject_foreign_labels():
-    assert_clean_error(run_module("gl", "mul", "(;(7))", "(;(1))"))
-    assert_clean_error(run_module("gl", "--flavor", "ordered", "coprod", "(;(E1))"))
-    assert_clean_error(run_module("gl", "--flavor", "labeled", "coprod", "(E1;(E2))"))
+    for argv, message in [
+        (["mul", "(;(7))", "(;(1))"], "labels [7] in (;(7)) do not belong to the rooted tree algebra"),
+        (["--flavor", "ordered", "coprod", "(;(E1))"],
+         "labels ['E1'] in (;(E1)) do not belong to the ordered tree algebra"),
+        (["--flavor", "labeled", "coprod", "(E1;(E2))"],
+         "labels ['E1'] in (E1;(E2)) do not belong to the labeled(E1,E2) tree algebra"),
+        (["--flavor", "hot", "coprod", "(;(2))"], "tree (;(2)) is not a standard heap-ordered tree"),
+        (["--flavor", "hot", "mul", "(;(1))", "(;(2;(1)))"], "tree (;(2;(1))) is not a standard heap-ordered tree"),
+    ]:
+        result = run_module("gl", *argv)
+        assert_clean_error(result)
+        assert (result.stdout, result.stderr) == ("", f"error: {message}\n"), argv
 
 
 def test_forest_algebra_rejects_labeled_trees():
@@ -529,6 +549,11 @@ def test_spaces_around_separators_change_nothing_and_a_bad_piece_gets_the_caret(
         (["verify", "--algebra", "shuffle", "--symbols"], "a,,b", 2),
         (["verify", "--algebra", "gl", "--flavor", "labeled", "--symbols"], "E1, ,E2", 3),
         (["gl", "mul", "--flavor", "labeled", "(;(E1))", "(;(E1))", "--symbols"], "E1,E 2", 3),
+        # an empty list is refused too, not read as the default
+        (["trees", "enum", "--family", "labeled", "--degree", "1", "--symbols"], "", 0),
+        (["verify", "--algebra", "shuffle", "--max-degree", "1", "--symbols"], "", 0),
+        (["verify", "--algebra", "gl", "--max-degree", "1", "--symbols"], "", 0),
+        (["gl", "mul", "--flavor", "labeled", "(;(E1))", "(;(E1))", "--symbols"], "", 0),
     ],
 )
 def test_a_symbol_list_refuses_a_piece_that_is_not_an_identifier(capsys, argv, bad, column):

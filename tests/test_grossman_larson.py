@@ -21,7 +21,6 @@ from hopftrees import (
     heap_product,
     labeled_algebra,
     ordered_trees,
-    relabel_standard,
     rooted_trees,
     shuffle_product,
     tensor,
@@ -29,7 +28,7 @@ from hopftrees import (
 )
 from hopftrees.algebra import MAX_TERMS, check_budget, splits
 from hopftrees.axioms import ANTIPODE_CACHE_SIZE
-from helpers import lc, ot, t
+from helpers import lc, ot, relabel_standard, t
 
 
 LEAF = t("()")
@@ -59,6 +58,24 @@ def test_single_node_is_two_sided_unit():
 def test_flavor_mismatch_rejected():
     with pytest.raises(ValueError):
         ROOTED.product(CHAIN2, ot("(;())"))
+
+
+FOREIGN_MEMBERS = [
+    (HEAP_ORDERED, t("(;(2))"), "tree (;(2)) is not a standard heap-ordered tree"),
+    (HEAP_ORDERED, t("(;(2;(1)))"), "tree (;(2;(1))) is not a standard heap-ordered tree"),
+    (labeled_algebra(["E1"]), t("(;(E2))"), "labels ['E2'] in (;(E2)) do not belong to the labeled(E1) tree algebra"),
+    (ROOTED, t("(x;(E1))"), "labels ['x', 'E1'] in (x;(E1)) do not belong to the rooted tree algebra"),
+    (labeled_algebra(["E1", "E2"], ordered=True), ot("(E1;(E3)(E2))"),
+     "labels ['E1', 'E3'] in (E1;(E3)(E2)) do not belong to the ordered labeled(E1,E2) tree algebra"),
+]
+
+
+@pytest.mark.parametrize("alg, tree, message", FOREIGN_MEMBERS)
+def test_a_foreign_member_is_refused_by_every_structure_map_with_its_message(alg, tree, message):
+    for structure_map in (alg.coproduct, alg.counit, alg.antipode, lambda x: alg.product(alg.unit(), x)):
+        with pytest.raises(ValueError) as refused:
+            structure_map(tree)
+        assert str(refused.value) == message
 
 
 def test_coproduct_single_node_is_group_like():

@@ -15,7 +15,6 @@ from hopftrees import (
     heap_ordered_trees,
     heap_product,
     parse_permutation,
-    perm_counit,
     permutation_to_tree,
     relabel,
     shift,
@@ -111,9 +110,10 @@ def test_coproduct_examples():
 
 
 def test_counit_lives_on_the_empty_group():
-    assert perm_counit(ID0) == 1
-    assert perm_counit(parse_permutation("(1)")) == 0
-    assert perm_counit(CyclePermutation.from_cycles([], n=2)) == 0
+    counit = HEAP_PRODUCT_ALGEBRA.counit
+    assert counit(ID0) == 1
+    assert counit(parse_permutation("(1)")) == 0
+    assert counit(CyclePermutation.from_cycles([], n=2)) == 0
 
 
 def test_cocommutativity_up_to_degree_four():
@@ -133,6 +133,16 @@ def test_tree_bijection_small_cases():
 def test_symmetric_group_grown_by_the_heap_product_is_the_cycle_walk_list():
     for n in range(7):
         assert symmetric_group(n) == symmetric_group_by_cycle_walk(n), n
+
+
+def test_the_basis_shares_the_heap_ordered_cap_once_within_budget():
+    assert HEAP_PRODUCT_ALGEBRA.basis(6) == symmetric_group(6) and len(symmetric_group(7)) == 5040
+    for degree, message in [(7, "degree 7 exceeds enumeration cap 6"), (8, "degree 8 exceeds enumeration cap 6"),
+                            (9, "symmetric group S_9 would enumerate 362880 terms"),
+                            (-1, "degree must be >= 0, got -1")]:
+        with pytest.raises(ValueError) as refused:
+            HEAP_PRODUCT_ALGEBRA.basis(degree)
+        assert str(refused.value).startswith(message), degree
 
 
 def test_the_minima_recursion_builds_the_stack_walk_tree():

@@ -163,4 +163,4 @@ def test_a_report_takes_appended_and_renamed_checks():
 def test_a_cut_is_used_by_value():
     cut = Cut(frozenset({(0,)}))
     assert cut.is_admissible() and {cut: 1}[Cut(frozenset({(0,)}))] == 1
-    assert lc((Forest((t("()"),)), 1)) == lc((Forest.canonical([t("()")]), 1))
+    assert lc((Forest((t("()"),)), 1)) == lc((Forest([t("()")]), 1))

@@ -19,7 +19,6 @@ from hopftrees import (
     shuffle_antipode,
     shuffle_product,
     word_count,
-    word_counit,
     ordered_trees,
 )
 from helpers import lc, shuffles_by_recursion
@@ -84,7 +83,7 @@ def test_antipode_axiom_up_to_length_four():
                 total = total + coeff * extend_linear(
                     lambda s: shuffle_product(s, pair.right), shuffle_antipode(pair.left)
                 )
-            assert total == word_counit(w) * LinearCombination.single(EMPTY_WORD)
+            assert total == alg.counit(w) * LinearCombination.single(EMPTY_WORD)
 
 
 words = st.lists(st.sampled_from(["x1", "x2"]), max_size=3).map(lambda ls: Word(tuple(ls)))

@@ -37,17 +37,16 @@ PUBLIC_NAMES = [
     "apply_tree_operator", "attach_all", "canonicalize", "check_module_law",
     "covariant_derivative", "covariant_differential", "cycle_coproduct",
     "deconcatenation", "dual_pairing", "expand_operator", "extend_bilinear",
-    "extend_linear", "forest_coproduct", "forest_counit", "forest_monomials",
-    "forest_symmetry_factor", "format_fraction", "graded_antipode",
-    "heap_ordered_trees", "heap_product", "is_standard_heap_tree", "labeled_algebra",
-    "labeled_trees", "monomial_product", "ordered_labeled_trees", "ordered_trees",
-    "parse_forest", "parse_permutation", "parse_polynomial", "parse_tree", "parse_word",
-    "parse_word_polynomial", "perm_counit", "permutation_to_tree", "relabel",
-    "relabel_standard", "rooted_trees", "shift", "shift_labels", "shuffle_antipode",
-    "shuffle_product", "strip_root", "subtree_derivation", "symmetric_group",
-    "symmetry_factor", "tensor", "tree_to_permutation", "vector_covariant_differential",
-    "verify_composition", "verify_forest_algebra", "verify_hopf_axioms", "word_counit",
-    "word_count", "word_to_trees",
+    "extend_linear", "forest_coproduct", "forest_monomials", "forest_symmetry_factor",
+    "format_fraction", "graded_antipode", "heap_ordered_trees", "heap_product",
+    "is_standard_heap_tree", "labeled_algebra", "labeled_trees", "monomial_product",
+    "ordered_labeled_trees", "ordered_trees", "parse_forest", "parse_permutation",
+    "parse_polynomial", "parse_tree", "parse_word", "parse_word_polynomial",
+    "permutation_to_tree", "relabel", "rooted_trees", "shift", "shift_labels",
+    "shuffle_antipode", "shuffle_product", "strip_root", "subtree_derivation",
+    "symmetric_group", "symmetry_factor", "tensor", "tree_to_permutation",
+    "vector_covariant_differential", "verify_composition", "verify_forest_algebra",
+    "verify_hopf_axioms", "word_count", "word_to_trees",
 ]
 
 
@@ -66,7 +65,7 @@ def run_python(code: str) -> dict:
 
 
 def test_the_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 78
+    assert len(PUBLIC_NAMES) == 74
     assert sorted(hopftrees.__all__) == PUBLIC_NAMES
     # submodules become package attributes once imported (``cli`` only then)
     public = {n for n in dir(hopftrees) if not n.startswith("_")} - set(MODULES) - {"cli"}
