@@ -372,6 +372,8 @@ def _validate(args) -> None:
             raise CliError("error: psi check-diagram needs --f", 1)
     if getattr(args, "max_degree", 0) < 0:
         raise CliError(f"error: degree must be >= 0, got {args.max_degree}", 1)
+    if args.command == "perm" and args.n is not None and args.n < 0:
+        raise CliError(f"error: n must be >= 0, got {args.n}", 1)
     if args.command == "conn" and args.operation == "apply" and len(args.fields) != 2:
         raise CliError("error: conn apply needs two derivation symbols", 1)
 

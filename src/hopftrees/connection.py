@@ -13,13 +13,11 @@ children through the connection, first child outermost; a whole tree (root
 unlabeled, child subtrees s_1..s_m) acts on a polynomial f as the m-th
 covariant differential of f evaluated on the subtree derivations, in child
 order (Munthe-Kaas-Wright, FoCM 2008).  Child order matters, so the tree
-action refuses unordered trees with a ``ValueError``.  The tree action and
-the covariant derivatives and differentials here are thin callers of the
-bottom-up evaluator in :mod:`hopftrees.diff_ops`, which builds each
-covariant differential one level at a time and contracts it with the child
-derivations; with zero Christoffel data it is the flat tree action.
-:func:`check_module_law` acts with every piece of a coproduct through one memo
-of subtree derivations, made for the call and dropped when it returns.
+action refuses unordered trees with a ``ValueError``.  Every function here
+validates its inputs and then calls the fused kernel of
+:mod:`hopftrees.diff_ops`, which keeps each covariant differential
+``nabla^m F`` as a per-call tower of raw stores and adds each product straight
+into its target; with zero Christoffel data it is the flat tree action.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .algebra import _sum_scaled, pieces
-from .diff_ops import (Derivation, DerivationEnv, Polynomial, _covariant_contraction, _spec_size,
-                       _subtree_derivation, _tree_action, parse_polynomial)
+from .diff_ops import (Derivation, DerivationEnv, Polynomial, _check_tree, _covariant_contraction,
+                       _spec_size, _subtree_derivation, _tree_action, parse_polynomial)
 from .grossman_larson import TreeHopfAlgebra
 from .trees import Tree
 
@@ -48,6 +46,9 @@ class Connection:
             if poly:
                 data[(i, j, k)] = poly
         self._gamma = data
+        # the form the kernel in diff_ops reads: indices from 0, the stores of each entry and its negative
+        self._steps = [(i - 1, j - 1, k - 1, p._terms, {e: -c for e, c in p._terms.items()})
+                       for (i, j, k), p in data.items()]
 
     @classmethod
     def flat(cls, num_vars: int) -> "Connection":
@@ -79,12 +80,10 @@ class Connection:
 def covariant_derivative(conn: Connection, lower: Derivation, upper: Derivation) -> Derivation:
     """``nabla_lower upper`` in coordinates: the first covariant differential of ``upper``."""
     _check_vars(conn.num_vars, lower, upper)
-    return Derivation(_covariant_contraction(upper.coeffs, [lower], conn._gamma, vector=True))
+    return Derivation(_covariant_contraction(upper, [lower], conn._steps, {}))
 
 
-def vector_covariant_differential(
-    field: Derivation, fields: Sequence[Derivation], conn: Connection
-) -> Derivation:
+def vector_covariant_differential(field: Derivation, fields: Sequence[Derivation], conn: Connection) -> Derivation:
     """The m-th covariant differential of a vector field, ``(nabla^m E)(X_1..X_m)``:
 
     ``nabla_{X_1}((nabla^{m-1} E)(X_2,..)) - sum_i (nabla^{m-1} E)(X_2,.., nabla_{X_1} X_i, ..)``.
@@ -92,7 +91,7 @@ def vector_covariant_differential(
     if not fields:
         return field
     _check_vars(conn.num_vars, field, *fields)
-    return Derivation(_covariant_contraction(field.coeffs, fields, conn._gamma, vector=True))
+    return Derivation(_covariant_contraction(field, fields, conn._steps, {}))
 
 
 def subtree_derivation(subtree: Tree, env: DerivationEnv, conn: Connection) -> Derivation:
@@ -101,12 +100,12 @@ def subtree_derivation(subtree: Tree, env: DerivationEnv, conn: Connection) -> D
     differential of E evaluated on the child derivations in order."""
     _check_ordered(subtree)
     _check_vars(env.num_vars, conn)
-    return _subtree_derivation(subtree, env, conn._gamma, {})
+    if not all(isinstance(label, str) for label in subtree.labels()):
+        raise ValueError("every node below the root must carry a derivation symbol")
+    return _subtree_derivation(subtree, env, conn._steps, {})
 
 
-def covariant_differential(
-    f: Polynomial, fields: Sequence[Derivation], conn: Connection
-) -> Polynomial:
+def covariant_differential(f: Polynomial, fields: Sequence[Derivation], conn: Connection) -> Polynomial:
     """The m-th covariant differential ``(nabla^m f)(X_1, .., X_m)``:
 
     ``X_1((nabla^{m-1} f)(X_2,..)) - sum_i (nabla^{m-1} f)(X_2,.., nabla_{X_1} X_i, ..)``.
@@ -114,16 +113,15 @@ def covariant_differential(
     if not fields:
         return f
     _check_vars(f.num_vars, conn, *fields)
-    return _covariant_contraction((f,), fields, conn._gamma, vector=False)[0]
+    return _covariant_contraction(f, fields, conn._steps, {})[0]
 
 
-def apply_connection_operator(
-    t: Tree, env: DerivationEnv, conn: Connection, f: Polynomial
-) -> Polynomial:
+def apply_connection_operator(t: Tree, env: DerivationEnv, conn: Connection, f: Polynomial) -> Polynomial:
     """Action of an ordered labeled tree on ``f`` through the connection."""
     _check_ordered(t)
     _check_vars(env.num_vars, conn)
-    return _tree_action(t, env, conn._gamma, f, {})
+    _check_tree(t, env, f)
+    return _tree_action(t, env, conn._steps, f, {})
 
 
 def _check_ordered(t: Tree) -> None:
@@ -137,24 +135,21 @@ def _check_vars(num_vars: int, *objects) -> None:
         raise ValueError("variable counts differ")
 
 
-def check_module_law(
-    t: Tree,
-    env: DerivationEnv,
-    conn: Connection,
-    a: Polynomial,
-    b: Polynomial,
-) -> bool:
+def check_module_law(t: Tree, env: DerivationEnv, conn: Connection, a: Polynomial, b: Polynomial) -> bool:
     """Does ``t . (a b) = sum (t' . a)(t'' . b)`` over the ordered coproduct?
 
-    The pieces of the coproduct are built from the subtrees of ``t``; each
-    distinct subtree derivation is computed once, in a memo kept for this call.
-    """
+    The pieces of the coproduct are built from the subtrees of ``t``, so ``t``
+    is validated once.  One memo serves the call: each distinct subtree
+    derivation, and each level of the towers of ``a``, ``b`` and ``a b``, is
+    computed once."""
     _check_ordered(t)
     _check_vars(env.num_vars, conn)
     alg = TreeHopfAlgebra(ordered=True, symbols=env.symbols)
-    memo: dict[Tree, Derivation] = {}
-    lhs = _tree_action(t, env, conn._gamma, a * b, memo)
-    rhs = _sum_scaled(((coeff, _tree_action(pair.left, env, conn._gamma, a, memo)
-                        * _tree_action(pair.right, env, conn._gamma, b, memo))
+    ab = a * b
+    _check_tree(t, env, ab)  # the pieces of t have t's labels, and a and b the variables of a * b
+    memo: dict = {}
+    lhs = _tree_action(t, env, conn._steps, ab, memo)
+    rhs = _sum_scaled(((coeff, _tree_action(pair.left, env, conn._steps, a, memo)
+                        * _tree_action(pair.right, env, conn._steps, b, memo))
                        for pair, coeff in alg.coproduct(t)), lhs)
     return lhs == rhs

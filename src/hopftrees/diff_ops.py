@@ -1,19 +1,17 @@
 """Sparse exact polynomials, derivations, and the tree-to-operator expansion.
 
 A :class:`Polynomial` is a :class:`~hopftrees.algebra.LinearCombination` of
-exponent vectors: sums, scalar multiples and the signed-sum text are shared,
-and this module adds only the product, the derivative and the monomial text.
+exponent vectors; this module adds the product and the derivative, computed by
+helpers that add into a raw ``{exponents: coeff}`` store, and the monomial text.
 
 A labeled tree encodes a higher-order differential operator, evaluated bottom
 up: a node labeled E with children ``u_1 .. u_k`` becomes the k-th
 differential of E contracted with the children's derivations (a leaf is E),
 and the root does the same with ``f`` -- the elementary differentials of
-B-series.  One evaluator serves flat trees here and ordered trees under a
-connection (:mod:`hopftrees.connection`); no Christoffel data means flat.
-Evaluations that act on many trees (:func:`verify_composition`, the module
-law) share one memo for the length of the call: a dict from subtree to its
-derivation, so each distinct subtree is evaluated once and nothing outlives
-the call.
+B-series.  One fused kernel serves flat trees here and ordered trees under a
+connection (:mod:`hopftrees.connection`).  A public call validates each tree
+once and keeps one memo, dropped when it returns: the derivation of each
+distinct subtree, and the tower ``nabla^m F`` of each operand F, built once.
 
 Words in the derivation symbols expand to combinations of labeled trees via
 the grafting product, and the expansion composes: the tree operator of a word
@@ -65,9 +63,7 @@ class Polynomial(LinearCombination):
 
     @classmethod
     def zero(cls, num_vars: int) -> "Polynomial":
-        p = object.__new__(cls)
-        p.num_vars, p._terms = int(num_vars), {}
-        return p
+        return cls(num_vars)
 
     def _check(self, other: "Polynomial") -> None:
         if self.num_vars != other.num_vars:
@@ -88,25 +84,13 @@ class Polynomial(LinearCombination):
         if other.__class__ is not Polynomial:
             return self.__rmul__(other)
         self._check(other)
-        out: dict[tuple[int, ...], Scalar] = {}
-        add = operator.add
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(map(add, e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return self._new({e: c for e, c in out.items() if c})
+        return self._new(_nonzero(_mul_into({}, self._terms, other._terms)))
 
     def derivative(self, index: int) -> "Polynomial":
         """Formal partial derivative with respect to ``x_index`` (1-based)."""
         if not 1 <= index <= self.num_vars:
             raise ValueError(f"variable index {index} out of range 1..{self.num_vars}")
-        i = index - 1
-        out = {}
-        for exps, coeff in self._terms.items():
-            k = exps[i]
-            if k:  # lowering x_i is one-to-one, so no two terms meet
-                out[exps[:i] + (k - 1,) + exps[i + 1 :]] = coeff * k
-        return self._new(out)
+        return self._new(_derive_into({}, self._terms, index - 1))  # lowering x_i meets no two terms
 
     def _term_text(self, exps: tuple[int, ...], magnitude: Scalar) -> str:
         factors = "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e)
@@ -116,6 +100,30 @@ class Polynomial(LinearCombination):
 
     def __repr__(self) -> str:
         return f"Polynomial({self.num_vars}, {self.render()!r})"
+
+
+def _mul_into(out: dict, p: dict, q: dict) -> dict:
+    """Add the product of the raw stores ``p`` and ``q`` (``{exponents: coeff}``)
+    into the store ``out`` and return it; a zero sum stays for the caller to purge."""
+    get, add = out.get, operator.add
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = get(key, 0) + c1 * c2
+    return out
+
+
+def _derive_into(out: dict, p: dict, i: int) -> dict:
+    """Add the partial derivative of the raw store ``p`` by ``x_(i+1)`` into ``out`` and return it."""
+    for exps, coeff in p.items():
+        if exps[i]:
+            key = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+            out[key] = out.get(key, 0) + coeff * exps[i]
+    return out
+
+
+def _nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
 
 
 _TERM = re.compile(r"(?=[^\s+-])(?:[*^/]\s*[+-]|[^+-])+")
@@ -195,10 +203,6 @@ class Derivation(Immutable):
 
     def __repr__(self) -> str:
         return f"Derivation({self.coeffs!r})"
-
-    @classmethod
-    def zero(cls, num_vars: int) -> "Derivation":
-        return cls(tuple(Polynomial.zero(num_vars) for _ in range(num_vars)))
 
     @property
     def num_vars(self) -> int:
@@ -290,79 +294,77 @@ def _spec_size(spec: Mapping, what: str) -> int:
 
 def apply_tree_operator(t: Tree, env: DerivationEnv, f: Polynomial) -> Polynomial:
     """Evaluate the differential operator encoded by a labeled tree on ``f``."""
-    return _tree_action(t, env, {}, f, {})
+    _check_tree(t, env, f)
+    return _tree_action(t, env, (), f, {})
 
 
-def _tree_action(t: Tree, env: DerivationEnv, gamma: Mapping, f: Polynomial, memo: dict) -> Polynomial:
-    """``(nabla^m f)(theta(s_1), .., theta(s_m))`` for the root's child subtrees
-    ``s_i``, once the root, the labels and the variable count are checked."""
+def _check_tree(t: Tree, env: DerivationEnv, f: Polynomial) -> None:
+    """Refuse a labeled root, a variable count not ``env``'s, or a label not in ``env``."""
     if t.label is not None:
         raise ValueError("the root of an operator tree must be unlabeled")
     if f.num_vars != env.num_vars:
         raise ValueError("variable counts differ")
     nodes, _, paths = _preorder(t)  # a node's number is its preorder index
-    unknown = [j for j in range(1, len(nodes))
-               if not isinstance(nodes[j].label, str) or nodes[j].label not in env]
+    unknown = [j for j, node in enumerate(nodes)
+               if j and (not isinstance(node.label, str) or node.label not in env)]
     if unknown:  # report the first in postorder: node j is at j + size - 1 - depth there
         j = min(unknown, key=lambda j: j + nodes[j].node_count() - len(paths[j]))
         raise KeyError(f"unknown derivation symbol {nodes[j].label!r} at node {j}")
-    fields = [_subtree_derivation(s, env, gamma, memo) for s in t.children]
-    return _covariant_contraction((f,), fields, gamma, vector=False)[0]
 
 
-def _subtree_derivation(node: Tree, env: DerivationEnv, gamma: Mapping, memo: dict) -> Derivation:
+def _tree_action(t: Tree, env: DerivationEnv, steps: Sequence, f: Polynomial, memo: dict) -> Polynomial:
+    """``(nabla^m f)(theta(s_1), .., theta(s_m))`` for the root's child subtrees
+    ``s_i``, once :func:`_check_tree` has passed ``t`` or a tree it came from."""
+    fields = [_subtree_derivation(s, env, steps, memo) for s in t.children]
+    return _covariant_contraction(f, fields, steps, memo)[0]
+
+
+def _subtree_derivation(node: Tree, env: DerivationEnv, steps: Sequence, memo: dict) -> Derivation:
     """``theta(node) = (nabla^k E)(theta(u_1), .., theta(u_k))`` for a node
     labeled E with children ``u_i``; a leaf is E itself.  ``memo`` maps the
-    subtrees already evaluated under ``env`` and ``gamma`` to their derivations."""
-    theta = memo.get(node)
-    if theta is None:
-        if not isinstance(node.label, str):
-            raise ValueError("every node below the root must carry a derivation symbol")
-        fields = [_subtree_derivation(u, env, gamma, memo) for u in node.children]
-        theta = Derivation(_covariant_contraction(env[node.label].coeffs, fields, gamma, vector=True))
-        memo[node] = theta
-    return theta
+    subtrees already evaluated under ``env`` and ``steps`` to their derivations."""
+    if node not in memo:
+        fields = [_subtree_derivation(u, env, steps, memo) for u in node.children]
+        memo[node] = Derivation(_covariant_contraction(env[node.label], fields, steps, memo))
+    return memo[node]
 
 
-def _covariant_contraction(components: Sequence[Polynomial], fields: Sequence[Derivation],
-                           gamma: Mapping, vector: bool) -> tuple[Polynomial, ...]:
-    """``(nabla^m F)(X_1, .., X_m)`` for a function ``F`` (one component) or a
-    vector field, given Christoffel data ``gamma`` (empty: flat).  The tensor
-    ``T^k[a_1, .., a_j]`` grows one index per level from ``T_0 = F``:
+def _covariant_contraction(operand, fields: Sequence[Derivation], steps: Sequence, memo: dict) -> tuple:
+    """The components of ``(nabla^m F)(X_1, .., X_m)`` for ``F`` a polynomial or
+    a vector field.  ``steps`` holds the connection as (a, b, c, the stores of
+    ``gamma[a,b,c]`` and of its negative), indices from 0 (empty: flat).
+    ``memo`` keeps the tower of ``F`` for the call: level j is the tensor
+    ``T_j`` of raw stores by index tuple, built once, from ``T_0 = F``, as
 
         T_j^k[a, b..] = d_a T_{j-1}^k[b..] + sum_i gamma[a,i,k] T_{j-1}^i[b..]
                         - sum_l sum_c gamma[a,b_l,c] T_{j-1}^k[b.. c ..]
 
-    (middle term for vector fields only), then ``a_i`` is contracted with ``X_i``.
-    """
-    n = components[0].num_vars
-    tensor = {(k,): p for k, p in enumerate(components, start=1)}
-    for _ in fields:
-        raised: dict[tuple[int, ...], Polynomial] = {}
-        for key, p in tensor.items():
+    (middle term for vector fields only); then ``a_i`` is contracted with ``X_i``."""
+    vector = isinstance(operand, Derivation)
+    components = operand.coeffs if vector else (operand,)
+    # a safe key: F (an argument, a * b, or a symbol's field) outlives the memo
+    tower = memo.get(id(operand)) or memo.setdefault(
+        id(operand), [{(k,): p._terms for k, p in enumerate(components)}])
+    while len(tower) <= len(fields):  # T_j from T_{j-1}, each term added into its target store
+        raised = {}
+        for key, p in tower[-1].items():
             k, rest = key[0], key[1:]
-            for a in range(1, n + 1):
-                _accumulate(raised, (k, a) + rest, p.derivative(a))
-            for (a, b, c), g in gamma.items():
+            for a in range(components[0].num_vars):
+                _derive_into(raised.setdefault((k, a) + rest, {}), p, a)
+            for a, b, c, g, minus_g in steps:
                 if vector and b == k:
-                    _accumulate(raised, (c, a) + rest, g * p)
+                    _mul_into(raised.setdefault((c, a) + rest, {}), g, p)
                 for slot, index in enumerate(rest):
                     if index == c:
-                        bent = rest[:slot] + (b,) + rest[slot + 1 :]
-                        _accumulate(raised, (k, a) + bent, -(g * p))
-        tensor = raised
+                        _mul_into(raised.setdefault((k, a) + rest[:slot] + (b,) + rest[slot + 1 :], {}), minus_g, p)
+        tower.append({key: q for key, p in raised.items() if (q := _nonzero(p))})
+    tensor = tower[len(fields)]
     for field in reversed(fields):
-        contracted: dict[tuple[int, ...], Polynomial] = {}
+        contracted = {}
         for key, p in tensor.items():
-            _accumulate(contracted, key[:-1], field.coeffs[key[-1] - 1] * p)
+            _mul_into(contracted.setdefault(key[:-1], {}), field.coeffs[key[-1]]._terms, p)
         tensor = contracted
-    zero = Polynomial.zero(n)
-    return tuple(tensor.get((k,), zero) for k in range(1, len(components) + 1))
-
-
-def _accumulate(acc: dict, key: tuple[int, ...], p: Polynomial) -> None:
-    if p:
-        acc[key] = acc[key] + p if key in acc else p
+    return tuple(components[0]._new(_nonzero(tensor.get((k,), {}))) for k in range(len(components)))
 
 
 def word_to_trees(word: Sequence[str], symbols: Iterable[str] | None = None) -> LinearCombination:
@@ -474,9 +476,11 @@ class CompositionCheck(Record):
 def verify_composition(word: Sequence[str], env: DerivationEnv, f: Polynomial) -> CompositionCheck:
     """Check that the tree expansion of a word applied to ``f`` equals the
     nested application of its derivations, left to right."""
-    trees = word_to_trees(tuple(word), env.symbols)
-    memo: dict[Tree, Derivation] = {}
-    tree_side = _sum_scaled(((coeff, _tree_action(t, env, {}, f, memo)) for t, coeff in trees), f)
+    trees = word_to_trees(tuple(word), env.symbols)  # refuses a symbol not in env
+    if f.num_vars != env.num_vars:
+        raise ValueError("variable counts differ")
+    memo = {}
+    tree_side = _sum_scaled(((coeff, _tree_action(t, env, (), f, memo)) for t, coeff in trees), f)
     nested = f
     for symbol in reversed(tuple(word)):
         nested = env[symbol].apply(nested)

@@ -180,14 +180,15 @@ def _preorder(t: Tree) -> tuple[list[Tree], list[list[int]], list[tuple[int, ...
     return nodes, kids, paths
 
 
-def _graft_blocks(nodes, kids, paths, blocks: dict[int, list[Tree]], ordered: bool, built: dict) -> Tree:
+def _graft_blocks(nodes, kids, paths, blocks: dict[int, list[Tree]], ordered: bool, built: dict | None) -> Tree:
     """Prepend ``blocks[i]`` to the children of preorder node ``i``.
 
     Only the nodes on the paths from the root to the receiving nodes are
     rebuilt; every other subtree is reused.  A rebuilt non-root node is looked
     up in ``built`` by its preorder index and the ``id``s of its new children,
     so the placements of one product share each rebuilt subtree; the root,
-    whose key almost never repeats, is always built anew.
+    whose key almost never repeats, is always built anew.  With no table
+    (``built`` is ``None``) every node is built directly.
     """
     touched: set[int] = set()
     for i in blocks:
@@ -197,6 +198,9 @@ def _graft_blocks(nodes, kids, paths, blocks: dict[int, list[Tree]], ordered: bo
         children = blocks.get(i, []) + [rebuilt.get(c, nodes[c]) for c in kids[i]]
         if not i:
             return Tree(nodes[0].label, children, ordered)
+        if built is None:
+            rebuilt[i] = Tree(nodes[i].label, children, ordered)
+            continue
         key = (i, *map(id, children))
         node = built.get(key)
         if node is None:
@@ -235,7 +239,8 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
     ``id``s of its new children to the node built from them, so each placement
     builds only its root.  The ``id``s are safe keys because each names a
     member of ``f``, a node of ``t`` or a value of the table, all alive until
-    the call returns; the table dies with the call.
+    the call returns; the table dies with the call.  A single member touches
+    one path per placement, so no key could repeat and no table is made.
     """
     if any(s.ordered != t.ordered for s in f.trees):
         raise ValueError("forest and target tree have different ordered/unordered flavor")
@@ -249,7 +254,7 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
         for member, k in runs
     ]
     out: dict[Tree, int] = {}
-    built: dict[tuple[int, ...], Tree] = {}
+    built: dict[tuple[int, ...], Tree] | None = {} if len(f.trees) > 1 else None
     for placement in itertools.product(*choices):
         blocks: dict[int, list[Tree]] = {}
         weight = 1

@@ -450,6 +450,15 @@ def test_a_negative_max_degree_is_refused_like_a_negative_degree(capsys, env_fil
         assert (code, captured.out, captured.err) == (1, "", "error: degree must be >= 0, got -1\n"), argv
 
 
+def test_a_negative_perm_size_is_refused_like_a_negative_degree(capsys):
+    # it used to reach the parser and name an entry 0 that was never typed
+    for argv, n in ((["perm", "mul", "--n", "-1", "()", "()"], -1), (["perm", "to-tree", "--n", "-3", "()"], -3)):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: n must be >= 0, got {n}\n"), argv
+    assert main(["perm", "mul", "--n", "0", "()", "()"]) == 0 and capsys.readouterr().out == "()\n"
+
+
 SIXTY = ",".join(f"E{i}" for i in range(1, 61))
 
 

@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopftrees import (
     Connection,
@@ -209,7 +210,7 @@ def test_module_law_curved_connection():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        covariant_derivative(FLAT1, ENV1["E1"], Derivation.zero(2))
+        covariant_derivative(FLAT1, ENV1["E1"], Derivation((Polynomial.zero(2),) * 2))
     with pytest.raises(ValueError):
         Connection(1, {(1, 1, 2): Polynomial.zero(1)})
 
@@ -255,6 +256,39 @@ def test_integral_inputs_give_int_coefficients_through_the_connection():
         assert {type(c) for _, c in value.terms()} <= {int}, tree.encode()
 
 
+ORDERED_TREES = [tree for degree in range(5) for tree in ordered_labeled_trees(degree, ("E1", "E2"))]
+
+
+@st.composite
+def curved_actions(draw):
+    """An ordered labeled tree of degree <= 4 over {E1, E2}, a derivation for
+    each label, a curved connection and a polynomial in two variables, all
+    with ``int`` or all with ``Fraction`` coefficients.  Two Christoffel
+    entries are opposite, so the products they add into one tensor entry can
+    cancel."""
+    integral = draw(st.booleans())
+    coeff = st.integers(-3, 3) if integral else st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    poly = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeff, min_size=1, max_size=2)
+    env = DerivationEnv(2, {s: Derivation((Polynomial(2, draw(poly)), Polynomial(2, draw(poly))))
+                            for s in ("E1", "E2")})
+    keys = draw(st.lists(st.tuples(*[st.integers(1, 2)] * 3), min_size=2, max_size=4, unique=True))
+    g = Polynomial(2, draw(poly))
+    gamma = {keys[0]: g, keys[1]: -1 * g, **{key: Polynomial(2, draw(poly)) for key in keys[2:]}}
+    return draw(st.sampled_from(ORDERED_TREES)), env, Connection(2, gamma), draw(poly), integral
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(curved_actions())
+def test_the_fused_kernel_matches_the_recursive_oracle(case):
+    tree, env, conn, terms, integral = case
+    f = Polynomial(2, terms)
+    value = apply_connection_operator(tree, env, conn, f)
+    assert value == connection_action_by_recursion(tree, env, conn, f), tree.encode()
+    assert all(value._terms.values()), "a zero coefficient survived"
+    if integral:
+        assert {type(c) for c in value._terms.values()} <= {int}
+
+
 def test_module_law_evaluates_each_distinct_subtree_once(monkeypatch):
     from hopftrees import diff_ops
 
@@ -276,25 +310,55 @@ def test_the_memo_does_not_outlive_the_call(monkeypatch):
     class Marker:
         pass
 
-    key, markers = object(), []
+    def towers():  # level 0 of a tower maps (0,) to the store of F's first component
+        return [o for o in gc.get_objects() if type(o) is list and o and type(o[0]) is dict and (0,) in o[0]]
+
+    key, markers, built = object(), [], []
     evaluate = diff_ops._subtree_derivation
 
     def marking(node, env, gamma, memo):
         if key not in memo:  # a value only the memo holds lives exactly as long as it
             memo[key] = marker = Marker()
             markers.append(weakref.ref(marker))
-        return evaluate(node, env, gamma, memo)
+        theta = evaluate(node, env, gamma, memo)
+        if not built:
+            built.extend(towers())
+        return theta
 
     monkeypatch.setattr(diff_ops, "_subtree_derivation", marking)
     tree = ot("(;(E1;(E2))(E2)(E1;(E2)))")
-    gc.disable()  # the memo must go by reference counting, not by a collection
+    gc.disable()  # the memo and its towers must go by reference counting, not by a collection
     try:
         assert check_module_law(tree, ENV2, CURVED2, A2, B2)
         assert len(markers) == 1 and markers[0]() is None
+        assert built  # towers were built during the call ...
+        built.clear()
+        assert not towers()  # ... and those of a, b, a * b and each symbol died with the memo
         assert verify_composition(("E1", "E2", "E1"), ENV2, A2)
         assert len(markers) == 2 and markers[1]() is None
+        assert built
+        built.clear()
+        assert not towers()
     finally:
         gc.enable()
+
+
+def test_the_module_law_raises_each_polynomial_once_per_level(monkeypatch):
+    from hopftrees import diff_ops
+
+    calls = count_calls(monkeypatch, diff_ops, "_derive_into")
+    trees = [tree for degree in range(4) for tree in ordered_labeled_trees(degree, ENV2.symbols)]
+    trees.append(ot("(;(E1;(E2))(E1;(E2))(E2))"))
+    for tree in trees:
+        calls.clear()
+        assert check_module_law(tree, ENV2, CURVED2, A2, B2), tree.encode()
+        # every store of a tower, at every level, is differentiated once by each variable:
+        # a level raised twice would differentiate its stores again
+        raised = [(id(store), i) for _, store, i in calls]
+        assert len(set(raised)) == len(raised), tree.encode()
+        for f in (A2, B2, A2 * B2):  # level 0 of each tower is the polynomial's own store
+            assert len([i for _, store, i in calls if store == f._terms]) in (0, 2), tree.encode()
+    assert len([i for _, store, i in calls if store == (A2 * B2)._terms]) == 2
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from hopftrees import (
     expand_operator,
     labeled_algebra,
     labeled_trees,
+    ordered_labeled_trees,
     parse_polynomial,
     parse_word_polynomial,
     verify_composition,
@@ -209,6 +210,36 @@ def test_tree_operator_matches_index_sum_oracle():
                 f = random_polynomial(rng, n, 4)
                 expected = tree_operator_by_index_sum(tree, env, f)
                 assert apply_tree_operator(tree, env, f) == expected, (n, tree.encode())
+
+
+ORDERED_TREES = [tree for degree in range(5) for tree in ordered_labeled_trees(degree, ("E1", "E2"))]
+
+
+@st.composite
+def flat_actions(draw):
+    """An ordered labeled tree of degree <= 4 over {E1, E2}, a derivation for
+    each label and a polynomial in two variables, all with ``int`` or all with
+    ``Fraction`` coefficients; E2 may be E1 turned a quarter, whose products
+    with E1's cancel."""
+    integral = draw(st.booleans())
+    coeff = st.integers(-3, 3) if integral else st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    poly = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeff, min_size=1, max_size=3)
+    p, q, r, s = (Polynomial(2, draw(poly)) for _ in range(4))
+    e1 = Derivation((p, q))
+    e2 = Derivation((q, -1 * p)) if draw(st.booleans()) else Derivation((r, s))
+    return draw(st.sampled_from(ORDERED_TREES)), DerivationEnv(2, {"E1": e1, "E2": e2}), draw(poly), integral
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(flat_actions())
+def test_the_fused_kernel_matches_the_index_sum_oracle(case):
+    tree, env, terms, integral = case
+    f = Polynomial(2, terms)
+    value = apply_tree_operator(tree, env, f)
+    assert value == tree_operator_by_index_sum(tree, env, f), tree.encode()
+    assert all(value._terms.values()), "a zero coefficient survived"
+    if integral:
+        assert {type(c) for c in value._terms.values()} <= {int}
 
 
 def test_word_to_trees_generator():

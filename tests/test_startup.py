@@ -262,12 +262,21 @@ def test_the_tracer_sees_a_traced_cli_call():
 
 
 def test_the_tracer_counts_the_polynomial_layer_of_a_traced_psi_apply(tmp_path):
-    # polynomials add through ``LinearCombination.__add__``, which the tracer
-    # counts; a psi apply adds no other combinations
+    # the tracer counts the public polynomial operators; a tree action works on
+    # the raw stores behind them and calls none of the three, so the traced body
+    # applies them itself after the psi apply
     env = tmp_path / "env.json"
     env.write_text(json.dumps({"n": 2, "E1": ["x2", "x1"], "E2": ["x1*x2", "1"]}))
     argv = ["psi", "apply", "--env", str(env), "--tree", "(;(E1)(E2))", "--f", "x1^2*x2"]
-    code, out, counts = run_traced_cli(argv)
+    code, out, counts = run_traced(
+        f"""
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = hopftrees.cli.main({argv!r})
+        f = hopftrees.parse_polynomial("x1^2*x2", 2)
+        f * f + f.derivative(1)
+        print(json.dumps([code, out.getvalue(), probe.snapshot()["counts"]]))
+        """
+    )
     assert (code, out) == (0, "2*x1*x2 + 2*x1*x2^3 + 2*x1^3*x2\n")  # sum E1^a E2^b d_a d_b f
     assert counts["diff_ops.poly_mul.calls"] > 0
     assert counts["diff_ops.derivative.calls"] > 0
