@@ -38,9 +38,11 @@ and benchmark stay below 20,000.
 
 
 def check_budget(count: int, what: str) -> None:
-    """Raise ``ValueError`` if an enumeration of ``count`` terms is over :data:`MAX_TERMS`."""
+    """Raise ``ValueError`` if an enumeration of ``count`` terms is over :data:`MAX_TERMS`; a count
+    too long for ``str`` (over 4,300 digits) is shown by a power of two."""
     if count > MAX_TERMS:
-        raise ValueError(f"{what} would enumerate {count} terms, more than the limit of {MAX_TERMS}")
+        shown = count if count.bit_length() < 14_000 else f"at least 2^{count.bit_length() - 1}"
+        raise ValueError(f"{what} would enumerate {shown} terms, more than the limit of {MAX_TERMS}")
 
 
 def check_degree(degree: int) -> None:

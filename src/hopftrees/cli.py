@@ -283,7 +283,7 @@ def _cmd_verify(args) -> int:
     if args.algebra == "ck":
         return _report_exit(args, ck.verify_forest_algebra(degree))
     if args.algebra == "shuffle":
-        letters = tuple(identifiers("x1,x2" if args.symbols is None else args.symbols, ",", "symbol"))
+        letters = identifiers("x1,x2" if args.symbols is None else args.symbols, ",", "symbol")
         return _report_exit(args, sh.ShuffleHopfAlgebra(letters).verify(degree))
     return _report_exit(args, perm.HEAP_PRODUCT_ALGEBRA.verify(degree))
 

@@ -190,7 +190,8 @@ class Derivation(Immutable):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Polynomial, ...]):
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a derivation needs at least one coefficient")
         n = coeffs[0].num_vars
@@ -218,14 +219,14 @@ class Derivation(Immutable):
     def __add__(self, other: "Derivation") -> "Derivation":
         if not isinstance(other, Derivation):
             return NotImplemented
-        return Derivation(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Derivation(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + (-1) * other
 
     def __rmul__(self, other) -> "Derivation":
         if isinstance(other, (int, Fraction, Polynomial)):
-            return Derivation(tuple(other * p for p in self.coeffs))
+            return Derivation(other * p for p in self.coeffs)
         return NotImplemented
 
     def __eq__(self, other: object) -> bool:
@@ -274,7 +275,7 @@ class DerivationEnv:
                 continue
             if not isinstance(coeffs, (list, tuple)) or len(coeffs) != n:
                 raise ValueError(f"derivation {name} needs a list of {n} coefficient polynomials")
-            table[name] = Derivation(tuple(parse_polynomial(str(c), n) for c in coeffs))
+            table[name] = Derivation(parse_polynomial(str(c), n) for c in coeffs)
         return cls(n, table)
 
 

@@ -40,7 +40,8 @@ class TreeHopfAlgebra(GradedHopfAlgebra):
 
     __slots__ = ("ordered", "heap", "symbols")
 
-    def __init__(self, ordered: bool = False, heap: bool = False, symbols: tuple[str, ...] = ()):
+    def __init__(self, ordered: bool = False, heap: bool = False, symbols=()):
+        symbols = tuple(symbols)
         if heap and (ordered or symbols):
             raise ValueError("heap-ordered flavor uses unordered trees with integer labels")
         _set(self, "ordered", ordered)
@@ -125,4 +126,4 @@ HEAP_ORDERED = TreeHopfAlgebra(heap=True)
 
 
 def labeled_algebra(symbols, ordered: bool = False) -> TreeHopfAlgebra:
-    return TreeHopfAlgebra(ordered=ordered, symbols=tuple(symbols))
+    return TreeHopfAlgebra(ordered=ordered, symbols=symbols)

@@ -1,11 +1,11 @@
 """Permutations in disjoint-cycle form and their heap-product Hopf algebra.
 
-A permutation is stored in standard order: every cycle written starting from
-its smallest entry, cycles listed with decreasing first entries, and fixed
-points kept as explicit 1-cycles.  The heap product of ``s in S_m`` with
-``t in S_n`` shifts ``s``'s entries up by ``n`` and then attaches each of its
-cycle strings either immediately to the right of a letter of ``t`` or as a
-standalone cycle, one term per assignment, ``(n+1)^r`` terms in all.  The
+A permutation is canonical from construction: its constructor writes every
+cycle from its smallest entry and lists the cycles with decreasing first
+entries; fixed points are kept as explicit 1-cycles.  The heap product of
+``s in S_m`` with ``t in S_n`` shifts ``s``'s entries up by ``n`` and gives each
+of its cycle strings a target: the letter of ``t`` it follows, or 0 for a cycle
+of its own; one term per assignment, ``(n+1)^r`` terms in all.  The
 coproduct splits the cycle set over all subsets, relabeling each part
 order-isomorphically down to an initial segment.  The product also lists the
 basis: S_{k+1} is the support of the products of ``(1)`` with S_k.
@@ -33,6 +33,9 @@ from .trees import HEAP_DEGREE_CAP, Tree, _check_degree, is_standard_heap_tree
 class CyclePermutation(Immutable):
     """Disjoint cycles over a finite set of positive integers, standard order.
 
+    The constructor is the one place that decides standard order: it rotates
+    each cycle to start at its smallest entry, drops an empty one, and sorts the
+    cycles by decreasing first entry.  :meth:`from_cycles` checks the entries.
     Algebra basis elements act on ``{1..n}``; :func:`shift` produces the
     shifted window ``{m+1..m+k}`` used while building heap products.
     Immutable and equal by value; the hash is computed once at construction.
@@ -40,9 +43,19 @@ class CyclePermutation(Immutable):
 
     __slots__ = ("cycles", "_hash")
 
-    def __init__(self, cycles: tuple[tuple[int, ...], ...] = ()):
-        _set(self, "cycles", cycles)
-        _set(self, "_hash", hash((cycles,)))
+    def __init__(self, cycles=()):
+        standard = []
+        for cycle in cycles:
+            if not cycle:
+                continue
+            low = min(cycle)
+            if cycle[0] != low:
+                pivot = cycle.index(low)
+                cycle = cycle[pivot:] + cycle[:pivot]
+            standard.append(tuple(cycle))
+        standard.sort(reverse=True)
+        _set(self, "cycles", tuple(standard))
+        _set(self, "_hash", hash((self.cycles,)))
 
     def __reduce__(self):
         return CyclePermutation, (self.cycles,)
@@ -62,7 +75,7 @@ class CyclePermutation(Immutable):
 
     @classmethod
     def from_cycles(cls, cycles, n: int | None = None) -> "CyclePermutation":
-        """Normalize raw cycles to standard order, adding fixed points up to ``n``.
+        """Check raw cycles and build the permutation, adding fixed points up to ``n``.
 
         A bad entry raises :class:`ParseError` positioned at its index among all the entries."""
         seen: dict[int, int] = {}  # entry -> its index among all the entries
@@ -74,8 +87,7 @@ class CyclePermutation(Immutable):
                     problem = f"duplicate entry {x} across cycles" if x > 0 else f"entries must be positive, got {x}"
                     raise ParseError(problem, position=len(seen))
                 seen[x] = len(seen)
-            if entries:
-                cleaned.append(entries)
+            cleaned.append(entries)
         top = max(seen, default=0)
         size = top if n is None else int(n)
         if size < top:
@@ -83,14 +95,11 @@ class CyclePermutation(Immutable):
         for fixed in range(1, size + 1):
             if fixed not in seen:
                 cleaned.append((fixed,))
-        return cls(_standardize(cleaned))
+        return cls(cleaned)
 
     @classmethod
     def identity(cls, n: int) -> "CyclePermutation":
         return cls.from_cycles([], n=n)
-
-    def points(self) -> frozenset[int]:
-        return frozenset(x for cycle in self.cycles for x in cycle)
 
     @property
     def size(self) -> int:
@@ -98,7 +107,7 @@ class CyclePermutation(Immutable):
         return sum(len(c) for c in self.cycles)
 
     def is_standard_domain(self) -> bool:
-        return self.points() == frozenset(range(1, self.size + 1))
+        return frozenset(x for cycle in self.cycles for x in cycle) == frozenset(range(1, self.size + 1))
 
     def encode(self) -> str:
         if not self.cycles:
@@ -109,15 +118,6 @@ class CyclePermutation(Immutable):
         return self.encode()
 
 
-def _standardize(cycles) -> tuple[tuple[int, ...], ...]:
-    rotated = []
-    for cycle in cycles:
-        pivot = cycle.index(min(cycle))
-        rotated.append(tuple(cycle[pivot:] + cycle[:pivot]))
-    rotated.sort(key=lambda c: -c[0])
-    return tuple(rotated)
-
-
 def shift(p: CyclePermutation, offset: int) -> CyclePermutation:
     """Increase every entry by ``offset`` (a permutation of the shifted window)."""
     return CyclePermutation(tuple(tuple(x + offset for x in c) for c in p.cycles))
@@ -125,22 +125,19 @@ def shift(p: CyclePermutation, offset: int) -> CyclePermutation:
 
 def relabel(cycles) -> CyclePermutation:
     """Relabel the entries of disjoint cycles order-isomorphically to ``1..k``."""
-    cycles = [tuple(int(x) for x in c) for c in cycles]
-    entries = sorted(x for c in cycles for x in c)
+    cycles = [tuple(map(int, c)) for c in cycles]
+    entries = sorted(itertools.chain.from_iterable(cycles))
     if len(entries) != len(set(entries)):
         raise ValueError("cycles are not disjoint")
-    mapping = {old: new for new, old in enumerate(entries, start=1)}
-    return CyclePermutation(_standardize([tuple(mapping[x] for x in c) for c in cycles]))
-
-
-_STANDALONE = ("standalone",)
+    rank = dict(zip(entries, range(1, len(entries) + 1))).__getitem__
+    return CyclePermutation([tuple(map(rank, c)) for c in cycles])
 
 
 def heap_product(s: CyclePermutation, t: CyclePermutation) -> LinearCombination:
     """Attach each shifted cycle string of ``s`` into ``t``; ``(n+1)^r`` terms.
 
-    Attachment points are the letters of ``t`` plus one extra meaning "keep the
-    string as its own cycle".  A string attached to letter ``x`` is inserted
+    A string's target is a letter of ``t`` (in cycle order) or 0, meaning "keep
+    the string as its own cycle".  A string targeting letter ``x`` is inserted
     immediately to the right of ``x``; strings sharing a letter stack with
     larger heads nearer to ``x``, which is exactly the arrangement that makes
     every stacked string hang below ``x`` under the tree bijection.
@@ -150,28 +147,23 @@ def heap_product(s: CyclePermutation, t: CyclePermutation) -> LinearCombination:
     n = t.size
     shifted = shift(s, n).cycles  # heads strictly decreasing
     check_budget((n + 1) ** len(shifted), "heap product")
-    points: list[tuple] = [(ci, pi) for ci, cycle in enumerate(t.cycles) for pi in range(len(cycle))]
-    points.append(_STANDALONE)
+    targets = [x for cycle in t.cycles for x in cycle] + [0]
     counts: dict[CyclePermutation, int] = {}
-    for assignment in itertools.product(points, repeat=len(shifted)):
-        blocks: dict[tuple, list[tuple[int, ...]]] = {}
-        standalone: list[tuple[int, ...]] = []
-        for string, point in zip(shifted, assignment):
-            if point is _STANDALONE:
-                standalone.append(string)
+    for assignment in itertools.product(targets, repeat=len(shifted)):
+        after: dict[int, list[int]] = {}  # letter -> the strings stacked after it, joined
+        cycles: list = []  # the standalone strings, then the grown cycles of t
+        for string, letter in zip(shifted, assignment):
+            if letter:
+                after.setdefault(letter, []).extend(string)
             else:
-                # iteration order of `shifted` has decreasing heads already
-                blocks.setdefault(point, []).append(string)
-        new_cycles: list[tuple[int, ...]] = []
-        for ci, cycle in enumerate(t.cycles):
+                cycles.append(string)
+        for cycle in t.cycles:
             grown: list[int] = []
-            for pi, letter in enumerate(cycle):
+            for letter in cycle:
                 grown.append(letter)
-                for string in blocks.get((ci, pi), []):
-                    grown.extend(string)
-            new_cycles.append(tuple(grown))
-        new_cycles.extend(standalone)
-        p = CyclePermutation(_standardize(new_cycles))
+                grown += after.get(letter, ())
+            cycles.append(grown)
+        p = CyclePermutation(cycles)
         counts[p] = counts.get(p, 0) + 1
     return LinearCombination(counts)
 
@@ -224,8 +216,7 @@ def tree_to_permutation(t: Tree) -> CyclePermutation:
     """Inverse of :func:`permutation_to_tree` on standard heap-ordered trees."""
     if not is_standard_heap_tree(t):
         raise ValueError(f"{t.encode()} is not a standard heap-ordered tree")
-    cycles = [_subtree_to_string(c) for c in t.children]
-    return CyclePermutation(_standardize(cycles))
+    return CyclePermutation([_subtree_to_string(c) for c in t.children])
 
 
 class PermutationHopfAlgebra(GradedHopfAlgebra):

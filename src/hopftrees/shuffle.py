@@ -110,8 +110,8 @@ class ShuffleHopfAlgebra(GradedHopfAlgebra):
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: tuple[str, ...]):
-        _set(self, "letters", letters)
+    def __init__(self, letters):
+        _set(self, "letters", tuple(letters))
 
     def unit(self) -> Word:
         return EMPTY_WORD

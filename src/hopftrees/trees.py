@@ -296,24 +296,18 @@ def shift_labels(t: Tree, offset: int) -> Tree:
 
 
 def is_standard_heap_tree(t: Tree) -> bool:
-    """Root unlabeled, integer labels ``1..n`` each once, increasing downward."""
+    """Root unlabeled, integer labels ``1..n`` each once, increasing downward: one
+    walk checks each label against its parent's, then the set of labels against ``1..n``."""
     if t.ordered or t.label is not None:
         return False
-    non_root = t.labels()[1:]
-    if not all(isinstance(x, int) for x in non_root):
-        return False
-    if sorted(non_root) != list(range(1, len(non_root) + 1)):
-        return False
-
-    def increasing(node: Tree, floor: int) -> bool:
+    nodes = [t]
+    for node in nodes:  # the walk appends to the list it runs over
         for c in node.children:
-            if not isinstance(c.label, int) or c.label <= floor:
+            if not isinstance(c.label, int) or c.label <= (node.label or 0):
                 return False
-            if not increasing(c, c.label):
-                return False
-        return True
-
-    return increasing(t, 0)
+            nodes.append(c)
+    labels = {c.label for c in nodes[1:]}
+    return len(labels) == len(nodes) - 1 == max(labels, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +330,10 @@ def _symbols(symbols, degree: int) -> tuple:
 
 
 def _rooted_count(nodes: int) -> int:
-    """Unordered rooted trees with ``nodes`` nodes (OEIS A000081), by its recurrence."""
-    a = [0, 1]
+    """Unordered rooted trees with ``nodes`` nodes (OEIS A000081), by its recurrence in quadratic time."""
+    a, weights = [0, 1], [0]
     for n in range(1, nodes):
-        weights = [sum(d * a[d] for d in range(1, k + 1) if k % d == 0) for k in range(n + 1)]
+        weights.append(sum(d * a[d] for d in range(1, n + 1) if n % d == 0))
         a.append(sum(weights[k] * a[n - k + 1] for k in range(1, n + 1)) // n)
     return a[nodes]
 

@@ -9,10 +9,12 @@ library's placement loop with every placement rebuilt from scratch), heap
 labels ranked to ``1..k`` by rebuilding the whole tree, shuffles
 through their defining recursion, heap products as maps with spliced cycles,
 symmetric groups by walking the cycles of every image tuple, the tree of a
-cycle string by a stack of its smaller left neighbors, automorphism counts
+cycle string by a stack of its smaller left neighbors, standard heap trees
+by sorting their labels and then recursing, automorphism counts
 through plane-representation counting, cuts through edge-subset filtering, and
 the Hopf axioms as identities between ``LinearCombination``s of elements, the
-reading that the sweep's integer tables replace.  Trees act on polynomials
+reading that the sweep's integer tables replace; ``verify_morphism`` checks a
+map between two algebras over two such tables.  Trees act on polynomials
 here through the two textbook definitions the library replaces by one
 contraction: the flat sum over all index assignments of a tree's nodes, and
 the recursive m-th covariant differentials of a connection.
@@ -38,6 +40,7 @@ from hopftrees import (
     Tree,
     parse_tree,
 )
+from hopftrees import axioms
 from hopftrees.algebra import TensorPair, Value, _sum_scaled, extend_bilinear, extend_linear, tensor
 from hopftrees.trees import _multinomial, _preorder
 
@@ -243,25 +246,31 @@ def heap_product_by_maps(s_cycles, t_cycles) -> dict[tuple[int, ...], int]:
     return out
 
 
+def cycles_by_walk(images) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the permutation ``x -> images[x - 1]`` of ``1..n`` in standard
+    order, found by following ``x -> image(x)`` from the smallest point not yet
+    seen (so each cycle starts at its smallest entry, with increasing starts),
+    listed last cycle first."""
+    mapping = {i + 1: image for i, image in enumerate(images)}
+    remaining = set(mapping)
+    cycles = []
+    while remaining:
+        start = min(remaining)
+        cycle = [start]
+        remaining.discard(start)
+        nxt = mapping[start]
+        while nxt != start:
+            cycle.append(nxt)
+            remaining.discard(nxt)
+            nxt = mapping[nxt]
+        cycles.append(tuple(cycle))
+    return tuple(reversed(cycles))
+
+
 def symmetric_group_by_cycle_walk(n: int) -> list[CyclePermutation]:
-    """S_n from every image tuple of ``1..n``, each cut into cycles by following
-    ``x -> image(x)`` from the smallest point not yet seen; sorted by encoding."""
-    out = []
-    for images in itertools.permutations(range(1, n + 1)):
-        mapping = {i + 1: images[i] for i in range(n)}
-        remaining = set(mapping)
-        cycles = []
-        while remaining:
-            start = min(remaining)
-            cycle = [start]
-            remaining.discard(start)
-            nxt = mapping[start]
-            while nxt != start:
-                cycle.append(nxt)
-                remaining.discard(nxt)
-                nxt = mapping[nxt]
-            cycles.append(tuple(cycle))
-        out.append(CyclePermutation.from_cycles(cycles))
+    """S_n from every image tuple of ``1..n``, each cut into cycles by
+    :func:`cycles_by_walk`; sorted by encoding."""
+    out = [CyclePermutation(cycles_by_walk(images)) for images in itertools.permutations(range(1, n + 1))]
     return sorted(out, key=CyclePermutation.encode)
 
 
@@ -285,6 +294,29 @@ def permutation_to_tree_by_stack(p: CyclePermutation) -> Tree:
         return build(string[0])
 
     return Tree(None, tuple(subtree(c) for c in p.cycles))
+
+
+def is_standard_heap_tree_by_sort(t: Tree) -> bool:
+    """Root unlabeled, integer labels ``1..n`` each once, increasing downward, in
+    two passes: the sorted non-root labels against ``1..n``, then a recursion
+    comparing each label with its parent's."""
+    if t.ordered or t.label is not None:
+        return False
+    non_root = t.labels()[1:]
+    if not all(isinstance(x, int) for x in non_root):
+        return False
+    if sorted(non_root) != list(range(1, len(non_root) + 1)):
+        return False
+
+    def increasing(node: Tree, floor: int) -> bool:
+        for c in node.children:
+            if not isinstance(c.label, int) or c.label <= floor:
+                return False
+            if not increasing(c, c.label):
+                return False
+        return True
+
+    return increasing(t, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -632,3 +664,36 @@ def antipodal(alg, x) -> bool:
         for s, s_coeff in alg.antipode(pair.right)
     )
     return left == target and right == target
+
+
+def verify_morphism(phi, source, target, max_degree: int) -> axioms.VerificationReport:
+    """Check that ``phi``, which sends each basis element of ``source`` to one of
+    ``target``, is a morphism of Hopf algebras on the basis of ``source`` up to
+    ``max_degree``: ``phi(1) = 1``, ``phi(xy) = phi(x) phi(y)`` on the sweep's
+    pairs (positive degrees summing to at most ``max_degree + 1``),
+    ``(phi (x) phi) Delta x = Delta phi(x)``, ``counit(phi(x)) = counit(x)`` and
+    ``phi S x = S phi x`` on every element.  Each side is read from the integer
+    tables of its own sweep store and ``phi`` is applied once per element."""
+    src, tgt = axioms._SweepMemo(source), axioms._SweepMemo(target)
+    basis = {d: list(map(src.number, source.basis(d))) for d in reversed(range(max_degree + 1))}
+    image = functools.cache(lambda i: tgt.number(phi(src.elems[i])))
+
+    def mapped(table: dict) -> dict:
+        return axioms._collect((image(k), c) for k, c in table.items())
+
+    def comultiplicative(_, x: int) -> bool:
+        delta = src.coproduct(x).items()
+        return axioms._collect(((image(a), image(b)), c) for (a, b), c in delta) == tgt.coproduct(image(x))
+
+    elements = list(axioms.graded_tuples(basis, 1, 0, max_degree))
+    report = axioms.VerificationReport(f"{source.describe()} -> {target.describe()}")
+    for name, cases, holds in (
+        ("unit", [(src.unit,)], lambda _, x: image(x) == tgt.unit),
+        ("product", axioms.graded_tuples(basis, 2, 1, max_degree + 1),
+         lambda _, x, y: mapped(src.product(x, y)) == tgt.product(image(x), image(y))),
+        ("coproduct", elements, comultiplicative),
+        ("counit", elements, lambda _, x: src.counits[x] == tgt.counits[image(x)]),
+        ("antipode", elements, lambda _, x: mapped(src.antipode(x)) == tgt.antipode(image(x))),
+    ):
+        axioms.check(report, src, name, cases, holds)
+    return report

@@ -508,6 +508,26 @@ def test_an_over_budget_coproduct_is_refused_at_once(capsys, argv, message):
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["perm", "coprod", "(20000)"], "cycle coproduct would enumerate at least 2^20000 terms"),
+        (["verify", "--algebra", "shuffle", "--max-degree", "20000"],
+         "shuffle basis of degree 20000 would enumerate at least 2^20000 terms"),  # 2^20000 words
+    ],
+)
+def test_a_budget_count_too_long_for_str_is_shown_as_a_power_of_two(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}, more than the limit of {MAX_TERMS}\n"
+
+
+def test_the_rooted_tree_count_refuses_a_large_degree_quickly(capsys):
+    start = time.perf_counter()
+    assert main(["trees", "count", "--family", "rooted", "--degree", "1000", "--cap", "1000"]) == 1
+    assert time.perf_counter() - start < 3  # the cubic count took 11.6 s
+    assert capsys.readouterr().err.startswith("error: rooted trees of degree 1000 would enumerate 192036807805402268060634848898")
+
+
 # One row per kind of text argument: the argv with ``{}`` for the argument, a
 # valid value with spaces around its separators (around the labels, for a
 # tree), the same value unpadded, a malformed value, and the text that starts

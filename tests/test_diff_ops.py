@@ -489,3 +489,11 @@ def test_derivation_is_an_immutable_value():
 def test_malformed_derivation_specs_are_value_errors(spec, message):
     with pytest.raises(ValueError, match=message):
         DerivationEnv.from_dict(spec)
+
+
+def test_a_derivation_stores_its_coefficients_as_a_tuple():
+    p = parse_polynomial("x1", 1)
+    built = Derivation([p])
+    assert built == Derivation((p,)) == Derivation(iter([p])) and built.coeffs == (p,)
+    with pytest.raises(AttributeError):
+        built.coeffs.append(p)

@@ -13,6 +13,7 @@ from hopftrees import (
     ShuffleHopfAlgebra,
     TensorPair,
     Tree,
+    TreeHopfAlgebra,
     Word,
     extend_bilinear,
     extend_linear,
@@ -269,3 +270,10 @@ def test_budget_boundary():
 def test_over_budget_enumerations_are_refused(job):
     with pytest.raises(ValueError, match="more than the limit"):
         job()
+
+
+def test_a_list_of_symbols_gives_a_hashable_algebra_with_the_symbols_as_given():
+    alg = TreeHopfAlgebra(symbols=["E1"])
+    assert alg.symbols == ("E1",) and alg == labeled_algebra(["E1"]) and hash(alg) == hash(labeled_algebra(("E1",)))
+    assert alg.antipode(t("(;(E1))")) == lc((t("(;(E1))"), -1))
+    assert TreeHopfAlgebra(symbols=["E1", "E1"]).describe() == "labeled(E1,E1) tree algebra"

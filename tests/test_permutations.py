@@ -5,6 +5,7 @@ import math
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopftrees import (
     HEAP_ORDERED,
@@ -14,6 +15,7 @@ from hopftrees import (
     cycle_coproduct,
     heap_ordered_trees,
     heap_product,
+    is_standard_heap_tree,
     parse_permutation,
     permutation_to_tree,
     relabel,
@@ -21,8 +23,8 @@ from hopftrees import (
     symmetric_group,
     tree_to_permutation,
 )
-from helpers import (heap_product_by_maps, lc, permutation_as_map, permutation_to_tree_by_stack,
-                     symmetric_group_by_cycle_walk, t)
+from helpers import (cycles_by_walk, heap_product_by_maps, lc, permutation_as_map, permutation_to_tree_by_stack,
+                     symmetric_group_by_cycle_walk, t, verify_morphism)
 
 
 ID0 = CyclePermutation()
@@ -256,3 +258,64 @@ def test_permutation_errors_point_at_the_bad_piece(text, message, position):
 def test_cycle_entries_are_separated_by_spaces_or_commas():
     expected = parse_permutation("(1 3)(2)")
     assert [parse_permutation(text) for text in (" ( 1 , 3 ) (2) ", "(1\t3)(2)", "(1,,3)(2)")] == [expected] * 3
+
+
+def test_the_constructor_decides_standard_order():
+    scrambled = CyclePermutation(((2, 1),))
+    standard = CyclePermutation.from_cycles([(1, 2)])
+    assert scrambled == standard and hash(scrambled) == hash(standard) and scrambled.cycles == ((1, 2),)
+    assert CyclePermutation(([3, 1, 2], (4,))).cycles == ((4,), (1, 2, 3))
+    assert hash(standard) == hash((((1, 2),),))
+
+
+def test_scrambled_input_gives_the_standard_heap_products_and_tree():
+    one = CyclePermutation(((1,),))
+    assert heap_product(CyclePermutation(((2, 1),)), one) == lc(
+        (parse_permutation("(1 2 3)"), 1), (parse_permutation("(2 3)(1)"), 1))
+    assert heap_product(CyclePermutation(((1,), (2,))), one) == heap_product(parse_permutation("(2)(1)"), one)
+    assert str(heap_product(CyclePermutation(((1,), (2,))), one)).startswith("(1 3 2) + ")
+    tree = permutation_to_tree(CyclePermutation(((2, 1),)))
+    assert tree == t("(;(1;(2)))") and HEAP_ORDERED.counit(tree) == 0
+
+
+def test_an_empty_cycle_is_dropped_as_in_from_cycles():
+    assert CyclePermutation(((),)) == ID0 == CyclePermutation.from_cycles([()])
+    assert CyclePermutation(((2, 1), ())) == parse_permutation("(1 2)")
+
+
+@st.composite
+def scrambled(draw, max_size: int = 5):
+    """A permutation of ``1..n`` as its image tuple and its cycles, each cycle
+    rotated and the cycles listed in a drawn order."""
+    images = draw(st.permutations(range(1, draw(st.integers(0, max_size)) + 1)))
+    turns = draw(st.lists(st.integers(0, 4), min_size=len(images), max_size=len(images)))
+    rotated = [c[k % len(c):] + c[:k % len(c)] for c, k in zip(cycles_by_walk(images), turns)]
+    return tuple(images), tuple(draw(st.permutations(rotated)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(scrambled(), scrambled())
+def test_scrambled_cycles_meet_the_oracles(first, second):
+    (images, cycles), (images2, cycles2) = first, second
+    p, standard = CyclePermutation(cycles), cycles_by_walk(images)
+    assert p.cycles == standard and permutation_as_map(p.cycles) == tuple(images)
+    reference = CyclePermutation.from_cycles(cycles)
+    assert p == reference and hash(p) == hash(reference) and p.encode() == reference.encode()
+    assert cycle_coproduct(p) == cycle_coproduct(CyclePermutation.from_cycles(standard))
+    tree = permutation_to_tree(p)
+    assert is_standard_heap_tree(tree) and tree == permutation_to_tree_by_stack(reference)
+    assert tree_to_permutation(tree) == p
+    if len(images) + len(images2) <= 6:
+        product = {permutation_as_map(q.cycles): c for q, c in heap_product(p, CyclePermutation(cycles2))}
+        assert product == heap_product_by_maps(standard, cycles_by_walk(images2))
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_permutations_and_heap_ordered_trees_are_isomorphic_hopf_algebras(forward):
+    phi, source, target = permutation_to_tree, HEAP_PRODUCT_ALGEBRA, HEAP_ORDERED
+    if not forward:
+        phi, source, target = tree_to_permutation, HEAP_ORDERED, HEAP_PRODUCT_ALGEBRA
+    report = verify_morphism(phi, source, target, 4)
+    assert report.passed, report.render()
+    assert [(c.name, c.checked) for c in report.checks] == [
+        ("unit", 1), ("product", 93), ("coproduct", 34), ("counit", 34), ("antipode", 34)]

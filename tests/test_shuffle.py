@@ -152,3 +152,10 @@ def test_word_is_an_immutable_value_with_a_cached_hash():
     with pytest.raises(AttributeError):
         del w.letters
     assert not hasattr(w, "__dict__")
+
+
+def test_a_list_of_letters_gives_a_hashable_algebra_with_the_letters_as_given():
+    alg = ShuffleHopfAlgebra(["a", "b"])
+    assert alg.letters == ("a", "b") and alg == ShuffleHopfAlgebra(("a", "b"))
+    assert hash(alg) == hash(ShuffleHopfAlgebra(("a", "b")))
+    assert ShuffleHopfAlgebra(["a", "a"]).describe() == "shuffle algebra on {a, a}"

@@ -32,6 +32,7 @@ from helpers import (
     _encode_shape,
     attach_all_by_assignments,
     attach_all_by_placements,
+    is_standard_heap_tree_by_sort,
     label_in_preorder,
     tree_encodings_by_parent_arrays,
     lc,
@@ -235,6 +236,38 @@ def test_heap_predicate_rejects_misordered_labels():
     bad = parse_tree("(;(2;(1)))")
     assert not is_standard_heap_tree(bad)
     assert not is_standard_heap_tree(parse_tree("(;(1)(1))"))
+
+
+def _relabeled(tree: Tree, label, ordered: bool | None = None) -> Tree:
+    """``tree`` with each node's label ``x`` replaced by ``label(x)``."""
+    flavor = tree.ordered if ordered is None else ordered
+    return Tree(label(tree.label), [_relabeled(c, label, flavor) for c in tree.children], flavor)
+
+
+def _heap_mutants(tree: Tree):
+    """``tree`` with, in turn: each pair of labels swapped, a label repeated in
+    place of another, a label made 0 or a string, the root labeled, and the
+    ordered flavor."""
+    labels = [x for x in tree.labels() if x is not None]
+    for a, b in itertools.permutations(labels, 2):
+        yield _relabeled(tree, lambda x: {a: b, b: a}.get(x, x))
+        yield _relabeled(tree, lambda x: a if x == b else x)
+    for a in labels:
+        yield _relabeled(tree, lambda x: 0 if x == a else x)
+        yield _relabeled(tree, lambda x: "E1" if x == a else x)
+    yield Tree(1, tree.children)
+    yield _relabeled(tree, lambda x: x, ordered=True)
+
+
+def test_the_one_walk_heap_predicate_matches_the_two_pass_oracle():
+    heap = [tree for d in range(6) for tree in heap_ordered_trees(d)]
+    others = [tree for d in range(6) for tree in
+              rooted_trees(d) + ordered_trees(d) + labeled_trees(d, ("E1", "E2")) + ordered_labeled_trees(d, ("E1",))]
+    mutants = [m for tree in heap for m in _heap_mutants(tree)]
+    verdicts = {tree: is_standard_heap_tree(tree) for tree in heap + others + mutants}
+    assert verdicts == {tree: is_standard_heap_tree_by_sort(tree) for tree in verdicts}
+    assert all(verdicts[tree] for tree in heap) and sum(verdicts.values()) == len(heap)
+    assert not any(verdicts[tree] for tree in others if tree.degree() > 0)
 
 
 def test_labeled_enumeration_two_symbols():
