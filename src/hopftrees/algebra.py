@@ -16,6 +16,8 @@ results are deterministic across runs and platforms.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
 
@@ -51,13 +53,20 @@ def check_degree(degree: int) -> None:
         raise ValueError(f"degree must be >= 0, got {degree}")
 
 
-def splits(items: tuple, what: str) -> Iterator[tuple[tuple, tuple]]:
-    """Every split of ``items`` into ``(kept, rest)``, both in order, by mask ``0 .. 2^r - 1``
-    (bit ``i`` keeps ``items[i]``); the ``2^r`` splits of ``what`` are checked against the budget."""
-    check_budget(2 ** len(items), what)
-    for mask in range(1 << len(items)):
-        yield (tuple([x for i, x in enumerate(items) if mask >> i & 1]),
-               tuple([x for i, x in enumerate(items) if not mask >> i & 1]))
+def splits(items: tuple, what: str) -> Iterator[tuple[tuple, tuple, int]]:
+    """Every distinct split of ``items`` into ``(kept, rest, ways)``, both in order: a run of ``k`` equal
+    adjacent items keeps ``j`` of them in ``C(k, j)`` ways, and ``ways`` is the product over the runs.
+    Runs count like mask bits, the first fastest, so distinct items come by mask ``0 .. 2^r - 1`` (bit
+    ``i`` keeps ``items[i]``) with ``ways`` 1; the ``prod (k + 1)`` splits of ``what`` are budgeted."""
+    runs = [(x, len(list(group))) for x, group in itertools.groupby(items)]
+    check_budget(math.prod([k + 1 for _, k in runs]), what)
+    # each run's choices, last run first: ``product`` turns its last factor fastest
+    choices = [[((x,) * j, (x,) * (k - j), math.comb(k, j)) for j in range(k + 1)] for x, k in reversed(runs)]
+    for picks in itertools.product(*choices):
+        kept, rest, ways = (), (), 1
+        for more, less, count in reversed(picks):
+            kept, rest, ways = kept + more, rest + less, ways * count
+        yield kept, rest, ways
 
 
 class ParseError(ValueError):

@@ -15,13 +15,14 @@ that basis elements stay in standard form.
 
 from __future__ import annotations
 
-from .algebra import GradedHopfAlgebra, LinearCombination, TensorPair, _set, splits
+from .algebra import _PLAIN, GradedHopfAlgebra, LinearCombination, TensorPair, _set, splits
 from .trees import (
     DEFAULT_DEGREE_CAP,
     HEAP_DEGREE_CAP,
     Forest,
     Tree,
     _check_degree,
+    _symbols,
     attach_all,
     heap_ordered_trees,
     is_standard_heap_tree,
@@ -44,6 +45,7 @@ class TreeHopfAlgebra(GradedHopfAlgebra):
         symbols = tuple(symbols)
         if heap and (ordered or symbols):
             raise ValueError("heap-ordered flavor uses unordered trees with integer labels")
+        _symbols(symbols, 0)  # refuses a symbol that is not an identifier
         _set(self, "ordered", ordered)
         _set(self, "heap", heap)
         _set(self, "symbols", symbols)
@@ -95,11 +97,12 @@ class TreeHopfAlgebra(GradedHopfAlgebra):
     def coproduct(self, t: Tree) -> LinearCombination:
         """Split the root's children over all position subsets; cocommutative."""
         self._check_member(t)
-        terms: list[tuple[TensorPair, int]] = []
+        out: dict[TensorPair, int] = {}
         half = standard_root if self.heap else lambda kept: Tree(None, kept, self.ordered)
-        for kept, rest in splits(t.children, "root split"):
-            terms.append((TensorPair(half(kept), half(rest)), 1))
-        return LinearCombination(terms)
+        for kept, rest, ways in splits(t.children, "root split"):
+            pair = TensorPair(half(kept), half(rest))
+            out[pair] = out.get(pair, 0) + ways
+        return _PLAIN._new(out)
 
     def counit(self, t: Tree) -> int:
         self._check_member(t)

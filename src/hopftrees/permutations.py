@@ -25,7 +25,7 @@ import itertools
 import math
 import re
 
-from .algebra import (GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _set,
+from .algebra import (_PLAIN, GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _set,
                       check_budget, check_degree, pieces, splits)
 from .trees import HEAP_DEGREE_CAP, Tree, _check_degree, is_standard_heap_tree
 
@@ -165,13 +165,13 @@ def heap_product(s: CyclePermutation, t: CyclePermutation) -> LinearCombination:
             cycles.append(grown)
         p = CyclePermutation(cycles)
         counts[p] = counts.get(p, 0) + 1
-    return LinearCombination(counts)
+    return _PLAIN._new(counts)
 
 
 def cycle_coproduct(p: CyclePermutation) -> LinearCombination:
     """Split the cycle set over all subsets, relabeling both parts."""
-    return LinearCombination((TensorPair(relabel(kept), relabel(rest)), 1)
-                             for kept, rest in splits(p.cycles, "cycle coproduct"))
+    return LinearCombination((TensorPair(relabel(kept), relabel(rest)), ways)
+                             for kept, rest, ways in splits(p.cycles, "cycle coproduct"))
 
 
 def symmetric_group(n: int) -> list[CyclePermutation]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .algebra import (GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _set,
+from .algebra import (_PLAIN, GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _set,
                       check_budget, check_degree, identifiers)
 
 
@@ -70,16 +70,12 @@ def shuffle_product(u: Word, v: Word) -> LinearCombination:
         it = iter(v.letters)
         word = Word(tuple(x if x is not None else next(it) for x in letters))
         counts[word] = counts.get(word, 0) + 1
-    return LinearCombination(counts)
+    return _PLAIN._new(counts)
 
 
 def deconcatenation(w: Word) -> LinearCombination:
     """``Delta(w) = sum_k prefix_k (x) suffix_k`` over all split points."""
-    terms = [
-        (TensorPair(Word(w.letters[:k]), Word(w.letters[k:])), 1)
-        for k in range(len(w) + 1)
-    ]
-    return LinearCombination(terms)
+    return _PLAIN._new({TensorPair(Word(w.letters[:k]), Word(w.letters[k:])): 1 for k in range(len(w) + 1)})
 
 
 def shuffle_antipode(w: Word) -> LinearCombination:

@@ -19,7 +19,7 @@ import itertools
 import math
 from operator import attrgetter
 
-from .algebra import Immutable, LinearCombination, ParseError, Value, _set, check_budget, check_degree, pieces
+from .algebra import _PLAIN, Immutable, LinearCombination, ParseError, Value, _set, check_budget, check_degree, pieces
 
 Label = str | int | None
 
@@ -39,21 +39,21 @@ class Tree(Immutable):
     canonical children is canonical: the bottom-up isomorphism test of
     Aho, Hopcroft and Ullman (*The Design and Analysis of Computer
     Algorithms*, 1974).  A planar tree keeps its children in the given order.
-    Children are stored as a tuple; the node count and the encoding are
-    computed at construction from the children's (the hash is the encoding's,
-    which Python keeps on the string).  Trees are equal when they have the
-    same flavor and the same encoding.
+    Children are stored as a tuple and the encoding is joined from theirs (the
+    hash is the encoding's, which Python keeps on the string); it holds one
+    ``(`` per node, as no label contains one, so the node count is read from
+    it.  Trees are equal when they have the same flavor and the same encoding.
     """
 
-    __slots__ = ("label", "children", "ordered", "_size", "_code")
+    __slots__ = ("label", "children", "ordered", "_code")
 
     def __init__(self, label: Label = None, children=(), ordered: bool = False):
         children = tuple(children) if ordered else tuple(sorted(children, key=_code))
         _set(self, "label", label)
         _set(self, "children", children)
         _set(self, "ordered", ordered)
-        _set(self, "_size", 1 + sum([c._size for c in children]))
-        _set(self, "_code", _join(label, children))
+        head = "" if label is None else label
+        _set(self, "_code", f"({head};{''.join(map(_code, children))})" if children else f"({head})")
 
     def __reduce__(self):
         return Tree, (self.label, self.children, self.ordered)
@@ -75,11 +75,11 @@ class Tree(Immutable):
         return self._code
 
     def node_count(self) -> int:
-        return self._size
+        return self._code.count("(")
 
     def degree(self) -> int:
         """Number of non-root nodes."""
-        return self._size - 1
+        return self._code.count("(") - 1
 
     def labels(self) -> list[Label]:
         """Labels of all nodes in preorder (root first)."""
@@ -96,14 +96,6 @@ class Tree(Immutable):
 
 
 _code = attrgetter("_code")
-
-
-def _join(label: Label, children) -> str:
-    """Encoding of a node from its children's encodings."""
-    head = "" if label is None else str(label)
-    if not children:
-        return f"({head})"
-    return f"({head};" + "".join([c._code for c in children]) + ")"
 
 
 class Forest(Value):
@@ -231,7 +223,8 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
     copies goes to a multiset of ``k`` nodes, weighted by the multinomial
     ``k!/prod(m_i!)`` over the copies ``m_i`` each node gets.  That enumerates
     ``prod C(n+k, k)`` placements instead of ``(n+1)^r``.  Each placement
-    rebuilds only the paths from the root to the nodes that receive members;
+    rebuilds only the paths from the root to the nodes that receive members.
+    Placements merge by the root's encoding, a string that hashes once in C;
     terms come in placement order (one member: by its node, in preorder).
 
     Rebuilt subtrees are shared within the call (hash-consing scoped to one
@@ -253,7 +246,8 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
          for combo in itertools.combinations_with_replacement(range(size), k)]
         for member, k in runs
     ]
-    out: dict[Tree, int] = {}
+    found: dict[str, Tree] = {}
+    weights: dict[str, int] = {}
     built: dict[tuple[int, ...], Tree] | None = {} if len(f.trees) > 1 else None
     for placement in itertools.product(*choices):
         blocks: dict[int, list[Tree]] = {}
@@ -262,9 +256,10 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
             weight *= ways
             for i in combo:
                 blocks.setdefault(i, []).append(member)
-        key = _graft_blocks(nodes, kids, paths, blocks, t.ordered, built)
-        out[key] = out.get(key, 0) + weight
-    return LinearCombination(out)
+        tree = _graft_blocks(nodes, kids, paths, blocks, t.ordered, built)
+        found.setdefault(tree._code, tree)
+        weights[tree._code] = weights.get(tree._code, 0) + weight
+    return _PLAIN._new(dict(zip(found.values(), weights.values())))
 
 
 def _map_integer_labels(t: Tree, new_label) -> Tree:
@@ -322,8 +317,11 @@ def _check_degree(degree: int, cap: int | None, default_cap: int) -> None:
 
 
 def _symbols(symbols, degree: int) -> tuple:
-    """``symbols`` in order without repeats (a repeated symbol labels nothing new)."""
+    """``symbols`` in order without repeats (a repeated symbol labels nothing new), each an identifier."""
     symbols = tuple(dict.fromkeys(symbols))
+    for symbol in symbols:
+        if not (isinstance(symbol, str) and symbol.isidentifier()):
+            raise ValueError(f"symbol {symbol!r} is not an identifier")
     if degree > 0 and not symbols:
         raise ValueError("labeled enumeration needs a nonempty symbol set")
     return symbols

@@ -191,6 +191,20 @@ def relabel_standard(t: Tree) -> Tree:
     return walk(t)
 
 
+def coproduct_by_masks(alg, t: Tree) -> LinearCombination:
+    """The root-split coproduct of the tree algebra ``alg``, one term for each of
+    the ``2^r`` subsets of the root's children, equal children split apart."""
+    kids = t.children
+    terms = []
+    for mask in range(1 << len(kids)):
+        kept = Tree(None, [c for i, c in enumerate(kids) if mask >> i & 1], alg.ordered)
+        rest = Tree(None, [c for i, c in enumerate(kids) if not mask >> i & 1], alg.ordered)
+        if alg.heap:
+            kept, rest = relabel_standard(kept), relabel_standard(rest)
+        terms.append((TensorPair(kept, rest), 1))
+    return LinearCombination(terms)
+
+
 # ---------------------------------------------------------------------------
 # oracle: shuffles by the defining recursion, heap products as maps,
 # symmetric groups by cycle walks, cycle strings as trees by a stack

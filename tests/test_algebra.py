@@ -34,10 +34,10 @@ A, B, C = Sym("a"), Sym("b"), Sym("c")
 
 def test_splits_come_in_mask_order_and_refuse_an_over_budget_count():
     assert list(splits(("a", "b", "c"), "split")) == [
-        ((), ("a", "b", "c")), (("a",), ("b", "c")), (("b",), ("a", "c")), (("a", "b"), ("c",)),
-        (("c",), ("a", "b")), (("a", "c"), ("b",)), (("b", "c"), ("a",)), (("a", "b", "c"), ()),
+        ((), ("a", "b", "c"), 1), (("a",), ("b", "c"), 1), (("b",), ("a", "c"), 1), (("a", "b"), ("c",), 1),
+        (("c",), ("a", "b"), 1), (("a", "c"), ("b",), 1), (("b", "c"), ("a",), 1), (("a", "b", "c"), (), 1),
     ]
-    assert list(splits((), "split")) == [((), ())]
+    assert list(splits((), "split")) == [((), (), 1)]
     with pytest.raises(ValueError, match="wide split would enumerate 262144 terms"):  # 2^18
         next(splits(tuple(range(18)), "wide split"))
 

@@ -119,6 +119,34 @@ def test_psi_expand_numbers_factors_by_preorder_node(capsys, env_file):
     assert factors["(;(E3;(E2;(E1))))"] == ["(a_E1^i3)", "(D_i3 a_E2^i2)", "(D_i2 a_E3^i1)", "(D_i1 f)"]
 
 
+def test_heap_ordered_trees_are_listed_in_the_order_of_their_products(capsys):
+    # each degree grows from the last by one-member products, whose terms come
+    # in preorder of the receiving node; this pins that order
+    code, out, err = run(capsys, "trees", "enum", "--family", "hot", "--degree", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "(;(1)(2)(3)(4))", "(;(1;(4))(2)(3))", "(;(1)(2;(4))(3))", "(;(1)(2)(3;(4)))",
+        "(;(1;(3))(2)(4))", "(;(1;(3)(4))(2))", "(;(1;(3;(4)))(2))", "(;(1;(3))(2;(4)))",
+        "(;(1)(2;(3))(4))", "(;(1;(4))(2;(3)))", "(;(1)(2;(3)(4)))", "(;(1)(2;(3;(4))))",
+        "(;(1;(2))(3)(4))", "(;(1;(2)(4))(3))", "(;(1;(2;(4)))(3))", "(;(1;(2))(3;(4)))",
+        "(;(1;(2)(3))(4))", "(;(1;(2)(3)(4)))", "(;(1;(2;(4))(3)))", "(;(1;(2)(3;(4))))",
+        "(;(1;(2;(3)))(4))", "(;(1;(2;(3))(4)))", "(;(1;(2;(3)(4))))", "(;(1;(2;(3;(4)))))",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["conn", "check-module", "--connection", "{conn}", "--env", "{env}", "--max-degree", "2"],
+    ["psi", "expand", "--env", "{env}", "--word", "E1"],
+])
+def test_a_derivation_symbol_that_is_not_an_identifier_is_refused(capsys, tmp_path, conn_file, argv):
+    # a label holding '(' or ';' would give encodings that no parser reads back
+    env = tmp_path / "bad.json"
+    env.write_text(json.dumps({"n": 1, "E(1": ["x1"], "E1": ["x1^2"]}))
+    code = main([arg.format(conn=conn_file, env=env) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", "error: symbol 'E(1' is not an identifier\n")
+
+
 def test_a_repeated_symbol_adds_no_ordered_labeled_trees(capsys):
     reports = []
     for symbols in ("E1,E1", "E1"):

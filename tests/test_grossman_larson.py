@@ -1,6 +1,7 @@
 """The grafting Hopf algebra: products, coproducts, antipodes, axiom sweeps."""
 
 import itertools
+import math
 
 import pytest
 
@@ -15,21 +16,26 @@ from hopftrees import (
     Tree,
     TreeHopfAlgebra,
     Word,
+    cycle_coproduct,
+    deconcatenation,
     extend_bilinear,
     extend_linear,
     graded_antipode,
     heap_ordered_trees,
     heap_product,
     labeled_algebra,
+    labeled_trees,
+    ordered_labeled_trees,
     ordered_trees,
     rooted_trees,
     shuffle_product,
+    symmetric_group,
     tensor,
     word_count,
 )
 from hopftrees.algebra import MAX_TERMS, check_budget, splits
 from hopftrees.axioms import ANTIPODE_CACHE_SIZE
-from helpers import lc, ot, relabel_standard, t
+from helpers import coproduct_by_masks, lc, ot, relabel_standard, t
 
 
 LEAF = t("()")
@@ -205,9 +211,66 @@ def test_heap_coproduct_ranks_each_half_as_relabel_standard_does():
     for tree in (x for d in range(6) for x in heap_ordered_trees(d)):
         expected = [
             (TensorPair(relabel_standard(Tree(None, kept)), relabel_standard(Tree(None, rest))), 1)
-            for kept, rest in splits(tree.children, "root split")
+            for kept, rest, _ in splits(tree.children, "root split")
         ]
         assert list(HEAP_ORDERED.coproduct(tree)) == list(LinearCombination(expected)), tree
+
+
+TREE_BASES = [
+    (ROOTED, [x for d in range(6) for x in rooted_trees(d)]),
+    (ORDERED, [x for d in range(6) for x in ordered_trees(d)]),
+    (labeled_algebra(("E1", "E2")), [x for d in range(5) for x in labeled_trees(d, ("E1", "E2"))]),
+    (labeled_algebra(("E1", "E2"), ordered=True),
+     [x for d in range(4) for x in ordered_labeled_trees(d, ("E1", "E2"))]),
+    (HEAP_ORDERED, [x for d in range(6) for x in heap_ordered_trees(d)]),
+]
+
+
+@pytest.mark.parametrize("alg, basis", TREE_BASES, ids=[alg.describe() for alg, _ in TREE_BASES])
+def test_the_coproduct_matches_the_one_split_per_subset_oracle(alg, basis):
+    for tree in basis:
+        assert alg.coproduct(tree) == coproduct_by_masks(alg, tree), tree
+
+
+def test_an_equal_leaf_corolla_splits_once_per_kept_count():
+    leaves = 18  # 2^18 subsets, over the budget, but 19 distinct splits
+
+    def corolla(k: int) -> Tree:
+        return Tree(None, [LEAF] * k)
+
+    result = ROOTED.coproduct(corolla(leaves))
+    assert len(result) == leaves + 1 and result.total_multiplicity() == 2 ** leaves
+    assert all(result.coefficient(TensorPair(corolla(k), corolla(leaves - k))) == math.comb(leaves, k)
+               for k in range(leaves + 1))
+    assert list(splits(("a", "a", "b"), "split")) == [
+        ((), ("a", "a", "b"), 1), (("a",), ("a", "b"), 2), (("a", "a"), ("b",), 1),
+        (("b",), ("a", "a"), 1), (("a", "b"), ("a",), 2), (("a", "a", "b"), (), 1),
+    ]
+
+
+def _counted(result: LinearCombination) -> bool:
+    """Whether ``result`` holds only nonzero ``int`` coefficients and is what the
+    checking constructor makes of its terms."""
+    return all(type(c) is int and c for _, c in result) and result == LinearCombination(dict(result))
+
+
+def test_maps_that_count_their_own_terms_give_what_the_checking_constructor_would():
+    for alg, basis in TREE_BASES:
+        small = [x for x in basis if x.degree() <= 3]
+        for x in basis:
+            assert _counted(alg.coproduct(x)), x
+        for x, y in itertools.product(small, repeat=2):
+            assert _counted(alg.product(x, y)), (x, y)
+    group = [p for n in range(5) for p in symmetric_group(n)]
+    for p in group:
+        assert _counted(cycle_coproduct(p)), p
+    for p, q in itertools.product(group[:10], repeat=2):  # S_0 .. S_3
+        assert _counted(heap_product(p, q)), (p, q)
+    words = [Word(w) for n in range(4) for w in itertools.product("ab", repeat=n)]
+    for u in words:
+        assert _counted(deconcatenation(u)), u
+        for v in words:
+            assert _counted(shuffle_product(u, v)), (u, v)
 
 
 def test_bialgebra_compatibility_spot_check():
@@ -262,7 +325,7 @@ def test_budget_boundary():
     [
         # C(24, 12) multiset placements of twelve equal leaves on 13 nodes
         lambda: ROOTED.product(t("(;" + "()" * 12 + ")"), t("(;" + "()" * 12 + ")")),
-        lambda: ROOTED.coproduct(t("(;" + "()" * 18 + ")")),  # 2^18 root splits
+        lambda: HEAP_ORDERED.coproduct(t("(;" + "".join(f"({i})" for i in range(1, 19)) + ")")),  # 2^18 root splits
         lambda: shuffle_product(Word(tuple("abcdefghijkl")), Word(tuple("mnopqrstuvwx"))),
         lambda: heap_product(CyclePermutation.identity(7), CyclePermutation.identity(5)),  # 6^7
     ],

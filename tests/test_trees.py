@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import re
 import weakref
 
 import pytest
@@ -12,11 +13,13 @@ from hopftrees import (
     Forest,
     ParseError,
     Tree,
+    TreeHopfAlgebra,
     add_root,
     attach_all,
     canonicalize,
     heap_ordered_trees,
     is_standard_heap_tree,
+    labeled_algebra,
     labeled_trees,
     ordered_labeled_trees,
     ordered_trees,
@@ -282,6 +285,42 @@ def test_degree_counts_nodes_minus_one():
     assert t("()").degree() == 0
     assert CHAIN2.degree() == 1
     assert V.degree() == 2
+
+
+def _nodes_by_recursion(tree: Tree) -> int:
+    return 1 + sum(_nodes_by_recursion(c) for c in tree.children)
+
+
+def test_the_node_count_read_from_the_encoding_matches_a_recursive_count():
+    families = (rooted_trees, ordered_trees, heap_ordered_trees,
+                lambda d: labeled_trees(d, ("E1", "E2")), lambda d: ordered_labeled_trees(d, ("E1", "E2")))
+    for family in families:
+        for degree in range(6):
+            for tree in family(degree):
+                assert tree.node_count() == _nodes_by_recursion(tree) == tree.degree() + 1 == degree + 1
+
+
+NODE_LABELS = st.one_of(st.none(), st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True), st.integers())
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.booleans(), st.recursive(
+    st.tuples(NODE_LABELS, st.just(())),
+    lambda kids: st.tuples(NODE_LABELS, st.lists(kids, max_size=4).map(tuple)),
+    max_leaves=20,
+))
+def test_the_node_count_of_any_labeled_tree_matches_a_recursive_count(ordered, shape):
+    tree = _tree_from_shape(shape, ordered)
+    assert tree.node_count() == _nodes_by_recursion(tree) == tree.degree() + 1
+
+
+@pytest.mark.parametrize("symbol", ["E(1", "E;", "E)", "E 1", "", "1", 1, None])
+def test_a_symbol_that_is_not_an_identifier_labels_no_tree(symbol):
+    symbols = ["E1", symbol]
+    for make in (lambda: labeled_trees(0, symbols), lambda: ordered_labeled_trees(2, symbols),
+                 lambda: TreeHopfAlgebra(symbols=symbols), lambda: labeled_algebra(symbols, ordered=True)):
+        with pytest.raises(ValueError, match=re.escape(f"symbol {symbol!r} is not an identifier")):
+            make()
 
 
 def test_enumeration_caps():
