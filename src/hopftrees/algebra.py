@@ -179,6 +179,20 @@ class GradedHopfAlgebra(Value):
         return axioms.verify_hopf_axioms(self, max_degree, name or self.describe())
 
 
+def _nonzero(terms: dict) -> dict:
+    """``terms`` without its zero coefficients: ``terms`` itself when it has none, as is usual."""
+    return terms if all(terms.values()) else {key: c for key, c in terms.items() if c}
+
+
+def _collect(terms: Iterable[tuple[Any, Scalar]]) -> dict:
+    """``sum c * key`` over the ``(key, c)`` terms, as a dict without zero coefficients: the one
+    accumulator of combinations, coproducts and the integer tables of :mod:`hopftrees.axioms`."""
+    out: dict = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    return _nonzero(out)
+
+
 def _exact(coeff: Scalar) -> Scalar:
     """``coeff`` itself when it is an ``int``, else as a ``Fraction``."""
     return coeff if type(coeff) is int else Fraction(coeff)
@@ -236,18 +250,8 @@ class LinearCombination:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Any, Scalar] | Iterable[tuple[Any, Scalar]] = ()):
-        data: dict[Any, Scalar] = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for basis, coeff in items:
-            c = _exact(coeff)
-            if not c:
-                continue
-            c += data.get(basis, 0)
-            if c:
-                data[basis] = c
-            else:
-                data.pop(basis, None)
-        self._terms = data
+        self._terms = _collect((basis, _exact(coeff)) for basis, coeff in items)
 
     def _new(self, terms: dict[Any, Scalar]) -> "LinearCombination":
         """A combination in the space of ``self`` holding ``terms`` as they are:
@@ -303,12 +307,7 @@ class LinearCombination:
         if other.__class__ is not self.__class__:
             return NotImplemented
         self._check(other)
-        out = dict(self._terms)
-        for basis, coeff in other._terms.items():
-            out[basis] = coeff = coeff + out.get(basis, 0)
-            if not coeff:
-                del out[basis]
-        return self._new(out)
+        return self._new(_collect(itertools.chain(self._terms.items(), other._terms.items())))
 
     def __sub__(self, other: "LinearCombination") -> "LinearCombination":
         return self + (-other)
@@ -363,13 +362,9 @@ _PLAIN = LinearCombination()
 
 def _sum_scaled(pieces: Iterable[tuple[Scalar, LinearCombination]],
                 space: LinearCombination = _PLAIN) -> LinearCombination:
-    """``sum c * combo`` accumulated in one dict, zero coefficients purged, as a
-    combination in the space of ``space`` (default: plain combinations)."""
-    out: dict[Any, Scalar] = {}
-    for scale, combo in pieces:
-        for basis, coeff in combo._terms.items():
-            out[basis] = out.get(basis, 0) + scale * coeff
-    return space._new({basis: coeff for basis, coeff in out.items() if coeff})
+    """``sum c * combo``, as a combination in the space of ``space`` (default: plain combinations)."""
+    return space._new(_collect((basis, scale * coeff) for scale, combo in pieces
+                               for basis, coeff in combo._terms.items()))
 
 
 def extend_linear(fn: Callable[[Any], LinearCombination], combo: LinearCombination) -> LinearCombination:

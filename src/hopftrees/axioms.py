@@ -4,8 +4,9 @@ Every Hopf algebra in this library (trees of any flavor, forests, words,
 permutations) is graded with a one-dimensional degree-0 part, so one antipode
 recursion and one set of checks work for all of them: a predicate per axiom
 (:func:`unital` to :func:`antipodal`), one generator of degree-capped cases
-(:func:`graded_tuples`) and one runner (:func:`check`) that counts the cases
-and keeps the first failure.  :func:`verify_hopf_axioms` and the forest sweep
+(:func:`graded_tuples`) and one runner (:func:`sweep`) that counts the cases
+of each check, keeps its first failure and returns the report.
+:func:`verify_hopf_axioms` and the forest sweep
 ``connes_kreimer.verify_forest_algebra`` are built from them; failures are
 data, not exceptions.  :class:`~hopftrees.algebra.GradedHopfAlgebra` derives its
 ``antipode`` and ``verify`` from :func:`graded_antipode` and :func:`verify_hopf_axioms`;
@@ -16,7 +17,9 @@ over, so it reads the algebra as integer structure constants: a
 :class:`_SweepMemo` numbers each basis element once and keeps products,
 coproducts and antipodes as ``int``-keyed dicts, each computed once.  The
 predicates are identities between such dicts, and only a failure is turned
-back into elements.  The tables die with the sweep call.
+back into elements.  The tables die with the sweep call.  The antipode
+recursion is :meth:`_SweepMemo.antipode` alone: :func:`graded_antipode` reads
+one element's antipode from the tables of a store made for that call.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import functools
 import itertools
 from typing import Any
 
-from .algebra import GradedHopfAlgebra, LinearCombination, Record, _sum_scaled
+from .algebra import _PLAIN, GradedHopfAlgebra, LinearCombination, Record, _collect
 
 
 ANTIPODE_CACHE_SIZE = 1024
@@ -39,26 +42,10 @@ their antipodes in their own tables.
 
 @functools.lru_cache(maxsize=ANTIPODE_CACHE_SIZE)
 def graded_antipode(alg: Any, element: Any) -> LinearCombination:
-    """Antipode by the recursion available in any graded connected bialgebra:
-    ``S(e) = e`` and, for positive degree, ``S(x) = -x - sum S(x') * x''``
-    over the proper part of the coproduct."""
-    deg = alg.degree(element)
-    if deg == 0:
-        return LinearCombination.single(element)
-    pieces = [(-1, LinearCombination.single(element))]
-    for pair, coeff in alg.coproduct(element):
-        if alg.degree(pair.left) not in (0, deg):
-            pieces.extend((-coeff * s_coeff, alg.product(s_term, pair.right))
-                          for s_term, s_coeff in graded_antipode(alg, pair.left))
-    return _sum_scaled(pieces)
-
-
-def _collect(terms) -> dict:
-    """``sum c * key`` over the ``(key, c)`` terms, as a dict without zero coefficients."""
-    out: dict = {}
-    for key, c in terms:
-        out[key] = out.get(key, 0) + c
-    return {key: c for key, c in out.items() if c}
+    """Antipode by the recursion available in any graded connected bialgebra, read from the
+    tables of one :class:`_SweepMemo` made for this call (see :meth:`_SweepMemo.antipode`)."""
+    memo = _SweepMemo(alg)
+    return _PLAIN._new({memo.elems[k]: c for k, c in memo.antipode(memo.number(element)).items()})
 
 
 class _SweepMemo:
@@ -68,9 +55,8 @@ class _SweepMemo:
     meets it (``index`` maps an element to it, ``elems`` back) and reads its
     ``degrees`` and ``counits`` once through the algebra's own methods.  The
     product ``(i, j) -> {k: c}``, the coproduct ``i -> {(j, k): c}`` and the
-    antipode ``i -> {k: c}`` (the recursion of :func:`graded_antipode`, over
-    indices) are filled on demand, each entry computed once.  A store is made
-    for one sweep call and dies with it.
+    antipode ``i -> {k: c}`` are filled on demand, each entry computed once.
+    A store is made for one sweep or antipode call and dies with it.
     """
 
     def __init__(self, alg: GradedHopfAlgebra):
@@ -106,6 +92,8 @@ class _SweepMemo:
         return value
 
     def antipode(self, i: int) -> dict[int, int]:
+        """The recursion of any graded connected bialgebra: ``S(e) = e`` and, for positive degree,
+        ``S(x) = -x - sum S(x') x''`` over the proper part of the coproduct."""
         value = self._antipodes.get(i)
         if value is None:
             deg, degrees = self.degrees[i], self.degrees
@@ -155,17 +143,22 @@ class VerificationReport(Record):
         return self.render()
 
 
-def check(report: VerificationReport, memo: _SweepMemo, name: str, cases, holds, render=None) -> None:
-    """Append to ``report`` how many ``cases`` (tuples of indices) there were and the first
-    for which ``holds(memo, *case)`` is false, shown by ``render`` on its elements (by
-    default the encoding of its one element, or of its elements in parentheses)."""
-    checked, failed = 0, None
-    for case in cases:
-        checked += 1
-        if not holds(memo, *case) and failed is None:
-            failed = case
-    shown = None if failed is None else (render or _encode_case)(*[memo.elems[i] for i in failed])
-    report.checks.append(AxiomCheck(name, checked, failed is None, shown))
+def sweep(memo: _SweepMemo, name: str, checks) -> VerificationReport:
+    """The report ``name`` of the ``(axiom, cases, holds[, render])`` checks: for each, how many
+    ``cases`` (tuples of indices) there were and the first for which ``holds(memo, *case)`` is
+    false, shown by ``render`` on its elements (by default the encoding of its one element, or
+    of its elements in parentheses)."""
+    report = VerificationReport(name)
+    for axiom, cases, holds, *render in checks:
+        checked, failed = 0, None
+        for case in cases:
+            checked += 1
+            if not holds(memo, *case) and failed is None:
+                failed = case
+        show = render[0] if render else _encode_case
+        shown = None if failed is None else show(*[memo.elems[i] for i in failed])
+        report.checks.append(AxiomCheck(axiom, checked, failed is None, shown))
+    return report
 
 
 def _encode_case(*case) -> str:
@@ -251,21 +244,17 @@ def verify_hopf_axioms(alg: GradedHopfAlgebra, max_degree: int, name: str) -> Ve
     basis element of degree <= ``max_degree``; pair and triple checks
     (compatibility, associativity) run on tuples of positive-degree elements
     whose degrees sum to at most ``max_degree + 1``.  Each product, coproduct
-    and antipode is computed once per call, into the tables of a
-    :class:`_SweepMemo`; the antipode is the recursion of :func:`graded_antipode`.
+    and antipode is computed once per call, into the tables of a :class:`_SweepMemo`.
     """
     memo = _SweepMemo(alg)
     # largest first, so an over-budget basis is refused before the others are built
     basis = {d: list(map(memo.number, alg.basis(d))) for d in reversed(range(max_degree + 1))}
     elements = list(graded_tuples(basis, 1, 0, max_degree))
-    report = VerificationReport(name)
-    for axiom, cases, holds in (
+    return sweep(memo, name, (
         ("unit", elements, unital),
         ("associativity", graded_tuples(basis, 3, 1, max_degree + 1), associative),
         ("coassociativity", elements, coassociative),
         ("counit", elements, counital),
         ("compatibility", graded_tuples(basis, 2, 1, max_degree + 1), compatible),
         ("antipode", elements, antipodal),
-    ):
-        check(report, memo, axiom, cases, holds)
-    return report
+    ))

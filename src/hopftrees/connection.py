@@ -54,13 +54,6 @@ class Connection:
     def flat(cls, num_vars: int) -> "Connection":
         return cls(num_vars)
 
-    @property
-    def is_flat(self) -> bool:
-        return not self._gamma
-
-    def christoffel(self, i: int, j: int, k: int) -> Polynomial:
-        return self._gamma.get((i, j, k), Polynomial.zero(self.num_vars))
-
     @classmethod
     def from_dict(cls, spec: Mapping) -> "Connection":
         """Build from ``{"n": 1, "gamma": {"i,j,k": "<polynomial>"}}``."""
@@ -79,8 +72,7 @@ class Connection:
 
 def covariant_derivative(conn: Connection, lower: Derivation, upper: Derivation) -> Derivation:
     """``nabla_lower upper`` in coordinates: the first covariant differential of ``upper``."""
-    _check_vars(conn.num_vars, lower, upper)
-    return Derivation(_covariant_contraction(upper, [lower], conn._steps, {}))
+    return vector_covariant_differential(upper, [lower], conn)
 
 
 def vector_covariant_differential(field: Derivation, fields: Sequence[Derivation], conn: Connection) -> Derivation:

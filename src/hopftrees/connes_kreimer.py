@@ -180,16 +180,6 @@ def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
     by_degree = [list(map(memo.number, memo.alg.basis(d))) for d in range(max(max_degree, 0) + 1)]
     monomials = list(axioms.graded_tuples(by_degree, 1, 0, max_degree))
     trees = [(memo.number(Forest((add_root(memo.elems[m]),))),) for (m,) in monomials]
-    report = axioms.VerificationReport(memo.alg.describe())
-    for name, cases, holds in (
-        ("commutativity", axioms.graded_tuples(by_degree, 2, 0, max_degree),
-         lambda memo, a, b: memo.product(a, b) == memo.product(b, a)),
-        ("associativity", axioms.graded_tuples(by_degree, 3, 0, max_degree), axioms.associative),
-        ("unit", monomials, axioms.unital),
-        ("coassociativity", trees, axioms.coassociative),
-        ("counit", monomials, axioms.counital),
-    ):
-        axioms.check(report, memo, name, cases, holds)
 
     def dual(memo, m1: int, m2: int, a: int) -> bool:
         t1, t2, elems = add_root(memo.elems[m1]), add_root(memo.elems[m2]), memo.elems
@@ -197,10 +187,15 @@ def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
             c * pairing(t1, elems[l]) * pairing(t2, elems[r]) for (l, r), c in memo.coproduct(a).items())
 
     small = [m for level in by_degree[:max(0, max_degree // 2) + 1] for m in level]
-    axioms.check(
-        report, memo, "grafting-duality",
-        ((m1, m2, a) for m1 in small for m2 in small for a in by_degree[memo.degrees[m1] + memo.degrees[m2]]),
-        dual,
-        lambda m1, m2, a: f"({add_root(m1).encode()}, {add_root(m2).encode()}; {a.encode()})",
-    )
-    return report
+    return axioms.sweep(memo, memo.alg.describe(), (
+        ("commutativity", axioms.graded_tuples(by_degree, 2, 0, max_degree),
+         lambda memo, a, b: memo.product(a, b) == memo.product(b, a)),
+        ("associativity", axioms.graded_tuples(by_degree, 3, 0, max_degree), axioms.associative),
+        ("unit", monomials, axioms.unital),
+        ("coassociativity", trees, axioms.coassociative),
+        ("counit", monomials, axioms.counital),
+        ("grafting-duality",
+         ((m1, m2, a) for m1 in small for m2 in small for a in by_degree[memo.degrees[m1] + memo.degrees[m2]]),
+         dual,
+         lambda m1, m2, a: f"({add_root(m1).encode()}, {add_root(m2).encode()}; {a.encode()})"),
+    ))

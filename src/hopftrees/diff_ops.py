@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import (Immutable, LinearCombination, ParseError, Record, Scalar, _set,
+from .algebra import (Immutable, LinearCombination, ParseError, Record, Scalar, _nonzero, _set,
                       _sum_scaled, extend_bilinear, format_fraction, pieces)
 from .grossman_larson import labeled_algebra
 from .trees import Tree, _preorder
@@ -120,10 +120,6 @@ def _derive_into(out: dict, p: dict, i: int) -> dict:
             key = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
             out[key] = out.get(key, 0) + coeff * exps[i]
     return out
-
-
-def _nonzero(terms: dict) -> dict:
-    return {e: c for e, c in terms.items() if c}
 
 
 _TERM = re.compile(r"(?=[^\s+-])(?:[*^/]\s*[+-]|[^+-])+")

@@ -15,7 +15,7 @@ that basis elements stay in standard form.
 
 from __future__ import annotations
 
-from .algebra import _PLAIN, GradedHopfAlgebra, LinearCombination, TensorPair, _set, splits
+from .algebra import _PLAIN, GradedHopfAlgebra, LinearCombination, TensorPair, _collect, _set, splits
 from .trees import (
     DEFAULT_DEGREE_CAP,
     HEAP_DEGREE_CAP,
@@ -97,12 +97,9 @@ class TreeHopfAlgebra(GradedHopfAlgebra):
     def coproduct(self, t: Tree) -> LinearCombination:
         """Split the root's children over all position subsets; cocommutative."""
         self._check_member(t)
-        out: dict[TensorPair, int] = {}
         half = standard_root if self.heap else lambda kept: Tree(None, kept, self.ordered)
-        for kept, rest, ways in splits(t.children, "root split"):
-            pair = TensorPair(half(kept), half(rest))
-            out[pair] = out.get(pair, 0) + ways
-        return _PLAIN._new(out)
+        return _PLAIN._new(_collect((TensorPair(half(kept), half(rest)), ways)
+                                    for kept, rest, ways in splits(t.children, "root split")))
 
     def counit(self, t: Tree) -> int:
         self._check_member(t)

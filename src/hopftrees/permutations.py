@@ -25,8 +25,8 @@ import itertools
 import math
 import re
 
-from .algebra import (_PLAIN, GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _set,
-                      check_budget, check_degree, pieces, splits)
+from .algebra import (_PLAIN, GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _collect,
+                      _set, check_budget, check_degree, pieces, splits)
 from .trees import HEAP_DEGREE_CAP, Tree, _check_degree, is_standard_heap_tree
 
 
@@ -170,8 +170,8 @@ def heap_product(s: CyclePermutation, t: CyclePermutation) -> LinearCombination:
 
 def cycle_coproduct(p: CyclePermutation) -> LinearCombination:
     """Split the cycle set over all subsets, relabeling both parts."""
-    return LinearCombination((TensorPair(relabel(kept), relabel(rest)), ways)
-                             for kept, rest, ways in splits(p.cycles, "cycle coproduct"))
+    return _PLAIN._new(_collect((TensorPair(relabel(kept), relabel(rest)), ways)
+                                for kept, rest, ways in splits(p.cycles, "cycle coproduct")))
 
 
 def symmetric_group(n: int) -> list[CyclePermutation]:
@@ -231,9 +231,7 @@ class PermutationHopfAlgebra(GradedHopfAlgebra):
         return p.size
 
     def basis(self, degree: int) -> list[CyclePermutation]:
-        """S_degree, refused above the cap of heap-ordered trees (the same algebra) after the budget check."""
-        check_degree(degree)
-        check_budget(math.factorial(degree), f"symmetric group S_{degree}")
+        """S_degree, refused above the cap of heap-ordered trees (the same algebra)."""
         _check_degree(degree, None, HEAP_DEGREE_CAP)
         return symmetric_group(degree)
 

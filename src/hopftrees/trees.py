@@ -43,6 +43,12 @@ class Tree(Immutable):
     hash is the encoding's, which Python keeps on the string); it holds one
     ``(`` per node, as no label contains one, so the node count is read from
     it.  Trees are equal when they have the same flavor and the same encoding.
+
+    The constructor trusts its labels, since grafting builds trees in its hot
+    loop.  The checked entry points are :func:`parse_tree`, the symbol check
+    ``_symbols`` of the labeled enumerations and the membership check
+    ``TreeHopfAlgebra._check_member`` of the algebras; each refuses a label
+    holding ``(``.
     """
 
     __slots__ = ("label", "children", "ordered", "_code")

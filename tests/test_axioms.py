@@ -404,3 +404,5 @@ def test_the_table_predicates_agree_with_the_object_level_oracle_on_every_case(n
             if not holds:
                 failed.add(oracle.__name__)
     assert failed == failing
+    for (x,) in elements:  # the public antipode, read from a store made per call, against the oracle's
+        assert graded_antipode(alg, x) == objects.antipode(x), x

@@ -230,10 +230,11 @@ def test_verify_refuses_an_over_cap_degree_before_any_sweep(capsys, monkeypatch,
 
 def test_verify_perm_refuses_an_over_cap_degree_before_any_product(capsys, monkeypatch):
     products = count_calls(monkeypatch, perm, "heap_product")
-    start = time.perf_counter()
-    assert main(["verify", "--algebra", "perm", "--max-degree", "7"]) == 1
-    assert time.perf_counter() - start < 1
-    assert capsys.readouterr() == ("", "error: degree 7 exceeds enumeration cap 6\n")
+    for degree in ("7", "1000000"):  # the cap comes before the S_n budget: 1000000! took 7.8 s
+        start = time.perf_counter()
+        assert main(["verify", "--algebra", "perm", "--max-degree", degree]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"error: degree {degree} exceeds enumeration cap 6\n")
     assert products == []
 
 
@@ -493,8 +494,8 @@ SIXTY = ",".join(f"E{i}" for i in range(1, 61))
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["verify", "--algebra", "perm", "--max-degree", "12"],
-         "symmetric group S_12 would enumerate 479001600 terms"),
+        (["trees", "enum", "--family", "hot", "--degree", "9", "--cap", "9"],
+         "heap-ordered trees of degree 9 would enumerate 362880 terms"),  # 9!
         (["verify", "--algebra", "shuffle", "--symbols", "a,b,c,d,e,f,g,h", "--max-degree", "8"],
          "shuffle basis of degree 8 would enumerate 16777216 terms"),
         (["verify", "--algebra", "gl", "--flavor", "labeled", "--symbols", SIXTY, "--max-degree", "3"],
@@ -517,6 +518,18 @@ def test_an_over_budget_basis_is_refused_before_it_is_listed(argv, message):
     assert_clean_error(result)
     assert result.stdout == ""
     assert result.stderr == f"error: {message}, more than the limit of {MAX_TERMS}\n"
+
+
+def test_verify_perm_meets_the_cap_before_the_s12_budget():
+    # 12! is over the budget, but the basis refuses degree 12 by the heap-ordered cap first
+    with pytest.raises(ValueError) as refused:
+        perm.symmetric_group(12)
+    assert str(refused.value) == ("symmetric group S_12 would enumerate 479001600 terms, "
+                                  f"more than the limit of {MAX_TERMS}")
+    result = run_module("verify", "--algebra", "perm", "--max-degree", "12")
+    assert_clean_error(result)
+    assert result.stdout == ""
+    assert result.stderr == "error: degree 12 exceeds enumeration cap 6\n"
 
 
 @pytest.mark.parametrize(

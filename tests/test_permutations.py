@@ -140,11 +140,12 @@ def test_symmetric_group_grown_by_the_heap_product_is_the_cycle_walk_list():
 def test_the_basis_shares_the_heap_ordered_cap_once_within_budget():
     assert HEAP_PRODUCT_ALGEBRA.basis(6) == symmetric_group(6) and len(symmetric_group(7)) == 5040
     for degree, message in [(7, "degree 7 exceeds enumeration cap 6"), (8, "degree 8 exceeds enumeration cap 6"),
-                            (9, "symmetric group S_9 would enumerate 362880 terms"),
-                            (-1, "degree must be >= 0, got -1")]:
+                            (9, "degree 9 exceeds enumeration cap 6"), (-1, "degree must be >= 0, got -1")]:
         with pytest.raises(ValueError) as refused:
             HEAP_PRODUCT_ALGEBRA.basis(degree)
         assert str(refused.value).startswith(message), degree
+    with pytest.raises(ValueError, match="symmetric group S_9 would enumerate 362880 terms"):
+        symmetric_group(9)  # the budget stays with the listing itself
 
 
 def test_the_minima_recursion_builds_the_stack_walk_tree():

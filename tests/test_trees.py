@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopftrees import (
+    ROOTED,
     Forest,
     ParseError,
     Tree,
@@ -321,6 +322,16 @@ def test_a_symbol_that_is_not_an_identifier_labels_no_tree(symbol):
                  lambda: TreeHopfAlgebra(symbols=symbols), lambda: labeled_algebra(symbols, ordered=True)):
         with pytest.raises(ValueError, match=re.escape(f"symbol {symbol!r} is not an identifier")):
             make()
+
+
+def test_each_checked_entry_point_refuses_a_label_holding_a_parenthesis():
+    # the constructor trusts its labels; these are the places that check them
+    with pytest.raises(ParseError, match="expected '\\)'"):
+        parse_tree("(;(a(b)))")
+    with pytest.raises(ValueError, match=re.escape("symbol 'a(b' is not an identifier")):
+        labeled_trees(1, ["a(b"])
+    with pytest.raises(ValueError, match=re.escape("labels ['a(b'] in (;(a(b)) do not belong")):
+        ROOTED.product(Tree(None, [Tree("a(b")]), Tree())
 
 
 def test_enumeration_caps():
