@@ -231,9 +231,6 @@ class TensorPair(Immutable):
     def encode(self) -> str:
         return f"{self.left.encode()} (x) {self.right.encode()}"
 
-    def swap(self) -> "TensorPair":
-        return TensorPair(self.right, self.left)
-
 
 class LinearCombination:
     """A finite formal sum ``sum_i c_i * b_i`` with nonzero exact coefficients.
@@ -383,7 +380,7 @@ def extend_bilinear(
 
 def tensor(a: LinearCombination, b: LinearCombination) -> LinearCombination:
     """Tensor product: the coefficient of ``x (x) y`` is ``a[x] * b[y]``."""
-    return extend_bilinear(lambda x, y: LinearCombination.single(TensorPair(x, y)), a, b)
+    return _PLAIN._new({TensorPair(x, y): cx * cy for x, cx in a for y, cy in b})
 
 
 def format_fraction(value: Scalar) -> str:

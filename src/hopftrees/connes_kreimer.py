@@ -12,7 +12,10 @@ containing the root, and the coproduct of a tree is
 
     Delta(t) = t (x) 1  +  sum over admissible cuts  pruned (x) root-part,
 
-the empty cut contributing ``1 (x) t``.  The pairing against the grafting tree
+the empty cut contributing ``1 (x) t``.  One recursion gives both: a tree falls
+whole or is cut, so its cuts multiply its children's splits, and a monomial's
+coproduct its trees' splits (``Delta B+ = B+ (x) 1 + (id (x) B+) Delta``,
+Connes-Kreimer 1998).  The pairing against the grafting tree
 algebra is diagonal on isomorphism classes of forests, weighted by the order
 of the forest's automorphism group; that normalization is what makes
 ``<pairing(t1 t2), a> = (pairing(t1) (x) pairing(t2))(Delta a)`` hold.
@@ -28,33 +31,30 @@ import functools
 import itertools
 import math
 
-from .algebra import GradedHopfAlgebra, LinearCombination, TensorPair, check_budget, extend_bilinear
+from .algebra import _PLAIN, GradedHopfAlgebra, LinearCombination, TensorPair, _collect, check_budget
 from . import axioms
 from .trees import Forest, Tree, add_root, rooted_trees, strip_root
 
 
 def admissible_cuts(t: Tree) -> list[tuple[Forest, Tree]]:
-    """All (pruned forest, root part) splittings, the empty cut included.
-
-    Built recursively: for each child edge, either remove it (the whole child
-    subtree falls off) or keep it and cut the child subtree admissibly.
-    """
+    """All (pruned forest, root part) splittings, the empty cut included: the
+    product of the children's splits, whose fallen pieces form the forest and
+    whose kept parts go back under the root."""
     if t.ordered:
         raise ValueError("cuts are defined on unordered trees")
-
-    def options(child: Tree) -> list[tuple[tuple[Tree, ...], Tree | None]]:
-        return [((child,), None)] + [(cut.trees, kept) for cut, kept in admissible_cuts(child)]
-
     results: list[tuple[Forest, Tree]] = []
-    for choice in itertools.product(*(options(c) for c in t.children)):
-        pruned: list[Tree] = []
-        kept_children: list[Tree] = []
-        for fell, kept in choice:
-            pruned.extend(fell)
-            if kept is not None:
-                kept_children.append(kept)
-        results.append((Forest(pruned), Tree(None, kept_children)))
+    for choice in itertools.product(*map(_falls_or_is_cut, t.children)):
+        pruned, kept = [], []
+        for fell, root in choice:
+            pruned += fell
+            kept += root
+        results.append((Forest(pruned), Tree(None, kept)))
     return results
+
+
+def _falls_or_is_cut(t: Tree) -> list[tuple[tuple[Tree, ...], tuple[Tree, ...]]]:
+    """The (fallen, kept) splits of one tree: it falls whole, or an admissible cut keeps its root part."""
+    return [((t,), ())] + [(cut.trees, (root,)) for cut, root in admissible_cuts(t)]
 
 
 def _cut_count(t: Tree) -> int:
@@ -68,27 +68,16 @@ def monomial_product(a: Forest, b: Forest) -> Forest:
 
 
 def forest_coproduct(m: Forest) -> LinearCombination:
-    """Admissible-cut coproduct, extended multiplicatively to monomials."""
+    """Admissible-cut coproduct, extended multiplicatively to monomials: each
+    tree's splits merge, then multiply into the product of the trees before."""
     _check_unlabeled(m.trees)
     check_budget(math.prod(1 + _cut_count(t) for t in m.trees), "cut coproduct")
-    out = LinearCombination.single(TensorPair(Forest(), Forest()))
+    out = {TensorPair(Forest(), Forest()): 1}
     for t in m.trees:
-        out = _pairwise_union(out, _tree_coproduct(t))
-    return out
-
-
-def _tree_coproduct(t: Tree) -> LinearCombination:
-    terms = [(TensorPair(cut, Forest((root,))), 1) for cut, root in admissible_cuts(t)]
-    return LinearCombination([(TensorPair(Forest((t,)), Forest()), 1)] + terms)
-
-
-def _pairwise_union(a: LinearCombination, b: LinearCombination) -> LinearCombination:
-    def union(x: TensorPair, y: TensorPair) -> LinearCombination:
-        return LinearCombination.single(
-            TensorPair(monomial_product(x.left, y.left), monomial_product(x.right, y.right))
-        )
-
-    return extend_bilinear(union, a, b)
+        splits = _collect((TensorPair(Forest(fell), Forest(kept)), 1) for fell, kept in _falls_or_is_cut(t))
+        out = _collect((TensorPair(monomial_product(x.left, y.left), monomial_product(x.right, y.right)), cx * cy)
+                       for x, cx in out.items() for y, cy in splits.items())
+    return _PLAIN._new(out)
 
 
 def _check_unlabeled(trees) -> None:
@@ -152,7 +141,7 @@ class _ForestAlgebra(GradedHopfAlgebra):
         return forest_monomials(degree)
 
     def product(self, a: Forest, b: Forest) -> LinearCombination:
-        return LinearCombination.single(monomial_product(a, b))
+        return _PLAIN._new({monomial_product(a, b): 1})
 
     def coproduct(self, m: Forest) -> LinearCombination:
         return forest_coproduct(m)

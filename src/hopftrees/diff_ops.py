@@ -13,10 +13,10 @@ connection (:mod:`hopftrees.connection`).  A public call validates each tree
 once and keeps one memo, dropped when it returns: the derivation of each
 distinct subtree, and the tower ``nabla^m F`` of each operand F, built once.
 
-Words in the derivation symbols expand to combinations of labeled trees via
-the grafting product, and the expansion composes: the tree operator of a word
-equals the nested application of the derivations.  Cancellations between words
-happen at the tree level, before any differentiation.
+Words in the derivation symbols expand to labeled trees by grafting one
+leaf per letter (Grossman-Larson 1989), and the expansion composes: the tree
+operator of a word equals the nested application of the derivations.  Words
+cancel against each other at the tree level, before any differentiation.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import (Immutable, LinearCombination, ParseError, Record, Scalar, _nonzero, _set,
-                      _sum_scaled, extend_bilinear, format_fraction, pieces)
-from .grossman_larson import labeled_algebra
-from .trees import Tree, _preorder
+from .algebra import (_PLAIN, Immutable, LinearCombination, ParseError, Record, Scalar, _collect, _nonzero, _set,
+                      _sum_scaled, check_budget, format_fraction, pieces)
+from .trees import Forest, Tree, _preorder, _symbols, attach_all
 
 
 class Polynomial(LinearCombination):
@@ -367,23 +366,22 @@ def _covariant_contraction(operand, fields: Sequence[Derivation], steps: Sequenc
 def word_to_trees(word: Sequence[str], symbols: Iterable[str] | None = None) -> LinearCombination:
     """Expand a word in derivation symbols into labeled trees.
 
-    The letters multiply left to right through the grafting product, starting
-    from single-branch trees; the result is the tree form of the composed
-    operator.
+    The letters graft right to left, each as one leaf placed below every node
+    of every tree so far, starting from the single node; the result is the
+    tree form of the composed operator.
     """
-    word = tuple(word)
     if symbols is not None:
         known = set(symbols)
         unknown = [s for s in word if s not in known]
         if unknown:
             raise KeyError(f"unknown derivation symbols {unknown}")
-    alphabet = tuple(dict.fromkeys(word)) if symbols is None else tuple(sorted(set(word) | set(symbols)))
-    alg = labeled_algebra(alphabet)
-    result = LinearCombination.single(alg.unit())
-    for letter in reversed(word):
-        generator = Tree(None, (Tree(letter),))
-        result = extend_bilinear(alg.product, LinearCombination.single(generator), result)
-    return result
+    _symbols(word if symbols is None else sorted(known), 0)  # refuses a symbol that is not an identifier
+    terms = {Tree(): 1}
+    for k, letter in enumerate(reversed(word), 1):
+        check_budget(len(terms) * k, "word expansion")  # each tree so far has k nodes to graft below
+        leaf = Forest((Tree(letter),))
+        terms = _collect((s, c * cs) for t, c in terms.items() for s, cs in attach_all(leaf, t))
+    return _PLAIN._new(terms)
 
 
 class OperatorTerm(Record):
@@ -443,7 +441,7 @@ def expand_operator(word_terms: Sequence[tuple[Scalar, Sequence[str]]],
     cancellation between words; the surviving combination is what is left
     after coefficients merge.
     """
-    expansions = [(Fraction(coeff), word_to_trees(tuple(word), symbols)) for coeff, word in word_terms]
+    expansions = [(Fraction(coeff), word_to_trees(word, symbols)) for coeff, word in word_terms]
     raw = sum(abs(coeff) * expansion.total_multiplicity() for coeff, expansion in expansions)
     surviving = _sum_scaled(expansions)
     terms = [OperatorTerm(c, t, _tree_factors(t)) for t, c in surviving.terms()]
@@ -473,13 +471,13 @@ class CompositionCheck(Record):
 def verify_composition(word: Sequence[str], env: DerivationEnv, f: Polynomial) -> CompositionCheck:
     """Check that the tree expansion of a word applied to ``f`` equals the
     nested application of its derivations, left to right."""
-    trees = word_to_trees(tuple(word), env.symbols)  # refuses a symbol not in env
+    trees = word_to_trees(word, env.symbols)  # refuses a symbol not in env
     if f.num_vars != env.num_vars:
         raise ValueError("variable counts differ")
     memo = {}
     tree_side = _sum_scaled(((coeff, _tree_action(t, env, (), f, memo)) for t, coeff in trees), f)
     nested = f
-    for symbol in reversed(tuple(word)):
+    for symbol in reversed(word):
         nested = env[symbol].apply(nested)
     return CompositionCheck(tree_side == nested, tree_side, nested)
 

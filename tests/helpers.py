@@ -11,7 +11,8 @@ through their defining recursion, heap products as maps with spliced cycles,
 symmetric groups by walking the cycles of every image tuple, the tree of a
 cycle string by a stack of its smaller left neighbors, standard heap trees
 by sorting their labels and then recursing, automorphism counts
-through plane-representation counting, cuts through edge-subset filtering, and
+through plane-representation counting, cuts through edge-subset filtering,
+words as products in the labeled grafting algebra, and
 the Hopf axioms as identities between ``LinearCombination``s of elements, the
 reading that the sweep's integer tables replace; ``verify_morphism`` checks a
 map between two algebras over two such tables.  Trees act on polynomials
@@ -38,6 +39,7 @@ from hopftrees import (
     LinearCombination,
     Polynomial,
     Tree,
+    labeled_algebra,
     parse_tree,
 )
 from hopftrees import axioms
@@ -55,6 +57,11 @@ def ot(text: str) -> Tree:
 
 def lc(*pairs) -> LinearCombination:
     return LinearCombination([(basis, coeff) for basis, coeff in pairs])
+
+
+def swap(pair: TensorPair) -> TensorPair:
+    """``right (x) left`` for ``left (x) right``: the flip behind cocommutativity."""
+    return TensorPair(pair.right, pair.left)
 
 
 def subtrees(*trees: Tree) -> set[Tree]:
@@ -496,6 +503,25 @@ def cuts_by_subset_filter(tree: Tree) -> list[tuple[Forest, Tree]]:
             if cut.is_admissible():
                 results.append(apply_cut(tree, cut))
     return results
+
+
+def word_to_trees_by_products(word, symbols=None) -> LinearCombination:
+    """A word's trees as products in the labeled grafting algebra: each letter's
+    single-leaf tree times the product of the letters after it, through the
+    algebra's validated public product."""
+    word = tuple(word)
+    if symbols is not None:
+        known = set(symbols)
+        unknown = [s for s in word if s not in known]
+        if unknown:
+            raise KeyError(f"unknown derivation symbols {unknown}")
+    alphabet = tuple(dict.fromkeys(word)) if symbols is None else tuple(sorted(set(word) | set(symbols)))
+    alg = labeled_algebra(alphabet)
+    result = LinearCombination.single(alg.unit())
+    for letter in reversed(word):
+        generator = Tree(None, (Tree(letter),))
+        result = extend_bilinear(alg.product, LinearCombination.single(generator), result)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from hopftrees import (
     tensor,
 )
 from hopftrees.algebra import splits
+from helpers import swap
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def test_tensor_pair_is_an_immutable_value_with_a_cached_hash():
     twin = TensorPair(A, TensorPair(B, C))
     assert pair == twin and hash(pair) == hash(twin) == hash((A, TensorPair(B, C)))
     assert pair != TensorPair(A, TensorPair(C, B)) and pair != (A, TensorPair(B, C))
-    assert pair.swap() == TensorPair(TensorPair(B, C), A)
+    assert swap(pair) == TensorPair(TensorPair(B, C), A)
     assert pair.encode() == "a (x) b (x) c"
     assert pickle.loads(pickle.dumps(pair)) == pair
     with pytest.raises(AttributeError):

@@ -418,6 +418,27 @@ def test_an_undecodable_spec_file_is_a_clean_error(tmp_path):
     assert result.stderr.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
+NINE_LETTERS = ",".join(f"E{i}" for i in range(1, 10))
+
+
+@pytest.mark.parametrize("operation", [["expand", "--report"], ["check-diagram", "--f", "x1"]])
+def test_a_word_expansion_over_budget_is_refused_before_its_last_letter(capsys, tmp_path, operation):
+    env = tmp_path / "nine.json"
+    env.write_text(json.dumps({"n": 1, **{f"E{i}": ["x1"] for i in range(1, 10)}}))
+    start = time.perf_counter()
+    code = main(["psi", *operation, "--env", str(env), "--word", NINE_LETTERS])
+    elapsed = time.perf_counter() - start
+    message = f"error: word expansion would enumerate 362880 terms, more than the limit of {MAX_TERMS}\n"
+    assert (code, *capsys.readouterr()) == (1, "", message)
+    assert elapsed < 2  # the 9! placements of the last letter, on 8! distinct trees, take about 30 s
+
+
+def test_a_word_of_few_distinct_trees_stays_within_the_budget(capsys, env_file):
+    # 12! raw trees, but only the 4,766 shapes of 12 nodes: 57,192 placements of the last letter
+    code, out, _ = run(capsys, "psi", "expand", "--report", "--env", env_file, "--word", ",".join(["E1"] * 12))
+    assert (code, out) == (0, "raw_trees: 479001600, cancelled: 0, surviving: 479001600")
+
+
 @pytest.mark.parametrize(
     "word, message, column",
     [

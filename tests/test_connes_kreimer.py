@@ -101,6 +101,23 @@ def test_coproduct_v():
     )
 
 
+def test_forest_coproducts_are_the_products_of_their_trees_oracle_splits():
+    # each tree splits as t (x) 1 + sum p (x) r over its edge-subset cuts; the
+    # splits multiply tree by tree, the forests joined here by hand
+    for nodes in range(6):
+        for m in forest_monomials(nodes):
+            expected = {TensorPair(Forest(), Forest()): 1}
+            for tree in m.trees:
+                splits = [(Forest((tree,)), Forest())] + [(p, Forest((r,))) for p, r in cuts_by_subset_filter(tree)]
+                product = {}
+                for a, c in expected.items():
+                    for left, right in splits:
+                        key = TensorPair(Forest(a.left.trees + left.trees), Forest(a.right.trees + right.trees))
+                        product[key] = product.get(key, 0) + c
+                expected = product
+            assert forest_coproduct(m) == lc(*expected.items()), m.encode()
+
+
 def test_counit():
     counit = connes_kreimer._ForestAlgebra().counit
     assert counit(Forest()) == 1

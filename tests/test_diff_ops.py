@@ -1,5 +1,6 @@
 """Polynomials, derivations, and labeled trees acting as differential operators."""
 
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -24,7 +25,7 @@ from hopftrees import (
 )
 from hopftrees.algebra import _sum_scaled
 from helpers import (count_calls, dict_derivative, dict_product, dict_sum, lc, random_polynomial, subtrees, t,
-                     tree_operator_by_index_sum)
+                     tree_operator_by_index_sum, word_to_trees_by_products)
 
 
 ENV1 = DerivationEnv.from_dict({"n": 1, "E1": ["x1"], "E2": ["x1^2"]})
@@ -255,6 +256,30 @@ def test_word_to_trees_length_three_multiplicity():
     # per-step grafting counts: 2 trees, then 3 placements on each
     combo = word_to_trees(("E1", "E2", "E3"))
     assert combo.total_multiplicity() == 6
+
+
+def test_word_to_trees_matches_the_product_expansion():
+    letters = ("E1", "E2", "E3")
+    for length in range(5):
+        for word in itertools.product(letters, repeat=length):
+            for symbols in (None, letters):
+                got, expected = word_to_trees(word, symbols), word_to_trees_by_products(word, symbols)
+                assert got == expected and list(got) == list(expected), (word, symbols)
+
+
+@pytest.mark.parametrize(
+    "word, symbols, error, message",
+    [
+        (("E1", "E 1"), None, ValueError, "symbol 'E 1' is not an identifier"),
+        (("E1",), ("E1", "E 1"), ValueError, "symbol 'E 1' is not an identifier"),
+        (("E1", "E4"), ("E1", "E2"), KeyError, "unknown derivation symbols ['E4']"),
+    ],
+)
+def test_word_to_trees_refuses_as_the_product_expansion_did(word, symbols, error, message):
+    for expand in (word_to_trees, word_to_trees_by_products):
+        with pytest.raises(error) as raised:
+            expand(word, symbols)
+        assert raised.value.args == (message,)
 
 
 def test_commutator_leaves_only_chains():

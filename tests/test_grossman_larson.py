@@ -35,7 +35,7 @@ from hopftrees import (
 )
 from hopftrees.algebra import MAX_TERMS, check_budget, splits
 from hopftrees.axioms import ANTIPODE_CACHE_SIZE
-from helpers import coproduct_by_masks, lc, ot, relabel_standard, t
+from helpers import coproduct_by_masks, lc, ot, relabel_standard, swap, t
 
 
 LEAF = t("()")
@@ -162,7 +162,7 @@ def test_cocommutativity():
         for degree in range(degrees):
             for tree in algebra.basis(degree):
                 delta = algebra.coproduct(tree)
-                assert delta.map_basis(TensorPair.swap) == delta
+                assert delta.map_basis(swap) == delta
 
 
 def test_term_count_law():

@@ -24,7 +24,7 @@ from hopftrees import (
     tree_to_permutation,
 )
 from helpers import (cycles_by_walk, heap_product_by_maps, lc, permutation_as_map, permutation_to_tree_by_stack,
-                     symmetric_group_by_cycle_walk, t, verify_morphism)
+                     swap, symmetric_group_by_cycle_walk, t, verify_morphism)
 
 
 ID0 = CyclePermutation()
@@ -98,9 +98,9 @@ def test_relabel_collapses_gaps():
 
 def test_coproduct_examples():
     assert cycle_coproduct(ID0) == lc((TensorPair(ID0, ID0), 1))
-    swap = parse_permutation("(1 2)")
-    assert cycle_coproduct(swap) == lc(
-        (TensorPair(ID0, swap), 1), (TensorPair(swap, ID0), 1)
+    transposition = parse_permutation("(1 2)")
+    assert cycle_coproduct(transposition) == lc(
+        (TensorPair(ID0, transposition), 1), (TensorPair(transposition, ID0), 1)
     )
     two = parse_permutation("(2)(1)")
     one = parse_permutation("(1)")
@@ -122,7 +122,7 @@ def test_cocommutativity_up_to_degree_four():
     for n in range(5):
         for p in symmetric_group(n):
             delta = cycle_coproduct(p)
-            assert delta.map_basis(TensorPair.swap) == delta
+            assert delta.map_basis(swap) == delta
 
 
 def test_tree_bijection_small_cases():

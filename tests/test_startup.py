@@ -108,7 +108,7 @@ print(json.dumps(sorted(n[10:] for n, m in sys.modules.items()
     [
         ("import hopftrees", []),
         ("from hopftrees.trees import Tree", ["algebra", "trees"]),
-        ("import hopftrees.diff_ops as d; d.Polynomial", ["algebra", "diff_ops", "grossman_larson", "trees"]),
+        ("import hopftrees.diff_ops as d; d.Polynomial", ["algebra", "diff_ops", "trees"]),
         ("import hopftrees; hopftrees.Tree", sorted(MODULES)),
         ("from hopftrees import ROOTED", sorted(MODULES)),
     ],
@@ -177,6 +177,7 @@ def test_psi_apply_runs_diff_ops(tmp_path):
     assert (found["code"], found["out"]) == (0, "2*x1^2\n")
     assert "hopftrees.diff_ops" in found["ran"]
     assert "hopftrees.connection" not in found["ran"]
+    assert "hopftrees.grossman_larson" not in found["ran"]
     assert not found["dataclasses"]
 
 
@@ -281,3 +282,21 @@ def test_the_tracer_counts_the_polynomial_layer_of_a_traced_psi_apply(tmp_path):
     assert counts["diff_ops.poly_mul.calls"] > 0
     assert counts["diff_ops.derivative.calls"] > 0
     assert counts["algebra.lc_add.calls"] > 0
+
+
+def test_the_tracer_counts_a_traced_cut_coproduct():
+    # the forest coproduct takes each tree's cuts once: 4 for (;()()) and 1 for ()
+    code, out, counts = run_traced_cli(["ck", "coprod", "(;()())*()"])
+    assert (code, out) == (0, "2*() (x) ()*(;()) + () (x) (;()()) + ()*() (x) ()*() + 2*()*() (x) (;()) "
+                              "+ ()*()*() (x) () + ()*(;()()) (x) 1 + (;()()) (x) () + 1 (x) ()*(;()())\n")
+    assert counts["ck.coproduct.calls"] == 1
+    assert counts["ck.cuts"] == 5
+
+
+def test_the_tracer_counts_a_traced_word_expansion(tmp_path):
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps({"n": 1, "E1": ["x1"], "E2": ["x1^2"]}))
+    code, out, counts = run_traced_cli(["psi", "expand", "--env", str(env), "--report", "--word", "E1,E2 - E2,E1"])
+    assert (code, out) == (0, "raw_trees: 4, cancelled: 2, surviving: 2\n")
+    assert counts["diff_ops.word_to_trees.calls"] == 2
+    assert counts["trees.attach_all.calls"] == 4  # one per tree so far and letter: 1 + 1 for each word
