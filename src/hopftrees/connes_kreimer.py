@@ -116,6 +116,11 @@ def dual_pairing(t: Tree, a: Forest) -> int:
     if t.ordered:
         raise ValueError("the pairing is defined on unordered trees")
     _check_unlabeled((t,) + a.trees)
+    return _pairing(t, a)
+
+
+def _pairing(t: Tree, a: Forest) -> int:
+    """:func:`dual_pairing` of an unordered unlabeled tree and monomial, unchecked."""
     return forest_symmetry_factor(a) if strip_root(t) == a else 0
 
 
@@ -163,7 +168,7 @@ def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
     from .grossman_larson import ROOTED
 
     memo = axioms._SweepMemo(_ForestAlgebra())
-    graft, pairing = functools.cache(ROOTED.product), functools.cache(dual_pairing)
+    graft, pairing = functools.cache(ROOTED.product), functools.cache(_pairing)  # the sweep's own trees
     # each degree is listed once: its trees are its monomials under a root, in rooted_trees order;
     # the duality check grafts two single nodes even when max_degree < 0
     by_degree = [list(map(memo.number, memo.alg.basis(d))) for d in range(max(max_degree, 0) + 1)]

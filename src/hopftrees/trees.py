@@ -178,33 +178,36 @@ def _preorder(t: Tree) -> tuple[list[Tree], list[list[int]], list[tuple[int, ...
     return nodes, kids, paths
 
 
-def _graft_blocks(nodes, kids, paths, blocks: dict[int, list[Tree]], ordered: bool, built: dict | None) -> Tree:
-    """Prepend ``blocks[i]`` to the children of preorder node ``i``.
+def _rebuild(nodes, kids, paths, pairs, runs, ordered, built):
+    """The root child of ``nodes`` that receives ``pairs``: each ``(node, run)``
+    prepends the member of ``runs[run]`` to the children of preorder node ``node``.
 
-    Only the nodes on the paths from the root to the receiving nodes are
-    rebuilt; every other subtree is reused.  A rebuilt non-root node is looked
-    up in ``built`` by its preorder index and the ``id``s of its new children,
-    so the placements of one product share each rebuilt subtree; the root,
-    whose key almost never repeats, is always built anew.  With no table
-    (``built`` is ``None``) every node is built directly.
+    Only the paths down to the receiving nodes are rebuilt; every other subtree
+    is reused.  A rebuilt node is looked up in ``built`` by its preorder index
+    and the ``id``s of its new children, and the root child is also stored
+    there under ``pairs``; with no table (``built`` is ``None``) every node is
+    built directly.
     """
-    touched: set[int] = set()
-    for i in blocks:
+    blocks = {}
+    touched = set()
+    for i, r in pairs:
+        blocks.setdefault(i, []).append(runs[r][0])
         touched.update(paths[i])
-    rebuilt: dict[int, Tree] = {}
-    for i in sorted(touched, reverse=True):  # children before their parents
-        children = blocks.get(i, []) + [rebuilt.get(c, nodes[c]) for c in kids[i]]
+    rebuilt = {}
+    for i in sorted(touched, reverse=True):  # children before their parents, the root last
         if not i:
-            return Tree(nodes[0].label, children, ordered)
+            if built is not None:
+                built[pairs] = node
+            return node
+        children = blocks.get(i, []) + [rebuilt.get(c, nodes[c]) for c in kids[i]]
         if built is None:
-            rebuilt[i] = Tree(nodes[i].label, children, ordered)
-            continue
-        key = (i, *map(id, children))
-        node = built.get(key)
-        if node is None:
-            node = built[key] = Tree(nodes[i].label, children, ordered)
+            node = Tree(nodes[i].label, children, ordered)
+        else:
+            key = (i, *map(id, children))
+            node = built.get(key)
+            if node is None:
+                node = built[key] = Tree(nodes[i].label, children, ordered)
         rebuilt[i] = node
-    return nodes[0]
 
 
 def _multinomial(combo: tuple[int, ...]) -> int:
@@ -225,46 +228,74 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
     associativity of the grafting product.)
 
     Equal members that stand next to each other (in an unordered forest, which
-    is sorted, all equal members do) are placed together: a run of ``k``
-    copies goes to a multiset of ``k`` nodes, weighted by the multinomial
-    ``k!/prod(m_i!)`` over the copies ``m_i`` each node gets.  That enumerates
-    ``prod C(n+k, k)`` placements instead of ``(n+1)^r``.  Each placement
-    rebuilds only the paths from the root to the nodes that receive members.
-    Placements merge by the root's encoding, a string that hashes once in C;
-    terms come in placement order (one member: by its node, in preorder).
+    is sorted, all equal members do) form a run and are placed together: a run
+    of ``k`` copies goes to a multiset of ``k`` nodes, weighted by the
+    multinomial ``k!/prod(m_i!)`` over the copies ``m_i`` each node gets.  That
+    enumerates ``prod C(n+k, k)`` placements instead of ``(n+1)^r``.  Placements
+    merge by the root's encoding, a string that hashes once in C; terms come in
+    placement order (one member: by its node, in preorder).
 
-    Rebuilt subtrees are shared within the call (hash-consing scoped to one
-    product): a table made here maps a non-root node's preorder index and the
-    ``id``s of its new children to the node built from them, so each placement
-    builds only its root.  The ``id``s are safe keys because each names a
-    member of ``f``, a node of ``t`` or a value of the table, all alive until
-    the call returns; the table dies with the call.  A single member touches
-    one path per placement, so no key could repeat and no table is made.
+    Placements are enumerated run by run: for each combination of choices of
+    every run but the last, the root's block, the list of root children, one
+    key per root child and the weight are made once, and then each choice of
+    the last run adds its root block, replaces only the root children it
+    touches and builds the root.  That visits the placements in the order of
+    ``itertools.product`` over all runs' choices, the order of one flat loop,
+    so the terms and their order do not depend on the sharing.  A root child's
+    key is the tuple of ``(node, run)`` pairs placed in it, in run order (its
+    slot is implied by the nodes), and a table made here maps each key to the
+    rebuilt child.  The same table shares every rebuilt non-root node within
+    the call (hash-consing scoped to one product), keyed by its preorder index
+    and the ``id``s of its new children; the ``id``s are safe keys because
+    each names a member of ``f``, a node of ``t`` or a value of the table, all
+    alive until the call returns, and the table dies with the call.  A single
+    member touches one path per placement, so no key could repeat and no table
+    is made.
     """
     if any(s.ordered != t.ordered for s in f.trees):
         raise ValueError("forest and target tree have different ordered/unordered flavor")
+    if not f.trees:
+        return _PLAIN._new({t: 1})
     nodes, kids, paths = _preorder(t)
     runs = [(m, len(list(g))) for m, g in itertools.groupby(f.trees)]
     size = len(nodes)
     check_budget(math.prod(math.comb(size + k - 1, k) for _, k in runs), "grafting product")
-    choices = [
-        [(member, combo, _multinomial(combo))
-         for combo in itertools.combinations_with_replacement(range(size), k)]
-        for member, k in runs
-    ]
-    found: dict[str, Tree] = {}
-    weights: dict[str, int] = {}
-    built: dict[tuple[int, ...], Tree] | None = {} if len(f.trees) > 1 else None
-    for placement in itertools.product(*choices):
-        blocks: dict[int, list[Tree]] = {}
-        weight = 1
-        for member, combo, ways in placement:
-            weight *= ways
+    position = {c: s for s, c in enumerate(kids[0], -len(kids[0]))}  # negative: counted from the row's end
+    slot = [0] + [position[p[1]] for p in paths[1:]]  # the position of each node's root child
+    choices = []
+    for r, (member, k) in enumerate(runs):
+        if k == 1:  # one copy: a choice per node, with no multiset to deal
+            choices.append([([member], [], 1)] + [([], [(slot[i], ((i, r),))], 1) for i in range(1, size)])
+            continue
+        options = []
+        for combo in itertools.combinations_with_replacement(range(size), k):
+            parts = {}
             for i in combo:
-                blocks.setdefault(i, []).append(member)
-        tree = _graft_blocks(nodes, kids, paths, blocks, t.ordered, built)
-        found.setdefault(tree._code, tree)
-        weights[tree._code] = weights.get(tree._code, 0) + weight
+                if i:
+                    parts[slot[i]] = parts.get(slot[i], ()) + ((i, r),)
+            options.append(([member] * combo.count(0), list(parts.items()), _multinomial(combo)))
+        choices.append(options)
+    found, weights = {}, {}
+    built = {} if len(f.trees) > 1 else None
+    for prefix in itertools.product(*choices[:-1]):
+        head, keys, weight = [], {}, 1
+        for block, parts, ways in prefix:
+            head += block
+            weight *= ways
+            for s, pairs in parts:
+                keys[s] = keys.get(s, ()) + pairs
+        children = list(t.children)
+        # ``built`` is None (one member), empty or missing the key: rebuild
+        for s, key in keys.items():
+            children[s] = built and built.get(key) or _rebuild(nodes, kids, paths, key, runs, t.ordered, built)
+        for block, parts, ways in choices[-1]:
+            row = head + block + children
+            for s, pairs in parts:  # the root children this choice touches
+                key = keys.get(s, ()) + pairs
+                row[s] = built and built.get(key) or _rebuild(nodes, kids, paths, key, runs, t.ordered, built)
+            tree = Tree(t.label, row, t.ordered)
+            found.setdefault(tree._code, tree)
+            weights[tree._code] = weights.get(tree._code, 0) + weight * ways
     return _PLAIN._new(dict(zip(found.values(), weights.values())))
 
 

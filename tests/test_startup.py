@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tokenize
 import types
 from pathlib import Path
 
@@ -193,6 +194,20 @@ def test_no_library_module_imports_dataclasses():
         """
     )
     assert found is False
+
+
+# CPython 3.11's parser doubles its token array each time it fills, and with no
+# bytecode cache every run compiles each module it loads: one token past 4,096
+# costs about 230 KB of peak memory at import.
+PARSER_TOKEN_LIMIT = 4096
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "hopftrees").glob("*.py")), ids=lambda p: p.name)
+def test_each_module_stays_under_the_parser_token_limit(path):
+    with path.open(encoding="utf-8") as source:
+        tokens = [tok for tok in tokenize.generate_tokens(source.readline)
+                  if tok.type not in (tokenize.COMMENT, tokenize.NL)]
+    assert len(tokens) < PARSER_TOKEN_LIMIT, f"{path.name} has {len(tokens)} parser tokens"
 
 
 # -- the contract of the benchmark's tracer --------------------------------

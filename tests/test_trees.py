@@ -412,12 +412,22 @@ GRAFT_BASES = {
 }
 
 
+# targets whose root children come in isomorphic pairs, so that members of
+# several runs meet in equal root children (heap-ordered labels never repeat)
+TWIN_TARGETS = {
+    flavor: [Tree(x.label, x.children * 2, x.ordered) for x in basis if 0 < x.degree() <= 2]
+    for flavor, basis in GRAFT_BASES.items() if flavor != "heap"
+}
+
+
 def _graft_case(flavor: str, target_index: int, picks: list[int]) -> tuple[Forest, Tree]:
     """A target of ``flavor`` and a forest of its root-subtrees, both drawn by index:
     heap-ordered members come from one tree, shifted above the target's labels;
-    the other flavors take any sequence of members, equal ones apart or together."""
+    the other flavors take any sequence of members, equal ones apart or together,
+    and targets include the twins above."""
     basis = GRAFT_BASES[flavor]
-    target = basis[target_index % len(basis)]
+    targets = basis + TWIN_TARGETS.get(flavor, [])
+    target = targets[target_index % len(targets)]
     if flavor == "heap":
         donor = basis[sum(picks) % len(basis)]
         return Forest(shift_labels(s, target.degree()) for s in donor.children), target
@@ -426,12 +436,22 @@ def _graft_case(flavor: str, target_index: int, picks: list[int]) -> tuple[Fores
 
 
 @settings(derandomize=True, max_examples=150)
-@given(st.sampled_from(sorted(GRAFT_BASES)), st.integers(0, 99), st.lists(st.integers(0, 99), max_size=3))
+@given(st.sampled_from(sorted(GRAFT_BASES)), st.integers(0, 99), st.lists(st.integers(0, 99), max_size=5))
 def test_attach_all_matches_both_oracles_term_for_term(flavor, target_index, picks):
     forest, target = _graft_case(flavor, target_index, picks)
     result = attach_all(forest, target)
     by_placements = attach_all_by_placements(forest, target)
     assert result == attach_all_by_assignments(forest, target) == by_placements
+    assert list(result) == list(by_placements)
+
+
+def test_four_distinct_runs_graft_as_the_placement_oracle_does():
+    # 6^4 placements and as many terms; members of up to four runs share a root child
+    donor, target = t("(;(1)(2)(3)(4))"), t("(;(1)(2)(3)(4)(5))")
+    forest = Forest(shift_labels(s, target.degree()) for s in donor.children)
+    result = attach_all(forest, target)
+    by_placements = attach_all_by_placements(forest, target)
+    assert len(result) == 1296 and result == by_placements
     assert list(result) == list(by_placements)
 
 
