@@ -37,7 +37,6 @@ _ARITY = {
     "shuffle": {"mul": 2, "coprod": 1},
     "perm": {"mul": 2, "coprod": 1, "to-tree": 1, "from-tree": 1},
 }
-_COMMANDS = ("gl", "ck", "shuffle", "perm", "trees", "psi", "conn", "verify")
 
 
 class CliError(Exception):
@@ -293,81 +292,68 @@ def _cmd_verify(args) -> int:
 # argument wiring
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  With ``command``, only that subcommand's parser
-    is built, and the subcommand list's metavar names all of them, so that the
-    main usage line (printed with an unrecognized argument) is unchanged; the
-    full parser prints the help and the errors that name a subcommand."""
+def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
 
     parser = _Parser(prog="hopftrees", description=__doc__)
-    metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    if command in (None, "gl"):
-        glp = sub.add_parser("gl", parents=[common], help="grafting algebra of trees")
-        glp.add_argument("operation", choices=tuple(_ARITY["gl"]))
-        glp.add_argument("elements", nargs="+", help="trees like '(;())' ('-' reads stdin)")
-        glp.add_argument("--flavor", choices=FLAVORS, default="rooted")
-        glp.add_argument("--symbols", help="comma-separated labels for labeled flavors")
-        glp.set_defaults(handler=_cmd_gl)
+    glp = sub.add_parser("gl", parents=[common], help="grafting algebra of trees")
+    glp.add_argument("operation", choices=tuple(_ARITY["gl"]))
+    glp.add_argument("elements", nargs="+", help="trees like '(;())' ('-' reads stdin)")
+    glp.add_argument("--flavor", choices=FLAVORS, default="rooted")
+    glp.add_argument("--symbols", help="comma-separated labels for labeled flavors")
+    glp.set_defaults(handler=_cmd_gl)
 
-    if command in (None, "ck"):
-        ckp = sub.add_parser("ck", parents=[common], help="forest algebra with cut coproduct")
-        ckp.add_argument("operation", choices=tuple(_ARITY["ck"]))
-        ckp.add_argument("elements", nargs="+", help="monomial '()*(;())' or tree + monomial")
-        ckp.set_defaults(handler=_cmd_ck)
+    ckp = sub.add_parser("ck", parents=[common], help="forest algebra with cut coproduct")
+    ckp.add_argument("operation", choices=tuple(_ARITY["ck"]))
+    ckp.add_argument("elements", nargs="+", help="monomial '()*(;())' or tree + monomial")
+    ckp.set_defaults(handler=_cmd_ck)
 
-    if command in (None, "shuffle"):
-        shp = sub.add_parser("shuffle", parents=[common], help="shuffle algebra of words")
-        shp.add_argument("operation", choices=tuple(_ARITY["shuffle"]))
-        shp.add_argument("elements", nargs="+", help="words like 'x1.x2' ('1' = empty)")
-        shp.set_defaults(handler=_cmd_shuffle)
+    shp = sub.add_parser("shuffle", parents=[common], help="shuffle algebra of words")
+    shp.add_argument("operation", choices=tuple(_ARITY["shuffle"]))
+    shp.add_argument("elements", nargs="+", help="words like 'x1.x2' ('1' = empty)")
+    shp.set_defaults(handler=_cmd_shuffle)
 
-    if command in (None, "perm"):
-        pp = sub.add_parser("perm", parents=[common], help="heap product algebra of permutations")
-        pp.add_argument("operation", choices=tuple(_ARITY["perm"]))
-        pp.add_argument("elements", nargs="+", help="permutations like '(1 3)(2)'")
-        pp.add_argument("--n", type=int, help="ambient symmetric group size")
-        pp.set_defaults(handler=_cmd_perm)
+    pp = sub.add_parser("perm", parents=[common], help="heap product algebra of permutations")
+    pp.add_argument("operation", choices=tuple(_ARITY["perm"]))
+    pp.add_argument("elements", nargs="+", help="permutations like '(1 3)(2)'")
+    pp.add_argument("--n", type=int, help="ambient symmetric group size")
+    pp.set_defaults(handler=_cmd_perm)
 
-    if command in (None, "trees"):
-        tp = sub.add_parser("trees", parents=[common], help="enumerate tree families")
-        tp.add_argument("operation", choices=("enum", "count"))
-        tp.add_argument("--family", choices=("rooted", "ordered", "hot", "labeled"), required=True)
-        tp.add_argument("--degree", type=int, required=True)
-        tp.add_argument("--symbols", default="E1,E2", help="labels for the labeled family (default %(default)s)")
-        tp.add_argument("--cap", type=int, help=f"enumeration cap (defaults {DEFAULT_DEGREE_CAP}, hot {HEAP_DEGREE_CAP})")
-        tp.set_defaults(handler=_cmd_trees)
+    tp = sub.add_parser("trees", parents=[common], help="enumerate tree families")
+    tp.add_argument("operation", choices=("enum", "count"))
+    tp.add_argument("--family", choices=("rooted", "ordered", "hot", "labeled"), required=True)
+    tp.add_argument("--degree", type=int, required=True)
+    tp.add_argument("--symbols", default="E1,E2", help="labels for the labeled family (default %(default)s)")
+    tp.add_argument("--cap", type=int, help=f"enumeration cap (defaults {DEFAULT_DEGREE_CAP}, hot {HEAP_DEGREE_CAP})")
+    tp.set_defaults(handler=_cmd_trees)
 
-    if command in (None, "psi"):
-        psip = sub.add_parser("psi", parents=[common], help="labeled trees as differential operators")
-        psip.add_argument("operation", choices=("apply", "expand", "check-diagram"))
-        psip.add_argument("--env", required=True, help="derivation spec JSON file")
-        psip.add_argument("--tree", help="operator tree for 'apply'")
-        psip.add_argument("--word", help="word(s) in derivation symbols, e.g. 'E1,E2 - E2,E1'")
-        psip.add_argument("--f", help="polynomial argument")
-        psip.add_argument("--report", action="store_true", help="print only the cancellation summary")
-        psip.set_defaults(handler=_cmd_psi)
+    psip = sub.add_parser("psi", parents=[common], help="labeled trees as differential operators")
+    psip.add_argument("operation", choices=("apply", "expand", "check-diagram"))
+    psip.add_argument("--env", required=True, help="derivation spec JSON file")
+    psip.add_argument("--tree", help="operator tree for 'apply'")
+    psip.add_argument("--word", help="word(s) in derivation symbols, e.g. 'E1,E2 - E2,E1'")
+    psip.add_argument("--f", help="polynomial argument")
+    psip.add_argument("--report", action="store_true", help="print only the cancellation summary")
+    psip.set_defaults(handler=_cmd_psi)
 
-    if command in (None, "conn"):
-        cp = sub.add_parser("conn", parents=[common], help="connection action of ordered labeled trees")
-        cp.add_argument("operation", choices=("apply", "check-module"))
-        cp.add_argument("fields", nargs="*", help="two derivation symbols for 'apply'")
-        cp.add_argument("--connection", required=True, help="Christoffel spec JSON file")
-        cp.add_argument("--env", required=True, help="derivation spec JSON file")
-        cp.add_argument("--max-degree", type=int, default=2)
-        cp.add_argument("--seed", type=int, default=2024)
-        cp.set_defaults(handler=_cmd_conn)
+    cp = sub.add_parser("conn", parents=[common], help="connection action of ordered labeled trees")
+    cp.add_argument("operation", choices=("apply", "check-module"))
+    cp.add_argument("fields", nargs="*", help="two derivation symbols for 'apply'")
+    cp.add_argument("--connection", required=True, help="Christoffel spec JSON file")
+    cp.add_argument("--env", required=True, help="derivation spec JSON file")
+    cp.add_argument("--max-degree", type=int, default=2)
+    cp.add_argument("--seed", type=int, default=2024)
+    cp.set_defaults(handler=_cmd_conn)
 
-    if command in (None, "verify"):
-        vp = sub.add_parser("verify", parents=[common], help="run axiom sweeps")
-        vp.add_argument("--algebra", choices=("gl", "ck", "shuffle", "perm"), required=True)
-        vp.add_argument("--flavor", choices=FLAVORS)
-        vp.add_argument("--symbols")
-        vp.add_argument("--max-degree", type=int, default=3)
-        vp.set_defaults(handler=_cmd_verify)
+    vp = sub.add_parser("verify", parents=[common], help="run axiom sweeps")
+    vp.add_argument("--algebra", choices=("gl", "ck", "shuffle", "perm"), required=True)
+    vp.add_argument("--flavor", choices=FLAVORS)
+    vp.add_argument("--symbols")
+    vp.add_argument("--max-degree", type=int, default=3)
+    vp.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -393,8 +379,7 @@ def _validate(args) -> None:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         _validate(args)

@@ -12,7 +12,6 @@ import pytest
 from hopftrees import grossman_larson as gl
 from hopftrees import permutations as perm
 from hopftrees.algebra import MAX_TERMS
-from hopftrees import cli
 from hopftrees.cli import main
 from hopftrees.trees import MAX_TREE_DEPTH
 from helpers import count_calls
@@ -702,34 +701,10 @@ def test_a_refused_permutation_entry_gets_the_caret(capsys, argv, text, message,
     assert_caret_under(err, text, column)
 
 
-# -- the parser: only the invoked subcommand's is built ----------------------
+# -- the parser's usage line and errors, pinned -------------------------------
 
 MAIN_USAGE = "usage: hopftrees [-h] {gl,ck,shuffle,perm,trees,psi,conn,verify} ...\n"
 COMMAND_CHOICES = "(choose from 'gl', 'ck', 'shuffle', 'perm', 'trees', 'psi', 'conn', 'verify')"
-PARSER_PROBES = [
-    ["-h"], [], ["bogus"], ["gl"], ["gl", "-h"], ["gl", "mul", "()", "()", "--bogus"],
-    ["gl", "mul", "()", "()", "extra"], ["gl", "bogus", "()"], ["--format", "json", "gl", "mul", "()", "()"],
-    ["psi", "expand", "--word", "E1", "--env", "missing.json"], ["conn", "-h"],
-]
-
-
-def parser_output(capsys, argv):
-    """Exit code, stdout and stderr of ``main(argv)``; help exits through ``SystemExit``."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-@pytest.mark.parametrize("argv", PARSER_PROBES, ids=lambda argv: " ".join(argv) or "no arguments")
-def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.chdir(tmp_path)  # missing.json is missing
-    alone = parser_output(capsys, argv)
-    full = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
-    assert alone == parser_output(capsys, argv)
 
 
 @pytest.mark.parametrize(
@@ -742,21 +717,4 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, monkey
     ],
 )
 def test_the_main_usage_line_names_every_subcommand(capsys, argv, err):
-    assert parser_output(capsys, argv) == (1, "", MAIN_USAGE + err)
-
-
-def test_only_the_invoked_subcommand_parser_is_built(capsys, monkeypatch):
-    progs = []
-
-    class Recording(cli._Parser):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            progs.append(self.prog)
-
-    monkeypatch.setattr(cli, "_Parser", Recording)
-    assert parser_output(capsys, ["gl", "mul", "(;())", "()"]) == (0, "(;())\n", "")
-    assert [p for p in progs if p.startswith("hopftrees ")] == ["hopftrees gl"]
-    progs.clear()
-    code, out, _ = parser_output(capsys, ["-h"])
-    assert code == 0 and out.startswith(MAIN_USAGE)
-    assert len([p for p in progs if p.startswith("hopftrees ")]) == 8
+    assert run(capsys, *argv) == (1, "", (MAIN_USAGE + err).strip())
