@@ -164,9 +164,18 @@ class Value(Immutable, Record):
 
 class GradedHopfAlgebra(Value):
     """A graded connected Hopf algebra: a subclass states ``unit``, ``degree``, ``basis``, ``product``,
-    ``coproduct`` and ``describe``, and the counit, antipode and axiom sweep follow from the grading."""
+    ``coproduct`` and ``describe``, and the counit, antipode and axiom sweep follow from the grading.
+
+    Sweeps and the antipode recursion call ``_product`` and ``_coproduct`` on elements the algebra
+    made itself; they are the public maps unless a subclass whose public maps validate overrides them."""
 
     __slots__ = ()
+
+    def _product(self, x, y):
+        return self.product(x, y)
+
+    def _coproduct(self, x):
+        return self.coproduct(x)
 
     def counit(self, x: Any) -> int:
         return 1 if self.degree(x) == 0 else 0

@@ -10,7 +10,12 @@ of each check, keeps its first failure and returns the report.
 ``connes_kreimer.verify_forest_algebra`` are built from them; failures are
 data, not exceptions.  :class:`~hopftrees.algebra.GradedHopfAlgebra` derives its
 ``antipode`` and ``verify`` from :func:`graded_antipode` and :func:`verify_hopf_axioms`;
-a sweep reads only ``unit``, ``degree``, ``basis``, ``product``, ``coproduct`` and ``counit``.
+a sweep reads only ``unit``, ``degree``, ``basis`` and the trusted ``_product`` and
+``_coproduct``, and takes the counit from the grading: 1 exactly at degree 0.  So
+a sweep validates nothing once it has numbered its basis, since every element
+it meets comes from the algebra's own basis and structure maps;
+:func:`graded_antipode` trusts its element too, which an algebra's public
+``antipode`` validates first where the algebra checks its members.
 
 A sweep asks for the same products, coproducts and antipodes many times
 over, so it reads the algebra as integer structure constants: a
@@ -53,14 +58,15 @@ class _SweepMemo:
 
     ``number`` gives each basis element an index the first time the sweep
     meets it (``index`` maps an element to it, ``elems`` back) and reads its
-    ``degrees`` and ``counits`` once through the algebra's own methods.  The
+    ``degrees`` once through the algebra's own method; the counit of ``i`` is 1
+    exactly when ``degrees[i]`` is 0.  The
     product ``(i, j) -> {k: c}``, the coproduct ``i -> {(j, k): c}`` and the
     antipode ``i -> {k: c}`` are filled on demand, each entry computed once.
     A store is made for one sweep or antipode call and dies with it.
     """
 
     def __init__(self, alg: GradedHopfAlgebra):
-        self.alg, self.index, self.elems, self.degrees, self.counits = alg, {}, [], [], []
+        self.alg, self.index, self.elems, self.degrees = alg, {}, [], []
         self._products: dict[tuple[int, int], dict[int, int]] = {}
         self._coproducts: dict[int, dict[tuple[int, int], int]] = {}
         self._antipodes: dict[int, dict[int, int]] = {}
@@ -72,7 +78,6 @@ class _SweepMemo:
             i = self.index[element] = len(self.elems)
             self.elems.append(element)
             self.degrees.append(self.alg.degree(element))
-            self.counits.append(self.alg.counit(element))
         return i
 
     def product(self, i: int, j: int) -> dict[int, int]:
@@ -80,7 +85,7 @@ class _SweepMemo:
         if value is None:
             number = self.number
             value = self._products[i, j] = {
-                number(x): c for x, c in self.alg.product(self.elems[i], self.elems[j])}
+                number(x): c for x, c in self.alg._product(self.elems[i], self.elems[j])}
         return value
 
     def coproduct(self, i: int) -> dict[tuple[int, int], int]:
@@ -88,7 +93,7 @@ class _SweepMemo:
         if value is None:
             number = self.number
             value = self._coproducts[i] = {
-                (number(pair.left), number(pair.right)): c for pair, c in self.alg.coproduct(self.elems[i])}
+                (number(pair.left), number(pair.right)): c for pair, c in self.alg._coproduct(self.elems[i])}
         return value
 
     def antipode(self, i: int) -> dict[int, int]:
@@ -208,10 +213,10 @@ def coassociative(memo: _SweepMemo, x: int) -> bool:
 
 
 def counital(memo: _SweepMemo, x: int) -> bool:
-    """``(counit (x) id) Delta x = (id (x) counit) Delta x = x``."""
-    single, delta, counits = {x: 1}, memo.coproduct(x).items(), memo.counits
-    return (_collect((b, c * counits[a]) for (a, b), c in delta) == single
-            and _collect((a, c * counits[b]) for (a, b), c in delta) == single)
+    """``(counit (x) id) Delta x = (id (x) counit) Delta x = x``, the counit 1 exactly at degree 0."""
+    single, delta, degrees = {x: 1}, memo.coproduct(x).items(), memo.degrees
+    return (_collect((b, c) for (a, b), c in delta if not degrees[a]) == single
+            and _collect((a, c) for (a, b), c in delta if not degrees[b]) == single)
 
 
 def compatible(memo: _SweepMemo, x: int, y: int) -> bool:
@@ -229,7 +234,7 @@ def compatible(memo: _SweepMemo, x: int, y: int) -> bool:
 def antipodal(memo: _SweepMemo, x: int) -> bool:
     """``m(S (x) id) Delta x = m(id (x) S) Delta x = counit(x) 1``."""
     product, antipode, delta = memo.product, memo.antipode, memo.coproduct(x).items()
-    target = {memo.unit: memo.counits[x]} if memo.counits[x] else {}
+    target = {} if memo.degrees[x] else {memo.unit: 1}
     left = _collect((k, c * e * d) for (a, b), c in delta
                     for s, e in antipode(a).items() for k, d in product(s, b).items())
     right = _collect((k, c * e * d) for (a, b), c in delta

@@ -168,7 +168,7 @@ def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
     from .grossman_larson import ROOTED
 
     memo = axioms._SweepMemo(_ForestAlgebra())
-    graft, pairing = functools.cache(ROOTED.product), functools.cache(_pairing)  # the sweep's own trees
+    graft, pairing = functools.cache(ROOTED._product), functools.cache(_pairing)  # the sweep's own trees
     # each degree is listed once: its trees are its monomials under a root, in rooted_trees order;
     # the duality check grafts two single nodes even when max_degree < 0
     by_degree = [list(map(memo.number, memo.alg.basis(d))) for d in range(max(max_degree, 0) + 1)]
@@ -176,8 +176,9 @@ def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
     trees = [(memo.number(Forest((add_root(memo.elems[m]),))),) for (m,) in monomials]
 
     def dual(memo, m1: int, m2: int, a: int) -> bool:
-        t1, t2, elems = add_root(memo.elems[m1]), add_root(memo.elems[m2]), memo.elems
-        return sum(coeff * pairing(s, elems[a]) for s, coeff in graft(t1, t2)) == sum(
+        # of the grafted trees only add_root(a) pairs with a, so one coefficient is read
+        t1, t2, elems, s = add_root(memo.elems[m1]), add_root(memo.elems[m2]), memo.elems, add_root(memo.elems[a])
+        return graft(t1, t2).coefficient(s) * pairing(s, elems[a]) == sum(
             c * pairing(t1, elems[l]) * pairing(t2, elems[r]) for (l, r), c in memo.coproduct(a).items())
 
     small = [m for level in by_degree[:max(0, max_degree // 2) + 1] for m in level]

@@ -10,7 +10,11 @@ is the standard recursion.
 One object, :class:`TreeHopfAlgebra`, covers plain, labeled, ordered,
 ordered-labeled and standard heap-ordered trees; the heap variant shifts
 labels on the product side and ranks them to ``1..k`` on the coproduct side so
-that basis elements stay in standard form.
+that basis elements stay in standard form.  The public ``product``,
+``coproduct``, ``counit`` and ``antipode`` refuse a tree of another flavor;
+the trusted ``_product`` and ``_coproduct`` behind them check nothing, and
+the axiom sweeps and the antipode recursion call those on trees the algebra
+made itself.
 """
 
 from __future__ import annotations
@@ -89,6 +93,9 @@ class TreeHopfAlgebra(GradedHopfAlgebra):
         """Attach the root-subtrees of ``t1`` to the nodes of ``t2`` in all ways."""
         self._check_member(t1)
         self._check_member(t2)
+        return self._product(t1, t2)
+
+    def _product(self, t1: Tree, t2: Tree) -> LinearCombination:
         forest = strip_root(t1)
         if self.heap:
             forest = Forest(tuple(shift_labels(s, t2.degree()) for s in forest.trees))
@@ -97,6 +104,9 @@ class TreeHopfAlgebra(GradedHopfAlgebra):
     def coproduct(self, t: Tree) -> LinearCombination:
         """Split the root's children over all position subsets; cocommutative."""
         self._check_member(t)
+        return self._coproduct(t)
+
+    def _coproduct(self, t: Tree) -> LinearCombination:
         half = standard_root if self.heap else lambda kept: Tree(None, kept, self.ordered)
         return _PLAIN._new(_collect((TensorPair(half(kept), half(rest)), ways)
                                     for kept, rest, ways in splits(t.children, "root split")))

@@ -47,8 +47,9 @@ class Tree(Immutable):
     The constructor trusts its labels, since grafting builds trees in its hot
     loop.  The checked entry points are :func:`parse_tree`, the symbol check
     ``_symbols`` of the labeled enumerations and the membership check
-    ``TreeHopfAlgebra._check_member`` of the algebras; each refuses a label
-    holding ``(``.
+    ``TreeHopfAlgebra._check_member``, which the algebras' public ``product``,
+    ``coproduct``, ``counit`` and ``antipode`` run and their trusted
+    ``_product`` and ``_coproduct`` skip; each refuses a label holding ``(``.
     """
 
     __slots__ = ("label", "children", "ordered", "_code")

@@ -740,6 +740,6 @@ def verify_morphism(phi, source, target, max_degree: int) -> axioms.Verification
         ("product", axioms.graded_tuples(basis, 2, 1, max_degree + 1),
          lambda _, x, y: mapped(src.product(x, y)) == tgt.product(image(x), image(y))),
         ("coproduct", elements, comultiplicative),
-        ("counit", elements, lambda _, x: src.counits[x] == tgt.counits[image(x)]),
+        ("counit", elements, lambda _, x: source.counit(src.elems[x]) == target.counit(tgt.elems[image(x)])),
         ("antipode", elements, lambda _, x: mapped(src.antipode(x)) == tgt.antipode(image(x))),
     ))

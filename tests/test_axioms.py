@@ -13,15 +13,19 @@ from hopftrees import (
     HEAP_PRODUCT_ALGEBRA,
     ORDERED,
     ROOTED,
+    Connection,
     CyclePermutation,
+    DerivationEnv,
     Forest,
     ShuffleHopfAlgebra,
     TreeHopfAlgebra,
     Word,
+    check_module_law,
     dual_pairing,
     forest_coproduct,
     graded_antipode,
     labeled_algebra,
+    parse_polynomial,
     verify_forest_algebra,
 )
 from hopftrees import axioms
@@ -198,10 +202,11 @@ def test_a_sweep_refuses_an_over_budget_basis_before_building_the_others():
 
 
 class OnePairWrong(TreeHopfAlgebra):
-    """The rooted tree algebra with one product doubled."""
+    """The rooted tree algebra with one product doubled, in the trusted map a sweep reads
+    and so in the public one that calls it."""
 
-    def product(self, a, b):
-        out = super().product(a, b)
+    def _product(self, a, b):
+        out = super()._product(a, b)
         return out + out if (a.encode(), b.encode()) == ("(;())", "(;(;()))") else out
 
 
@@ -246,8 +251,8 @@ def test_a_wrong_product_fails_with_the_same_report(sweep, expected):
 
 
 class CountingAlgebra:
-    """Delegates to an algebra and counts each product and coproduct call;
-    ``active`` is how many of those calls are running."""
+    """Delegates to an algebra and counts each product and coproduct call, public or
+    trusted; ``active`` is how many of those calls are running."""
 
     def __init__(self, alg):
         self.alg = alg
@@ -263,9 +268,6 @@ class CountingAlgebra:
     def basis(self, degree):
         return self.alg.basis(degree)
 
-    def counit(self, element):
-        return self.alg.counit(element)
-
     def product(self, a, b):
         self.calls["product", a, b] += 1
         return self._run(self.alg.product, a, b)
@@ -273,6 +275,14 @@ class CountingAlgebra:
     def coproduct(self, element):
         self.calls["coproduct", element] += 1
         return self._run(self.alg.coproduct, element)
+
+    def _product(self, a, b):
+        self.calls["product", a, b] += 1
+        return self._run(self.alg._product, a, b)
+
+    def _coproduct(self, element):
+        self.calls["coproduct", element] += 1
+        return self._run(self.alg._coproduct, element)
 
     def _run(self, structure_map, *args):
         self.active += 1
@@ -324,6 +334,27 @@ def test_the_memo_does_not_outlive_the_sweep(monkeypatch):
         gc.enable()
     assert report.passed
     assert graded_antipode.cache_info() == cache_before
+
+
+def test_nothing_is_validated_after_the_basis_is_numbered(monkeypatch):
+    # the public maps are the one boundary: sweeps and the antipode recursion call the trusted ones
+    checked, check = Counter(), TreeHopfAlgebra._check_member
+
+    def counted(self, tree):
+        checked[tree] += 1
+        return check(self, tree)
+
+    monkeypatch.setattr(TreeHopfAlgebra, "_check_member", counted)
+    env = DerivationEnv.from_dict({"n": 1, "E1": ["x1"], "E2": ["x1^2"]})
+    curved = Connection.from_dict({"n": 1, "gamma": {"1,1,1": "x1 + 1"}})
+    a, b = parse_polynomial("x1^2 + 1", 1), parse_polynomial("2*x1", 1)
+    for run in (lambda: labeled_algebra(("E1", "E2")).verify(3).passed, lambda: HEAP_ORDERED.verify(3).passed,
+                lambda: verify_forest_algebra(4).passed,
+                lambda: check_module_law(helpers.ot("(;(E1;(E2))(E2)(E1))"), env, curved, a, b)):
+        assert run() and not checked, checked
+    tree = t("(;(;()())(;()))")
+    ROOTED.antipode(tree)
+    assert checked == {tree: 1}
 
 
 def test_the_derived_counit_is_each_algebras_own_up_to_degree_four():

@@ -79,7 +79,8 @@ FOREIGN_MEMBERS = [
 
 @pytest.mark.parametrize("alg, tree, message", FOREIGN_MEMBERS)
 def test_a_foreign_member_is_refused_by_every_structure_map_with_its_message(alg, tree, message):
-    for structure_map in (alg.coproduct, alg.counit, alg.antipode, lambda x: alg.product(alg.unit(), x)):
+    for structure_map in (alg.coproduct, alg.counit, alg.antipode,
+                          lambda x: alg.product(alg.unit(), x), lambda x: alg.product(x, alg.unit())):
         with pytest.raises(ValueError) as refused:
             structure_map(tree)
         assert str(refused.value) == message

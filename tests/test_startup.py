@@ -8,6 +8,7 @@ already run every module.  A module that has not run is still a
 would run it.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -223,6 +224,23 @@ def test_import_registers_every_module_without_running_it():
         """
     )
     assert found == {f"hopftrees.{m}": [True, False] for m in MODULES}
+
+
+def test_every_entry_point_the_tracer_wraps_exists():
+    # the tracer patches a method through its class's own dict and a function by
+    # name; a missing entry is named here, not in a traced subprocess's traceback
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    entries = [entry for group in tracer.SPANS.values() for entry in group] + list(tracer.COUNTERS.values())
+    missing = []
+    for module, *path in entries:
+        found = importlib.import_module("hopftrees." + module)
+        for name in path:  # a module's attribute, or a class's and then its own method
+            found = vars(found).get(name) if found is not None else None
+        if found is None:
+            missing.append((module, *path))
+    assert entries and not missing, missing
 
 
 def run_traced(body: str):
