@@ -39,18 +39,11 @@ _ARITY = {
 }
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.message = message
-        self.code = code
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; malformed input is exit 1 here
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise CliError(f"error: {message}", 1)
+        raise ValueError(message)
 
 
 def _read_element(value: str) -> str:
@@ -362,20 +355,20 @@ def _validate(args) -> None:
     if args.command in _ARITY:
         needs = _ARITY[args.command][args.operation]
         if len(args.elements) != needs:
-            raise CliError(f"error: {args.command} {args.operation} expects {needs} element(s)", 1)
+            raise ValueError(f"{args.command} {args.operation} expects {needs} element(s)")
     if args.command == "psi":
         if args.operation == "apply" and (not args.tree or not args.f):
-            raise CliError("error: psi apply needs --tree and --f", 1)
+            raise ValueError("psi apply needs --tree and --f")
         if args.operation in ("expand", "check-diagram") and not args.word:
-            raise CliError(f"error: psi {args.operation} needs --word", 1)
+            raise ValueError(f"psi {args.operation} needs --word")
         if args.operation == "check-diagram" and not args.f:
-            raise CliError("error: psi check-diagram needs --f", 1)
+            raise ValueError("psi check-diagram needs --f")
     if getattr(args, "max_degree", 0) < 0:
-        raise CliError(f"error: degree must be >= 0, got {args.max_degree}", 1)
+        raise ValueError(f"degree must be >= 0, got {args.max_degree}")
     if args.command == "perm" and args.n is not None and args.n < 0:
-        raise CliError(f"error: n must be >= 0, got {args.n}", 1)
+        raise ValueError(f"n must be >= 0, got {args.n}")
     if args.command == "conn" and args.operation == "apply" and len(args.fields) != 2:
-        raise CliError("error: conn apply needs two derivation symbols", 1)
+        raise ValueError("conn apply needs two derivation symbols")
 
 
 def main(argv=None) -> int:
@@ -384,9 +377,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _validate(args)
         return args.handler(args)
-    except CliError as exc:
-        print(exc.message, file=sys.stderr)
-        return exc.code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

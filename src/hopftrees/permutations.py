@@ -79,22 +79,24 @@ class CyclePermutation(Immutable):
 
         A bad entry raises :class:`ParseError` positioned at its index among all the entries."""
         seen: dict[int, int] = {}  # entry -> its index among all the entries
-        cleaned: list[tuple[int, ...]] = []
+        cleaned: list[list[int]] = []
         for cycle in cycles:
-            entries = tuple(int(x) for x in cycle)
-            for x in entries:
-                if x <= 0 or x in seen:
-                    problem = f"duplicate entry {x} across cycles" if x > 0 else f"entries must be positive, got {x}"
+            cleaned.append([])
+            for given in cycle:
+                x = int(given)
+                if x != given or x <= 0 or x in seen:
+                    problem = (f"entries must be integers, got {given!r}" if x != given
+                               else f"duplicate entry {x} across cycles" if x > 0 else f"entries must be positive, got {x}")
                     raise ParseError(problem, position=len(seen))
                 seen[x] = len(seen)
-            cleaned.append(entries)
+                cleaned[-1].append(x)
         top = max(seen, default=0)
         size = top if n is None else int(n)
         if size < top:
             raise ParseError(f"entry {top} out of range for S_{size}", position=seen.get(top))
         for fixed in range(1, size + 1):
             if fixed not in seen:
-                cleaned.append((fixed,))
+                cleaned.append([fixed])
         return cls(cleaned)
 
     @classmethod
@@ -125,8 +127,10 @@ def shift(p: CyclePermutation, offset: int) -> CyclePermutation:
 
 def relabel(cycles) -> CyclePermutation:
     """Relabel the entries of disjoint cycles order-isomorphically to ``1..k``."""
-    cycles = [tuple(map(int, c)) for c in cycles]
+    cycles = [tuple(c) for c in cycles]
     entries = sorted(itertools.chain.from_iterable(cycles))
+    if list(map(int, entries)) != entries:
+        raise ValueError("cycle entries must be integers")
     if len(entries) != len(set(entries)):
         raise ValueError("cycles are not disjoint")
     rank = dict(zip(entries, range(1, len(entries) + 1))).__getitem__

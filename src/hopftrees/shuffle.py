@@ -89,7 +89,10 @@ def word_count(alphabet, total_degree: int) -> int:
     ``alphabet`` is a sequence of ``(letter, degree)`` pairs with positive
     integer degrees.
     """
-    degrees = [int(d) for _, d in alphabet]
+    given = [d for _, d in alphabet]
+    degrees = list(map(int, given))
+    if degrees != given:
+        raise ValueError("letter degrees must be integers")
     if any(d <= 0 for d in degrees):
         raise ValueError("letter degrees must be positive")
     if total_degree < 0:

@@ -1,4 +1,4 @@
-"""Rooted trees in all supported variants, canonical forms, and enumeration.
+"""Rooted trees in all supported variants, canonical forms, grafting, enumeration and parsing.
 
 A :class:`Tree` node carries an optional label (``None``, an identifier string
 such as ``"E1"``, or a positive integer) and a flag saying whether the child
@@ -8,9 +8,14 @@ the constructor is the one place that decides its representative: it sorts
 the children by their canonical encoding, so every tree is canonical from
 construction and no caller canonicalizes.
 
+One recursion enumerates the rooted, labeled, ordered and ordered-labeled
+families: each tree is built once from a forest of smaller subtrees, a
+multiset of them for an unordered tree and a sequence for a planar one.
+Heap-ordered trees are grown by grafting.
+
 The canonical text grammar is ``tree := '(' label? (';' tree*)? ')'``; the
 single-node tree is ``()``, a two-node chain is ``(;())`` and a labeled leaf
-is ``(E1)``.
+is ``(E1)``.  :func:`parse_tree` reads it with one recursive function.
 """
 
 from __future__ import annotations
@@ -374,25 +379,41 @@ def _rooted_count(nodes: int) -> int:
     return a[nodes]
 
 
-def _planted(roots: tuple, nodes: int, labels: tuple, cache: dict) -> tuple[Tree, ...]:
-    """Every unordered tree whose root is labeled from ``roots`` and whose
-    ``nodes`` other nodes are labeled from ``labels``, sorted by encoding.
-    ``cache``, made for one enumeration, keeps the subtrees by their size - 1."""
+def _planted(roots: tuple, nodes: int, labels: tuple, ordered: bool, cache: dict) -> list[Tree]:
+    """Every tree of the flavor ``ordered`` whose root is labeled from ``roots``
+    and whose ``nodes`` other nodes are labeled from ``labels``, each built once
+    from a forest of smaller subtrees.  ``cache``, made for one enumeration,
+    keeps the subtrees by their size - 1, and each planar subtree's sort key.
+
+    Unordered trees are sorted by encoding.  Planar trees come shape by shape,
+    each shape's labelings in product order: the key is the child sizes of each
+    node in preorder (the root's composition, then each child's key), which
+    have as many entries as the tree has non-root nodes, followed by the ranks
+    in ``labels`` of the non-root nodes' labels in preorder."""
     universe: list[Tree] = []
     for k in range(nodes):
         if k not in cache:
-            cache[k] = _planted(labels, k, labels, cache)
+            cache[k] = _planted(labels, k, labels, ordered, cache)
         universe.extend(cache[k])
-    trees = (
-        Tree(root, forest)
-        for root in roots
-        for forest in _multiset_forests(nodes, universe, 0)
-    )
-    return tuple(sorted(trees, key=Tree.encode))
+    trees = [Tree(root, forest, ordered) for root in roots for forest in _forests(nodes, universe, 0, ordered)]
+    if not ordered:
+        return sorted(trees, key=_code)
+    rank = {label: i for i, label in enumerate(labels)}
+
+    def key(t: Tree) -> list[int]:
+        sizes, ranks = [c.node_count() for c in t.children], []
+        for c in t.children:
+            sizes += cache[c][0]
+            ranks += [rank[c.label], *cache[c][1]]
+        cache[t] = sizes, ranks
+        return sizes + ranks
+
+    return sorted(trees, key=key)
 
 
-def _multiset_forests(total: int, universe: list[Tree], start: int):
-    """Yield once each multiset of universe trees (sorted by size) with ``total`` nodes."""
+def _forests(total: int, universe: list[Tree], start: int, ordered: bool):
+    """Yield each forest of universe trees (sorted by size) with ``total`` nodes:
+    each sequence when ``ordered``, else each multiset once, its members in universe order."""
     if total == 0:
         yield ()
         return
@@ -400,59 +421,27 @@ def _multiset_forests(total: int, universe: list[Tree], start: int):
         size = universe[i].node_count()
         if size > total:
             break
-        for count in range(1, total // size + 1):
-            for rest in _multiset_forests(total - count * size, universe, i + 1):
-                yield (universe[i],) * count + rest
+        for rest in _forests(total - size, universe, 0 if ordered else i, ordered):
+            yield (universe[i],) + rest
 
 
-def _planar(degree: int, labels: tuple, what: str) -> list[Tree]:
-    """Every planar tree with ``degree`` non-root nodes labeled from ``labels``:
-    shape by shape, each shape's labelings in product order over its preorder."""
-    shapes = math.comb(2 * degree, degree) // (degree + 1)  # Catalan(degree)
+def _family(degree: int, labels: tuple, ordered: bool, what: str) -> list[Tree]:
+    """The trees of one flavor with ``degree`` non-root nodes labeled from ``labels``, budgeted first."""
+    shapes = math.comb(2 * degree, degree) // (degree + 1) if ordered else _rooted_count(degree + 1)  # Catalan or A000081
     check_budget(shapes * len(labels) ** degree, f"{what} of degree {degree}")
-    return [
-        _label_preorder(shape, None, iter(labeling))
-        for shape in _planar_shapes(degree + 1, {})
-        for labeling in itertools.product(labels, repeat=degree)
-    ]
-
-
-def _planar_shapes(nodes: int, cache: dict) -> tuple[Tree, ...]:
-    """Every planar shape with ``nodes`` nodes, by the compositions of ``nodes - 1``."""
-    if nodes not in cache:
-        cache[nodes] = tuple(
-            Tree(None, subtrees, True)
-            for sizes in _compositions(nodes - 1)
-            for subtrees in itertools.product(*[_planar_shapes(k, cache) for k in sizes])
-        )
-    return cache[nodes]
-
-
-def _compositions(total: int):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
-
-
-def _label_preorder(shape: Tree, label: Label, labels) -> Tree:
-    """``shape`` with root ``label`` and the next items of ``labels`` below, in preorder."""
-    return Tree(label, tuple(_label_preorder(c, next(labels), labels) for c in shape.children), True)
+    return _planted((None,), degree, labels, ordered, {})
 
 
 def rooted_trees(degree: int, cap: int | None = None) -> list[Tree]:
     """All unordered unlabeled rooted trees with ``degree + 1`` nodes."""
     _check_degree(degree, cap, DEFAULT_DEGREE_CAP)
-    check_budget(_rooted_count(degree + 1), f"rooted trees of degree {degree}")
-    return list(_planted((None,), degree, (None,), {}))
+    return _family(degree, (None,), False, "rooted trees")
 
 
 def ordered_trees(degree: int, cap: int | None = None) -> list[Tree]:
     """All planar rooted trees with ``degree + 1`` nodes (Catalan many)."""
     _check_degree(degree, cap, DEFAULT_DEGREE_CAP)
-    return _planar(degree, (None,), "ordered trees")
+    return _family(degree, (None,), True, "ordered trees")
 
 
 def heap_ordered_trees(degree: int, cap: int | None = None) -> list[Tree]:
@@ -473,15 +462,13 @@ def heap_ordered_trees(degree: int, cap: int | None = None) -> list[Tree]:
 def labeled_trees(degree: int, symbols, cap: int | None = None) -> list[Tree]:
     """Unordered rooted trees whose non-root nodes carry labels from ``symbols``."""
     _check_degree(degree, cap, DEFAULT_DEGREE_CAP)
-    symbols = _symbols(symbols, degree)
-    check_budget(_rooted_count(degree + 1) * len(symbols) ** degree, f"labeled trees of degree {degree}")
-    return list(_planted((None,), degree, symbols, {}))
+    return _family(degree, _symbols(symbols, degree), False, "labeled trees")
 
 
 def ordered_labeled_trees(degree: int, symbols, cap: int | None = None) -> list[Tree]:
     """Planar rooted trees with labeled non-root nodes."""
     _check_degree(degree, cap, DEFAULT_DEGREE_CAP)
-    return _planar(degree, _symbols(symbols, degree), "ordered labeled trees")
+    return _family(degree, _symbols(symbols, degree), True, "ordered labeled trees")
 
 
 # ---------------------------------------------------------------------------
@@ -490,62 +477,37 @@ def ordered_labeled_trees(degree: int, symbols, cap: int | None = None) -> list[
 
 def parse_tree(text: str, ordered: bool = False) -> Tree:
     """Parse the canonical tree grammar; an unordered tree comes out canonical, as every tree does."""
-    parser = _TreeParser(text, ordered)
-    tree = parser.parse_tree()
-    parser.expect_end()
-    return tree
 
-
-class _TreeParser:
-    def __init__(self, text: str, ordered: bool):
-        self.text = text
-        self.pos = 0
-        self.ordered = ordered
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.pos)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_tree(self, depth: int = 0) -> Tree:
-        if self.peek() != "(":
-            raise self.error("expected '('")
+    def node(pos: int, depth: int) -> tuple[Tree, int]:
+        """The tree whose ``(`` is at ``pos``, and the position after its ``)``."""
+        if text[pos : pos + 1] != "(":
+            raise ParseError("expected '('", text, pos)
         if depth > MAX_TREE_DEPTH:
-            raise self.error(f"tree nested deeper than {MAX_TREE_DEPTH} levels")
-        self.pos += 1
-        label = self._parse_label()
-        children: list[Tree] = []
-        if self.peek() == ";":
-            self.pos += 1
-            while self.peek() == "(":
-                children.append(self.parse_tree(depth + 1))
-        if self.peek() != ")":
-            raise self.error("expected ')'")
-        self.pos += 1
-        return Tree(label, children, self.ordered)
+            raise ParseError(f"tree nested deeper than {MAX_TREE_DEPTH} levels", text, pos)
+        start = pos = pos + 1
+        while text[pos : pos + 1] not in ("", ";", ")", "("):
+            pos += 1
+        raw = text[start:pos].strip()
+        if raw.isdecimal() and int(raw) > 0:
+            label = int(raw)
+        elif raw.isidentifier() or not raw:
+            label = raw or None
+        else:
+            raise ParseError("integer labels must be positive" if raw.isdecimal() else f"invalid label {raw!r}", text, start)
+        children = []
+        if text[pos : pos + 1] == ";":
+            pos += 1
+            while text[pos : pos + 1] == "(":
+                child, pos = node(pos, depth + 1)
+                children.append(child)
+        if text[pos : pos + 1] != ")":
+            raise ParseError("expected ')'", text, pos)
+        return Tree(label, children, ordered), pos + 1
 
-    def _parse_label(self) -> Label:
-        start = self.pos
-        while self.peek() not in ("", ";", ")", "("):
-            self.pos += 1
-        raw = self.text[start : self.pos].strip()
-        if not raw:
-            return None
-        if raw.isdecimal():
-            value = int(raw)
-            if value <= 0:
-                self.pos = start
-                raise self.error("integer labels must be positive")
-            return value
-        if raw.isidentifier():
-            return raw
-        self.pos = start
-        raise self.error(f"invalid label {raw!r}")
-
-    def expect_end(self) -> None:
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing input")
+    tree, end = node(0, 0)
+    if end != len(text):
+        raise ParseError("unexpected trailing input", text, end)
+    return tree
 
 
 def parse_forest(text: str) -> Forest:

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own algorithms: tree
 isomorphism classes (unlabeled, labeled, and root-stripped as forest
 monomials) are found through parent arrays and nested tuples, planar labelings
-by writing labels into a shape's text in preorder, grafting products through
+by writing labels into a shape's text in preorder, the order of planar trees
+by the root's child sizes in composition order, grafting products through
 every one of the (n+1)^r assignments (and, for the order of terms, through the
 library's placement loop with every placement rebuilt from scratch), heap
 labels ranked to ``1..k`` by rebuilding the whole tree, shuffles
@@ -402,6 +403,46 @@ def label_in_preorder(shape: str, labels) -> str:
     first opens the next node in preorder."""
     root, *below = shape.split("(")[1:]
     return "(" + root + "".join(f"({label}{rest}" for label, rest in zip(labels, below, strict=True))
+
+
+# ---------------------------------------------------------------------------
+# oracle: planar trees in composition order
+
+
+def _compositions(total: int):
+    """The compositions of ``total``, smallest first part first."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+@functools.cache
+def _planar_shapes(nodes: int) -> tuple[Tree, ...]:
+    """Every planar shape with ``nodes`` nodes: by the root's child sizes in
+    composition order, then by the children's shapes in product order."""
+    return tuple(
+        Tree(None, subtrees, True)
+        for sizes in _compositions(nodes - 1)
+        for subtrees in itertools.product(*[_planar_shapes(k) for k in sizes])
+    )
+
+
+def _label_preorder(shape: Tree, label, labels) -> Tree:
+    """``shape`` with root ``label`` and the next items of ``labels`` below, in preorder."""
+    return Tree(label, tuple(_label_preorder(c, next(labels), labels) for c in shape.children), True)
+
+
+def planar_trees_by_compositions(degree: int, labels=(None,)) -> list[Tree]:
+    """Every planar tree with ``degree`` non-root nodes labeled from ``labels``:
+    shape by shape, each shape's labelings in product order over its preorder."""
+    return [
+        _label_preorder(shape, None, iter(labeling))
+        for shape in _planar_shapes(degree + 1)
+        for labeling in itertools.product(labels, repeat=degree)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hopftrees import (
     HEAP_ORDERED,
     HEAP_PRODUCT_ALGEBRA,
     CyclePermutation,
+    ParseError,
     TensorPair,
     cycle_coproduct,
     heap_ordered_trees,
@@ -49,6 +50,16 @@ def test_standard_order_rejects_duplicates_and_bad_ranges():
         CyclePermutation.from_cycles([(4,)], n=2)
     with pytest.raises(ValueError, match=r"^entry 0 out of range for S_-1$"):
         CyclePermutation.identity(-1)
+
+
+def test_a_non_integral_entry_is_refused_at_its_index_not_truncated():
+    with pytest.raises(ParseError, match=r"^entries must be integers, got 1.7$") as caught:
+        CyclePermutation.from_cycles([[1.7, 2]])
+    assert caught.value.position == 0
+    with pytest.raises(ParseError, match=r"^entries must be integers, got 2.5$") as caught:
+        CyclePermutation.from_cycles([(1, 3), (4, 2.5)])
+    assert caught.value.position == 3
+    assert CyclePermutation.from_cycles([(2.0, 1)], n=3.0) == parse_permutation("(1 2)(3)")
 
 
 def test_shift_examples():
@@ -94,6 +105,12 @@ def test_relabel_collapses_gaps():
     assert relabel([(1, 3), (4,), (5, 7)]) == parse_permutation("(1 2)(3)(4 5)")
     assert relabel([(2, 5)]) == parse_permutation("(1 2)")
     assert relabel([]) == ID0
+
+
+def test_relabel_refuses_a_non_integral_entry_instead_of_truncating_it():
+    with pytest.raises(ValueError, match=r"^cycle entries must be integers$"):
+        relabel([(2.9, 5)])
+    assert relabel([(2.0, 5)]) == parse_permutation("(1 2)")
 
 
 def test_coproduct_examples():

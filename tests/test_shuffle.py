@@ -111,6 +111,12 @@ def test_word_count_examples():
     assert word_count([("a", 1), ("b", 2)], 2) == 2
 
 
+def test_word_count_refuses_a_non_integral_letter_degree_instead_of_truncating_it():
+    with pytest.raises(ValueError, match=r"^letter degrees must be integers$"):
+        word_count([("a", 1.5)], 2)
+    assert word_count([("a", 1.0)], 2) == 1
+
+
 def test_word_count_against_one_child_tree_alphabet():
     alphabet = [
         (tree.encode(), degree)
