@@ -2,7 +2,7 @@
 together with their actions on polynomial algebras by symbolic derivations.
 
 Submodules load on first use.  Importing the package runs none of them: each
-of the nine library modules is put into ``sys.modules`` and onto the package
+of the ten library modules is put into ``sys.modules`` and onto the package
 as an ``importlib.util.LazyLoader`` module, which is compiled and executed
 the first time one of its attributes is read.  So importing a submodule, as
 in ``from hopftrees.trees import Tree``, runs that module and the modules it
@@ -35,13 +35,14 @@ _EXPORTS = {
                        "forest_symmetry_factor", "monomial_product", "symmetry_factor",
                        "verify_forest_algebra"),
     "diff_ops": ("CompositionCheck", "Derivation", "DerivationEnv", "OperatorExpansion",
-                 "Polynomial", "apply_tree_operator", "expand_operator", "parse_polynomial",
-                 "parse_word_polynomial", "verify_composition", "word_to_trees"),
+                 "apply_tree_operator", "expand_operator", "parse_word_polynomial",
+                 "verify_composition", "word_to_trees"),
     "grossman_larson": ("HEAP_ORDERED", "ORDERED", "ROOTED", "TreeHopfAlgebra",
                         "labeled_algebra"),
     "permutations": ("HEAP_PRODUCT_ALGEBRA", "CyclePermutation", "cycle_coproduct",
                      "heap_product", "parse_permutation", "permutation_to_tree", "relabel",
                      "shift", "symmetric_group", "tree_to_permutation"),
+    "polynomials": ("Polynomial", "parse_polynomial"),
     "shuffle": ("EMPTY_WORD", "ShuffleHopfAlgebra", "Word", "deconcatenation", "parse_word",
                 "shuffle_antipode", "shuffle_product", "word_count"),
     "trees": ("Forest", "Tree", "add_root", "attach_all", "canonicalize", "heap_ordered_trees",

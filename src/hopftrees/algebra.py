@@ -248,7 +248,7 @@ class LinearCombination:
     ``int`` or ``Fraction`` on either side.  Zero coefficients are purged on construction.
     Combinations of different classes never mix: ``==`` is false and ``+``
     raises ``TypeError``.  A subclass whose instances lie in several spaces
-    (a :class:`~hopftrees.diff_ops.Polynomial` in one per variable count)
+    (a :class:`~hopftrees.polynomials.Polynomial` in one per variable count)
     overrides :meth:`_check` and the trusted constructor :meth:`_new`; one
     whose basis has no ``encode`` overrides :meth:`terms` and :meth:`_term_text`.
     """
@@ -307,7 +307,7 @@ class LinearCombination:
 
     def map_basis(self, fn: Callable[[Any], Any]) -> "LinearCombination":
         """Relabel basis elements through ``fn`` (coefficients merge)."""
-        return LinearCombination((fn(b), c) for b, c in self._terms.items())
+        return LinearCombination((fn(b), c) for b, c in self)
 
     def __add__(self, other: "LinearCombination") -> "LinearCombination":
         if other.__class__ is not self.__class__:

@@ -13,9 +13,9 @@ data, not exceptions.  :class:`~hopftrees.algebra.GradedHopfAlgebra` derives its
 a sweep reads only ``unit``, ``degree``, ``basis`` and the trusted ``_product`` and
 ``_coproduct``, and takes the counit from the grading: 1 exactly at degree 0.  So
 a sweep validates nothing once it has numbered its basis, since every element
-it meets comes from the algebra's own basis and structure maps;
-:func:`graded_antipode` trusts its element too, which an algebra's public
-``antipode`` validates first where the algebra checks its members.
+it meets comes from the algebra's own basis and structure maps.
+:func:`graded_antipode` is public, so it validates its element once, through
+the algebra's public ``counit``, before the recursion.
 
 A sweep asks for the same products, coproducts and antipodes many times
 over, so it reads the algebra as integer structure constants: a
@@ -48,7 +48,10 @@ their antipodes in their own tables.
 @functools.lru_cache(maxsize=ANTIPODE_CACHE_SIZE)
 def graded_antipode(alg: Any, element: Any) -> LinearCombination:
     """Antipode by the recursion available in any graded connected bialgebra, read from the
-    tables of one :class:`_SweepMemo` made for this call (see :meth:`_SweepMemo.antipode`)."""
+    tables of one :class:`_SweepMemo` made for this call (see :meth:`_SweepMemo.antipode`).
+    ``element`` is checked first by ``alg.counit``, which refuses a non-member where the algebra
+    checks its members; a refused element is not cached."""
+    alg.counit(element)
     memo = _SweepMemo(alg)
     return _PLAIN._new({memo.elems[k]: c for k, c in memo.antipode(memo.number(element)).items()})
 

@@ -17,7 +17,9 @@ action refuses unordered trees with a ``ValueError``.  Every function here
 validates its inputs and then calls the fused kernel of
 :mod:`hopftrees.diff_ops`, which keeps each covariant differential
 ``nabla^m F`` as a per-call tower of raw stores and adds each product straight
-into its target; with zero Christoffel data it is the flat tree action.
+into its target; with zero Christoffel data it is the flat tree action.  A
+returned polynomial or derivation is checked once against the exponent limit
+of :mod:`hopftrees.polynomials`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class Connection:
 
     def __init__(self, num_vars: int, gamma: Mapping[tuple[int, int, int], Polynomial] | None = None):
         self.num_vars = int(num_vars)
-        data: dict[tuple[int, int, int], Polynomial] = {}
+        data = {}  # (i, j, k) -> a nonzero entry
         for (i, j, k), poly in (gamma or {}).items():
             for index in (i, j, k):
                 if not 1 <= index <= self.num_vars:
@@ -83,7 +85,7 @@ def vector_covariant_differential(field: Derivation, fields: Sequence[Derivation
     if not fields:
         return field
     _check_vars(conn.num_vars, field, *fields)
-    return Derivation(_covariant_contraction(field, fields, conn._steps, {}))
+    return Derivation(_covariant_contraction(field, fields, conn._steps, {}))._checked()
 
 
 def subtree_derivation(subtree: Tree, env: DerivationEnv, conn: Connection) -> Derivation:
@@ -94,7 +96,7 @@ def subtree_derivation(subtree: Tree, env: DerivationEnv, conn: Connection) -> D
     _check_vars(env.num_vars, conn)
     if not all(isinstance(label, str) for label in subtree.labels()):
         raise ValueError("every node below the root must carry a derivation symbol")
-    return _subtree_derivation(subtree, env, conn._steps, {})
+    return _subtree_derivation(subtree, env, conn._steps, {})._checked()
 
 
 def covariant_differential(f: Polynomial, fields: Sequence[Derivation], conn: Connection) -> Polynomial:
@@ -105,7 +107,7 @@ def covariant_differential(f: Polynomial, fields: Sequence[Derivation], conn: Co
     if not fields:
         return f
     _check_vars(f.num_vars, conn, *fields)
-    return _covariant_contraction(f, fields, conn._steps, {})[0]
+    return _covariant_contraction(f, fields, conn._steps, {})[0]._checked()
 
 
 def apply_connection_operator(t: Tree, env: DerivationEnv, conn: Connection, f: Polynomial) -> Polynomial:
@@ -113,7 +115,7 @@ def apply_connection_operator(t: Tree, env: DerivationEnv, conn: Connection, f: 
     _check_ordered(t)
     _check_vars(env.num_vars, conn)
     _check_tree(t, env, f)
-    return _tree_action(t, env, conn._steps, f, {})
+    return _tree_action(t, env, conn._steps, f, {})._checked()
 
 
 def _check_ordered(t: Tree) -> None:

@@ -1,8 +1,7 @@
-"""Sparse exact polynomials, derivations, and the tree-to-operator expansion.
+"""Derivations, the tree-to-operator expansion and its evaluation on polynomials.
 
-A :class:`Polynomial` is a :class:`~hopftrees.algebra.LinearCombination` of
-exponent vectors; this module adds the product and the derivative, computed by
-helpers that add into a raw ``{exponents: coeff}`` store, and the monomial text.
+The polynomials themselves, their packed stores and the kernels that add
+products and derivatives into those stores are :mod:`hopftrees.polynomials`.
 
 A labeled tree encodes a higher-order differential operator, evaluated bottom
 up: a node labeled E with children ``u_1 .. u_k`` becomes the k-th
@@ -12,6 +11,7 @@ B-series.  One fused kernel serves flat trees here and ordered trees under a
 connection (:mod:`hopftrees.connection`).  A public call validates each tree
 once and keeps one memo, dropped when it returns: the derivation of each
 distinct subtree, and the tower ``nabla^m F`` of each operand F, built once.
+Its result is checked once against the exponent limit.
 
 Words in the derivation symbols expand to labeled trees by grafting one
 leaf per letter (Grossman-Larson 1989), and the expansion composes: the tree
@@ -21,163 +21,13 @@ cancel against each other at the tree level, before any differentiation.
 
 from __future__ import annotations
 
-import operator
-import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (_PLAIN, Immutable, LinearCombination, ParseError, Record, Scalar, _collect, _nonzero, _set,
                       _sum_scaled, check_budget, format_fraction, pieces)
+from .polynomials import Polynomial, _derive_into, _mul_into, _signed_terms, parse_polynomial
 from .trees import Forest, Tree, _preorder, _symbols, attach_all
-
-
-class Polynomial(LinearCombination):
-    """Sparse multivariate polynomial with exact coefficients: a
-    :class:`LinearCombination` whose basis elements are exponent vectors
-    (tuples of length ``num_vars``), in the space of polynomials in
-    ``num_vars`` variables.
-
-    The store, sums, scalar multiples and the signed-sum text are those of
-    :class:`LinearCombination`; this class adds the variable count, the
-    product, the derivative, the degree-lex order of :meth:`terms` and the
-    text of one monomial.  Only the public constructor validates.
-    """
-
-    __slots__ = ("num_vars",)
-
-    def __init__(self, num_vars: int, terms: Mapping | Iterable = ()):
-        self.num_vars = n = int(num_vars)
-        items = []
-        for exponents, coeff in (terms.items() if isinstance(terms, Mapping) else terms):
-            exps = tuple(int(e) for e in exponents)
-            if len(exps) != n or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps} for {n} variables")
-            items.append((exps, coeff))
-        LinearCombination.__init__(self, items)
-
-    def _new(self, terms: dict) -> "Polynomial":
-        p = object.__new__(Polynomial)
-        p.num_vars, p._terms = self.num_vars, terms
-        return p
-
-    @classmethod
-    def zero(cls, num_vars: int) -> "Polynomial":
-        return cls(num_vars)
-
-    def _check(self, other: "Polynomial") -> None:
-        if self.num_vars != other.num_vars:
-            raise ValueError("variable counts differ")
-
-    def terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Polynomial:
-            return NotImplemented
-        return self.num_vars == other.num_vars and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.num_vars, frozenset(self._terms.items())))
-
-    def __mul__(self, other):
-        if other.__class__ is not Polynomial:
-            return self.__rmul__(other)
-        self._check(other)
-        return self._new(_nonzero(_mul_into({}, self._terms, other._terms)))
-
-    def derivative(self, index: int) -> "Polynomial":
-        """Formal partial derivative with respect to ``x_index`` (1-based)."""
-        if not 1 <= index <= self.num_vars:
-            raise ValueError(f"variable index {index} out of range 1..{self.num_vars}")
-        return self._new(_derive_into({}, self._terms, index - 1))  # lowering x_i meets no two terms
-
-    def _term_text(self, exps: tuple[int, ...], magnitude: Scalar) -> str:
-        factors = "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e)
-        if not factors:
-            return format_fraction(magnitude)
-        return factors if magnitude == 1 else f"{format_fraction(magnitude)}*{factors}"
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.num_vars}, {self.render()!r})"
-
-
-def _mul_into(out: dict, p: dict, q: dict) -> dict:
-    """Add the product of the raw stores ``p`` and ``q`` (``{exponents: coeff}``)
-    into the store ``out`` and return it; a zero sum stays for the caller to purge."""
-    get, add = out.get, operator.add
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            key = tuple(map(add, e1, e2))
-            out[key] = get(key, 0) + c1 * c2
-    return out
-
-
-def _derive_into(out: dict, p: dict, i: int) -> dict:
-    """Add the partial derivative of the raw store ``p`` by ``x_(i+1)`` into ``out`` and return it."""
-    for exps, coeff in p.items():
-        if exps[i]:
-            key = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-            out[key] = out.get(key, 0) + coeff * exps[i]
-    return out
-
-
-_TERM = re.compile(r"(?=[^\s+-])(?:[*^/]\s*[+-]|[^+-])+")
-
-
-def _signed_terms(text: str, what: str) -> list[tuple[int, int, str]]:
-    """The terms of the signed sum ``text`` as (sign, column, term), each term stripped.
-
-    The sign rule of both polynomial grammars: a ``+`` or ``-`` separates
-    terms except right after ``*``, ``^`` or ``/``, where it belongs to the
-    term (:data:`_TERM` matches a term); a run of signs before a term
-    multiplies out; a sign with no term after it is an error.
-    """
-    terms, end = [], 0
-    for term in _TERM.finditer(text):
-        terms.append(((-1) ** text.count("-", end, term.start()), term.start(), term.group().rstrip()))
-        end = term.end()
-    if text[end:].strip():
-        raise ParseError("missing term after sign", text, len(text.rstrip()) - 1)
-    if not terms:
-        raise ParseError(f"empty {what}", text, 0)
-    return terms
-
-
-def parse_polynomial(text: str, num_vars: int) -> Polynomial:
-    """Parse forms like ``3*x1^2*x2 - 1/2*x2 + 4``.
-
-    A run of signs multiplies out, as in :func:`parse_word_polynomial`:
-    ``a - -b`` is ``a + b`` and ``a - +b`` is ``a - b``.  Spaces are allowed
-    around ``*``, and a malformed term is reported at its column in ``text``
-    as typed.
-    """
-    return Polynomial(num_vars, [_parse_monomial(sign, term, num_vars, text, column)
-                                 for sign, column, term in _signed_terms(text, "polynomial")])
-
-
-def _parse_monomial(coeff: Scalar, term: str, num_vars: int, full: str, offset: int) -> tuple:
-    """``coeff`` times the monomial ``term`` as (exponent vector, coefficient)."""
-    exps = [0] * num_vars
-    for _, piece in pieces(term, "*"):
-        if not piece:
-            raise ParseError("empty factor", full, offset)
-        if piece[0] == "x":
-            name, hat, power = piece.partition("^")
-            if not name[1:].isdecimal():
-                raise ParseError(f"invalid variable {name!r}", full, offset)
-            idx = int(name[1:])
-            if not 1 <= idx <= num_vars:
-                raise ParseError(f"variable x{idx} out of range for n={num_vars}", full, offset)
-            if hat and not power.strip().isdecimal():
-                raise ParseError(f"invalid exponent {power!r}", full, offset)
-            exps[idx - 1] += int(power) if hat else 1
-        else:
-            try:
-                value = Fraction(piece)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"invalid coefficient {piece!r}", full, offset) from None
-            coeff *= value.numerator if value.denominator == 1 else value
-    return tuple(exps), coeff
 
 
 class Derivation(Immutable):
@@ -196,6 +46,12 @@ class Derivation(Immutable):
 
     def __reduce__(self):
         return Derivation, (self.coeffs,)
+
+    def _checked(self) -> "Derivation":
+        """``self``, or ``ValueError`` if a coefficient has an exponent above the limit."""
+        for p in self.coeffs:
+            p._checked()
+        return self
 
     def __repr__(self) -> str:
         return f"Derivation({self.coeffs!r})"
@@ -291,7 +147,7 @@ def _spec_size(spec: Mapping, what: str) -> int:
 def apply_tree_operator(t: Tree, env: DerivationEnv, f: Polynomial) -> Polynomial:
     """Evaluate the differential operator encoded by a labeled tree on ``f``."""
     _check_tree(t, env, f)
-    return _tree_action(t, env, (), f, {})
+    return _tree_action(t, env, (), f, {})._checked()
 
 
 def _check_tree(t: Tree, env: DerivationEnv, f: Polynomial) -> None:
@@ -475,7 +331,7 @@ def verify_composition(word: Sequence[str], env: DerivationEnv, f: Polynomial) -
     if f.num_vars != env.num_vars:
         raise ValueError("variable counts differ")
     memo = {}
-    tree_side = _sum_scaled(((coeff, _tree_action(t, env, (), f, memo)) for t, coeff in trees), f)
+    tree_side = _sum_scaled(((coeff, _tree_action(t, env, (), f, memo)) for t, coeff in trees), f)._checked()
     nested = f
     for symbol in reversed(word):
         nested = env[symbol].apply(nested)

@@ -11,10 +11,11 @@ One object, :class:`TreeHopfAlgebra`, covers plain, labeled, ordered,
 ordered-labeled and standard heap-ordered trees; the heap variant shifts
 labels on the product side and ranks them to ``1..k`` on the coproduct side so
 that basis elements stay in standard form.  The public ``product``,
-``coproduct``, ``counit`` and ``antipode`` refuse a tree of another flavor;
-the trusted ``_product`` and ``_coproduct`` behind them check nothing, and
-the axiom sweeps and the antipode recursion call those on trees the algebra
-made itself.
+``coproduct`` and ``counit`` refuse a tree of another flavor, and the
+inherited ``antipode`` refuses it through ``counit``; the trusted
+``_product`` and ``_coproduct`` behind them check nothing, and the axiom
+sweeps and the antipode recursion call those on trees the algebra made
+itself.
 """
 
 from __future__ import annotations
@@ -114,10 +115,6 @@ class TreeHopfAlgebra(GradedHopfAlgebra):
     def counit(self, t: Tree) -> int:
         self._check_member(t)
         return super().counit(t)
-
-    def antipode(self, t: Tree) -> LinearCombination:
-        self._check_member(t)
-        return super().antipode(t)
 
     def describe(self) -> str:
         if self.heap:

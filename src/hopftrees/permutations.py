@@ -77,9 +77,10 @@ class CyclePermutation(Immutable):
     def from_cycles(cls, cycles, n: int | None = None) -> "CyclePermutation":
         """Check raw cycles and build the permutation, adding fixed points up to ``n``.
 
-        A bad entry raises :class:`ParseError` positioned at its index among all the entries."""
+        A bad entry raises :class:`ParseError` positioned at its index among all the entries, and a
+        non-integral ``n`` a ``ValueError``."""
         seen: dict[int, int] = {}  # entry -> its index among all the entries
-        cleaned: list[list[int]] = []
+        cleaned = []  # the cycles, checked, then the fixed points
         for cycle in cycles:
             cleaned.append([])
             for given in cycle:
@@ -92,6 +93,8 @@ class CyclePermutation(Immutable):
                 cleaned[-1].append(x)
         top = max(seen, default=0)
         size = top if n is None else int(n)
+        if n is not None and size != n:  # an integral float such as 2.0 passes
+            raise ValueError(f"n must be an integer, got {n!r}")
         if size < top:
             raise ParseError(f"entry {top} out of range for S_{size}", position=seen.get(top))
         for fixed in range(1, size + 1):
@@ -116,8 +119,7 @@ class CyclePermutation(Immutable):
             return "()"
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in self.cycles)
 
-    def __str__(self) -> str:
-        return self.encode()
+    __str__ = encode
 
 
 def shift(p: CyclePermutation, offset: int) -> CyclePermutation:

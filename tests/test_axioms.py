@@ -353,7 +353,10 @@ def test_nothing_is_validated_after_the_basis_is_numbered(monkeypatch):
                 lambda: check_module_law(helpers.ot("(;(E1;(E2))(E2)(E1))"), env, curved, a, b)):
         assert run() and not checked, checked
     tree = t("(;(;()())(;()))")
+    graded_antipode.cache_clear()  # an antipode not yet cached is checked once, through the counit
     ROOTED.antipode(tree)
+    assert checked == {tree: 1}
+    ROOTED.antipode(tree)  # a cached one was checked when it was cached
     assert checked == {tree: 1}
 
 

@@ -363,6 +363,25 @@ def test_the_module_law_raises_each_polynomial_once_per_level(monkeypatch):
     assert len([i for _, store, i in calls if store == (A2 * B2)._terms]) == 2
 
 
+def test_a_covariant_result_past_the_exponent_limit_is_refused():
+    from hopftrees.polynomials import MAX_EXPONENT
+
+    square = DerivationEnv.from_dict({"n": 1, "E1": ["x1^2"]})["E1"]  # raises a degree by one
+    high = Derivation((Polynomial(1, {(MAX_EXPONENT,): 1}),))
+    env = DerivationEnv(1, {"E1": square, "H": high})
+    conn = Connection.from_dict({"n": 1, "gamma": {"1,1,1": "x1"}})
+    below = Polynomial(1, {(MAX_EXPONENT - 1,): 1})
+    assert covariant_differential(below, [square], conn) == (MAX_EXPONENT - 1) * Polynomial(1, {(MAX_EXPONENT,): 1})
+    too_high = f"exponent {2**32} is above the limit of {MAX_EXPONENT}"
+    for refused in (lambda: covariant_differential(high.coeffs[0], [square], conn),
+                    lambda: vector_covariant_differential(high, [square], conn),
+                    lambda: covariant_derivative(conn, square, high),
+                    lambda: subtree_derivation(ot("(H;(E1))"), env, conn),
+                    lambda: apply_connection_operator(ot("(;(E1))"), env, conn, high.coeffs[0])):
+        with pytest.raises(ValueError, match=too_high):
+            refused()
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [

@@ -24,6 +24,8 @@ from hopftrees import (
     word_to_trees,
 )
 from hopftrees.algebra import _sum_scaled
+from hopftrees.cli import main
+from hopftrees.polynomials import MAX_EXPONENT
 from helpers import (count_calls, dict_derivative, dict_product, dict_sum, lc, random_polynomial, subtrees, t,
                      tree_operator_by_index_sum, word_to_trees_by_products)
 
@@ -60,6 +62,7 @@ polys = st.dictionaries(
 ).map(lambda d: Polynomial(3, d))
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(polys)
 def test_mixed_partials_commute(p):
     for i in range(1, 4):
@@ -67,6 +70,7 @@ def test_mixed_partials_commute(p):
             assert p.derivative(i).derivative(j) == p.derivative(j).derivative(i)
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(polys, polys)
 def test_derivative_is_leibniz_on_products(p, q):
     for i in range(1, 4):
@@ -80,6 +84,7 @@ def test_euler_operator():
     assert squared.apply(parse_polynomial("x1", 1)) == parse_polynomial("x1^2", 1)
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(polys, polys)
 def test_derivation_leibniz(p, q):
     field = Derivation(
@@ -139,7 +144,7 @@ def term_dict_pairs(draw):
     return n, draw(terms), draw(terms)
 
 
-@settings(max_examples=80)
+@settings(derandomize=True, max_examples=80, deadline=2000)
 @given(term_dict_pairs(), scalars, st.integers(1, 3))
 def test_polynomial_arithmetic_matches_a_plain_dict_oracle(pair, c, index):
     n, da, db = pair
@@ -163,6 +168,89 @@ def test_polynomial_arithmetic_matches_a_plain_dict_oracle(pair, c, index):
     assert a - b + b == a and hash(a - b + b) == hash(a)
     reordered = Polynomial(n, list(da.items())[::-1])
     assert reordered == a and hash(reordered) == hash(a)
+
+
+LOW = st.integers(0, 3)
+
+
+@st.composite
+def wide_stores(draw):
+    """A variable count from 1 to 3 and three dicts of terms over it: two whose
+    exponents sum to at most :data:`MAX_EXPONENT` (the largest sum reaches it),
+    and one whose exponents reach it, for the derivative."""
+    n = draw(st.integers(1, 3))
+    half = MAX_EXPONENT // 2  # half + (MAX_EXPONENT - half) == MAX_EXPONENT
+
+    def store(high):
+        return st.dictionaries(st.tuples(*[LOW | high] * n), scalars, max_size=4)
+
+    return (n, draw(store(st.integers(half - 2, half))), draw(store(st.integers(MAX_EXPONENT - half - 2, MAX_EXPONENT - half))),
+            draw(store(st.integers(MAX_EXPONENT - 3, MAX_EXPONENT))))
+
+
+@settings(derandomize=True, max_examples=150, deadline=2000)
+@given(wide_stores(), st.integers(1, 3))
+def test_packed_product_and_derivative_match_the_dict_oracle_up_to_the_exponent_limit(case, index):
+    # each exponent sits in a field of its own: a carry or borrow across fields would show here
+    n, da, db, dc = case
+    a, b, c = Polynomial(n, da), Polynomial(n, db), Polynomial(n, dc)
+    i = min(index, n)
+    for name, got, expected in (("a * b", a * b, dict_product(da, db)), ("b * a", b * a, dict_product(db, da)),
+                                ("d_i a", a.derivative(i), dict_derivative(da, i)),
+                                ("d_i c", c.derivative(i), dict_derivative(dc, i))):
+        assert dict(got) == expected, name
+        assert all(got.coefficient(exps) == coeff for exps, coeff in expected.items()), name
+        assert parse_polynomial(got.render(), n) == got, name
+    assert dict(c) == dict_sum((1, dc)) and c.terms() == sorted(dict(c).items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+
+def test_non_integral_exponents_and_variable_counts_are_refused_not_truncated():
+    with pytest.raises(ValueError, match=r"exponents must be integers, got \(2\.5,\)"):
+        Polynomial(1, {(2.5,): 1})
+    with pytest.raises(ValueError, match="the variable count must be an integer, got 2.7"):
+        Polynomial(2.7, {(1, 1): 1})
+    # integral floats stay accepted, as for permutation entries
+    assert Polynomial(2.0, {(2.0, 1): 3}) == parse_polynomial("3*x1^2*x2", 2)
+
+
+TOO_HIGH = f"exponent {2**32} is above the limit of {MAX_EXPONENT}"
+
+
+def test_an_exponent_above_the_limit_is_refused_where_it_enters():
+    from hopftrees import ParseError
+
+    assert MAX_EXPONENT == 2**32 - 1
+    top = Polynomial(2, {(MAX_EXPONENT, 0): 1})
+    assert top.render() == "x1^4294967295" and top.coefficient((MAX_EXPONENT, 0)) == 1
+    with pytest.raises(ValueError, match=TOO_HIGH):
+        Polynomial(2, {(1, 2**32): 1})
+    for text, position in (("x2 + 3*x1^4294967296", 5), ("x1^4294967295*x1 - x2", 0)):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, 2)
+        assert (info.value.message, info.value.text, info.value.position) == (TOO_HIGH, text, position)
+    assert top * parse_polynomial("x2^5", 2) == parse_polynomial("x1^4294967295*x2^5", 2)
+    with pytest.raises(ValueError, match=TOO_HIGH):
+        top * parse_polynomial("x1 + x2", 2)
+    assert top.coefficient((2**32, 0)) == 0 and top.coefficient((MAX_EXPONENT,)) == 0
+
+
+def test_a_tree_action_that_raises_an_exponent_past_the_limit_is_refused():
+    f = Polynomial(1, {(MAX_EXPONENT,): 1})
+    assert apply_tree_operator(t("(;(E1))"), ENV1, f) == MAX_EXPONENT * f  # E1 = x1 d/dx1 keeps the degree
+    with pytest.raises(ValueError, match=TOO_HIGH):
+        apply_tree_operator(t("(;(E2))"), ENV1, f)  # E2 = x1^2 d/dx1 raises it by one
+    with pytest.raises(ValueError, match=TOO_HIGH):
+        verify_composition(("E2",), ENV1, f)
+
+
+def test_psi_apply_refuses_an_exponent_above_the_limit(tmp_path, capsys):
+    env = tmp_path / "env.json"
+    env.write_text('{"n": 1, "E1": ["x1"]}')
+    code = main(["psi", "apply", "--env", str(env), "--tree", "(;(E1))", "--f", "x1^4294967296"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: {TOO_HIGH} at position 0\n  x1^4294967296\n  ^\n"
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [f"error: {TOO_HIGH} at position 0"]
 
 
 def test_a_polynomial_never_mixes_with_a_plain_combination():
@@ -192,8 +280,8 @@ def test_a_polynomial_never_mixes_with_a_plain_combination():
 
 def test_sums_merge_in_one_dict_and_drop_cancelled_terms():
     p = parse_polynomial("x1 + 2 - x1 + 1/2*x1^2 + 1/2*x1^2", 1)
-    assert p._terms == {(0,): 2, (2,): 1}
-    assert type(p._terms[(0,)]) is int
+    assert p.terms() == [((0,), 2), ((2,), 1)] and len(p) == 2
+    assert type(p.terms()[0][1]) is int
     assert _sum_scaled([], Polynomial.zero(2)) == Polynomial.zero(2)
     assert ENV1["E1"].apply(parse_polynomial("x1^2 - x1^2", 1)) == Polynomial.zero(1)
 
@@ -365,7 +453,7 @@ def test_module_law_flat_case():
             assert lhs == rhs, tree.encode()
 
 
-@settings(max_examples=25)
+@settings(derandomize=True, max_examples=25, deadline=2000)
 @given(polys, polys)
 def test_tree_operator_linear_in_argument(p, q):
     env = DerivationEnv.from_dict({"n": 3, "E1": ["x2", "x3", "x1"]})

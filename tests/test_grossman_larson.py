@@ -86,6 +86,14 @@ def test_a_foreign_member_is_refused_by_every_structure_map_with_its_message(alg
         assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("alg, tree, message", FOREIGN_MEMBERS)
+def test_the_exported_graded_antipode_refuses_a_foreign_member_as_the_algebra_does(alg, tree, message):
+    # among them (x;(E1)) for ROOTED and (;(2)) for HEAP_ORDERED, which it once returned negated
+    with pytest.raises(ValueError) as refused:
+        graded_antipode(alg, tree)
+    assert str(refused.value) == message
+
+
 def test_coproduct_single_node_is_group_like():
     assert ROOTED.coproduct(LEAF) == lc((TensorPair(LEAF, LEAF), 1))
 

@@ -62,6 +62,15 @@ def test_a_non_integral_entry_is_refused_at_its_index_not_truncated():
     assert CyclePermutation.from_cycles([(2.0, 1)], n=3.0) == parse_permutation("(1 2)(3)")
 
 
+def test_a_non_integral_size_is_refused_not_truncated():
+    for build in (lambda: CyclePermutation.from_cycles([(1, 2)], n=2.5), lambda: CyclePermutation.identity(2.7),
+                  lambda: parse_permutation("(1 2)", n=2.5), lambda: parse_permutation("()", n=2.7)):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.[57]$") as caught:
+            build()
+        assert not isinstance(caught.value, ParseError)
+    assert CyclePermutation.identity(2.0) == parse_permutation("(2)(1)")
+
+
 def test_shift_examples():
     assert shift(parse_permutation("(1 2)"), 1).encode() == "(2 3)"
     assert shift(parse_permutation("(1)"), 1).encode() == "(2)"

@@ -1,6 +1,6 @@
 """Package start-up: the public names, and which modules each subcommand runs.
 
-``import hopftrees`` registers its nine modules in ``sys.modules`` without
+``import hopftrees`` registers its ten modules in ``sys.modules`` without
 running them; a module runs on the first read of one of its attributes.  The
 loading checks run in fresh interpreters, because this test process has
 already run every module.  A module that has not run is still a
@@ -27,7 +27,7 @@ SRC = ROOT / "src"
 
 MODULES = (
     "algebra", "axioms", "connection", "connes_kreimer", "diff_ops",
-    "grossman_larson", "permutations", "shuffle", "trees",
+    "grossman_larson", "permutations", "polynomials", "shuffle", "trees",
 )
 
 PUBLIC_NAMES = [
@@ -110,9 +110,10 @@ print(json.dumps(sorted(n[10:] for n, m in sys.modules.items()
     [
         ("import hopftrees", []),
         ("from hopftrees.trees import Tree", ["algebra", "trees"]),
-        ("import hopftrees.diff_ops as d; d.Polynomial", ["algebra", "diff_ops", "trees"]),
+        ("import hopftrees.diff_ops as d; d.Polynomial", ["algebra", "diff_ops", "polynomials", "trees"]),
         ("import hopftrees; hopftrees.Tree", sorted(MODULES)),
         ("from hopftrees import ROOTED", sorted(MODULES)),
+        ("import hopftrees.polynomials as p; p.Polynomial", ["algebra", "polynomials"]),
     ],
 )
 def test_a_submodule_runs_alone_and_a_package_name_runs_the_library(statement, ran):
@@ -166,6 +167,7 @@ def test_a_subcommand_runs_only_the_modules_it_uses(argv, out, ran):
     assert (found["code"], found["out"]) == (0, out)
     assert found["ran"] == [f"hopftrees.{m}" for m in ran]
     assert "hopftrees.diff_ops" not in found["ran"]
+    assert "hopftrees.polynomials" not in found["ran"]
     assert "hopftrees.connection" not in found["ran"]
     assert found["registered"] == sorted(f"hopftrees.{m}" for m in MODULES + ("cli",))
     assert not found["dataclasses"]
@@ -178,6 +180,7 @@ def test_psi_apply_runs_diff_ops(tmp_path):
     found = run_python(LOADED.format(argv=argv))
     assert (found["code"], found["out"]) == (0, "2*x1^2\n")
     assert "hopftrees.diff_ops" in found["ran"]
+    assert "hopftrees.polynomials" in found["ran"]
     assert "hopftrees.connection" not in found["ran"]
     assert "hopftrees.grossman_larson" not in found["ran"]
     assert not found["dataclasses"]
