@@ -17,19 +17,19 @@ action refuses unordered trees with a ``ValueError``.  Every function here
 validates its inputs and then calls the fused kernel of
 :mod:`hopftrees.diff_ops`, which keeps each covariant differential
 ``nabla^m F`` as a per-call tower of raw stores and adds each product straight
-into its target; with zero Christoffel data it is the flat tree action.  A
-returned polynomial or derivation is checked once against the exponent limit
-of :mod:`hopftrees.polynomials`.
+into its target; with zero Christoffel data it is the flat tree action.  The
+module law calls that kernel through ``diff_ops._module_law``, which sums the
+coproduct's pieces as raw stores.  A returned polynomial or derivation is
+checked once against the exponent limit of :mod:`hopftrees.polynomials`.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .algebra import _sum_scaled, pieces
-from .diff_ops import (Derivation, DerivationEnv, Polynomial, _check_tree, _covariant_contraction,
+from .algebra import pieces
+from .diff_ops import (Derivation, DerivationEnv, Polynomial, _check_tree, _covariant_contraction, _module_law,
                        _spec_size, _subtree_derivation, _tree_action, parse_polynomial)
-from .grossman_larson import ORDERED
 from .trees import Tree
 
 
@@ -85,7 +85,7 @@ def vector_covariant_differential(field: Derivation, fields: Sequence[Derivation
     if not fields:
         return field
     _check_vars(conn.num_vars, field, *fields)
-    return Derivation(_covariant_contraction(field, fields, conn._steps, {}))._checked()
+    return Derivation(map(field.coeffs[0]._new, _covariant_contraction(field, fields, conn._steps, {})))._checked()
 
 
 def subtree_derivation(subtree: Tree, env: DerivationEnv, conn: Connection) -> Derivation:
@@ -107,7 +107,7 @@ def covariant_differential(f: Polynomial, fields: Sequence[Derivation], conn: Co
     if not fields:
         return f
     _check_vars(f.num_vars, conn, *fields)
-    return _covariant_contraction(f, fields, conn._steps, {})[0]._checked()
+    return f._new(_covariant_contraction(f, fields, conn._steps, {})[0])._checked()
 
 
 def apply_connection_operator(t: Tree, env: DerivationEnv, conn: Connection, f: Polynomial) -> Polynomial:
@@ -132,17 +132,14 @@ def _check_vars(num_vars: int, *objects) -> None:
 def check_module_law(t: Tree, env: DerivationEnv, conn: Connection, a: Polynomial, b: Polynomial) -> bool:
     """Does ``t . (a b) = sum (t' . a)(t'' . b)`` over the ordered coproduct?
 
-    The pieces of the coproduct are built from the subtrees of ``t``, so ``t``
-    is validated once, here, and the trusted ordered coproduct checks nothing.
+    Each piece ``t' (x) t''`` is a split of the root's children, so ``t`` is
+    validated once, here, and the trusted kernel ``diff_ops._module_law`` sums
+    the pieces as raw stores, with no tree or polynomial built for any of them.
     One memo serves the call: each distinct subtree derivation, and each level
     of the towers of ``a``, ``b`` and ``a b``, is computed once."""
     _check_ordered(t)
     _check_vars(env.num_vars, conn)
     ab = a * b
     _check_tree(t, env, ab)  # the pieces of t have t's labels, and a and b the variables of a * b
-    memo: dict = {}
-    lhs = _tree_action(t, env, conn._steps, ab, memo)
-    rhs = _sum_scaled(((coeff, _tree_action(pair.left, env, conn._steps, a, memo)
-                        * _tree_action(pair.right, env, conn._steps, b, memo))
-                       for pair, coeff in ORDERED._coproduct(t)), lhs)
+    lhs, rhs = _module_law(t, env, conn._steps, a, b, ab)
     return lhs == rhs

@@ -11,7 +11,10 @@ B-series.  One fused kernel serves flat trees here and ordered trees under a
 connection (:mod:`hopftrees.connection`).  A public call validates each tree
 once and keeps one memo, dropped when it returns: the derivation of each
 distinct subtree, and the tower ``nabla^m F`` of each operand F, built once.
-Its result is checked once against the exponent limit.
+Its result is checked once against the exponent limit.  The module law of
+:mod:`hopftrees.connection` has a kernel of its own here: its pieces are the
+splits of the root's children, so each is two contractions of one call's
+towers, and their products are summed as raw stores.
 
 Words in the derivation symbols expand to labeled trees by grafting one
 leaf per letter (Grossman-Larson 1989), and the expansion composes: the tree
@@ -25,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (_PLAIN, Immutable, LinearCombination, ParseError, Record, Scalar, _collect, _nonzero, _set,
-                      _sum_scaled, check_budget, format_fraction, pieces)
+                      _sum_scaled, check_budget, format_fraction, pieces, splits)
 from .polynomials import Polynomial, _derive_into, _mul_into, _signed_terms, parse_polynomial
 from .trees import Forest, Tree, _preorder, _symbols, attach_all
 
@@ -168,7 +171,25 @@ def _tree_action(t: Tree, env: DerivationEnv, steps: Sequence, f: Polynomial, me
     """``(nabla^m f)(theta(s_1), .., theta(s_m))`` for the root's child subtrees
     ``s_i``, once :func:`_check_tree` has passed ``t`` or a tree it came from."""
     fields = [_subtree_derivation(s, env, steps, memo) for s in t.children]
-    return _covariant_contraction(f, fields, steps, memo)[0]
+    return f._new(_covariant_contraction(f, fields, steps, memo)[0])
+
+
+def _module_law(t: Tree, env: DerivationEnv, steps: Sequence, a: Polynomial, b: Polynomial,
+                ab: Polynomial) -> tuple[dict, dict]:
+    """The raw stores of ``t . (a b)`` and of ``sum (t' . a)(t'' . b)`` over the ordered
+    coproduct, once :func:`_check_tree` has passed ``t`` with ``ab = a * b``.  A piece
+    ``t' (x) t''`` is a split of the root's children (:func:`~hopftrees.algebra.splits`,
+    as the coproduct itself), so each side of it contracts the tower of ``a`` or ``b``
+    with the children's derivations, and ``ways`` times the product is added into one
+    store.  One memo serves the call."""
+    memo, rhs = {}, {}
+    theta = {s: _subtree_derivation(s, env, steps, memo) for s in t.children}
+    lhs = _covariant_contraction(ab, [theta[s] for s in t.children], steps, memo)[0]
+    for kept, rest, ways in splits(t.children, "root split"):
+        left = _covariant_contraction(a, [theta[s] for s in kept], steps, memo)[0]
+        right = _covariant_contraction(b, [theta[s] for s in rest], steps, memo)[0]
+        _mul_into(rhs, left if ways == 1 else {e: ways * c for e, c in left.items()}, right)
+    return lhs, _nonzero(rhs)
 
 
 def _subtree_derivation(node: Tree, env: DerivationEnv, steps: Sequence, memo: dict) -> Derivation:
@@ -177,12 +198,13 @@ def _subtree_derivation(node: Tree, env: DerivationEnv, steps: Sequence, memo: d
     subtrees already evaluated under ``env`` and ``steps`` to their derivations."""
     if node not in memo:
         fields = [_subtree_derivation(u, env, steps, memo) for u in node.children]
-        memo[node] = Derivation(_covariant_contraction(env[node.label], fields, steps, memo))
+        field = env[node.label]
+        memo[node] = Derivation(map(field.coeffs[0]._new, _covariant_contraction(field, fields, steps, memo)))
     return memo[node]
 
 
 def _covariant_contraction(operand, fields: Sequence[Derivation], steps: Sequence, memo: dict) -> tuple:
-    """The components of ``(nabla^m F)(X_1, .., X_m)`` for ``F`` a polynomial or
+    """The raw stores of the components of ``(nabla^m F)(X_1, .., X_m)`` for ``F`` a polynomial or
     a vector field.  ``steps`` holds the connection as (a, b, c, the stores of
     ``gamma[a,b,c]`` and of its negative), indices from 0 (empty: flat).
     ``memo`` keeps the tower of ``F`` for the call: level j is the tensor
@@ -214,9 +236,10 @@ def _covariant_contraction(operand, fields: Sequence[Derivation], steps: Sequenc
     for field in reversed(fields):
         contracted = {}
         for key, p in tensor.items():
-            _mul_into(contracted.setdefault(key[:-1], {}), field.coeffs[key[-1]]._terms, p)
+            if q := field.coeffs[key[-1]]._terms:  # a zero component adds nothing
+                _mul_into(contracted.setdefault(key[:-1], {}), q, p)
         tensor = contracted
-    return tuple(components[0]._new(_nonzero(tensor.get((k,), {}))) for k in range(len(components)))
+    return tuple(_nonzero(tensor.get((k,), {})) for k in range(len(components)))
 
 
 def word_to_trees(word: Sequence[str], symbols: Iterable[str] | None = None) -> LinearCombination:

@@ -30,6 +30,14 @@ from .algebra import (_PLAIN, GradedHopfAlgebra, Immutable, LinearCombination, P
 from .trees import HEAP_DEGREE_CAP, Tree, _check_degree, is_standard_heap_tree
 
 
+def _int(x) -> int | None:
+    """``int(x)``, or ``None`` where ``int`` fails on a value: an infinity, a NaN, a non-numeric string."""
+    try:
+        return int(x)
+    except (OverflowError, ValueError):
+        return None
+
+
 class CyclePermutation(Immutable):
     """Disjoint cycles over a finite set of positive integers, standard order.
 
@@ -79,12 +87,12 @@ class CyclePermutation(Immutable):
 
         A bad entry raises :class:`ParseError` positioned at its index among all the entries, and a
         non-integral ``n`` a ``ValueError``."""
-        seen: dict[int, int] = {}  # entry -> its index among all the entries
+        seen = {}  # entry -> its index among all the entries
         cleaned = []  # the cycles, checked, then the fixed points
         for cycle in cycles:
             cleaned.append([])
             for given in cycle:
-                x = int(given)
+                x = _int(given)
                 if x != given or x <= 0 or x in seen:
                     problem = (f"entries must be integers, got {given!r}" if x != given
                                else f"duplicate entry {x} across cycles" if x > 0 else f"entries must be positive, got {x}")
@@ -92,7 +100,7 @@ class CyclePermutation(Immutable):
                 seen[x] = len(seen)
                 cleaned[-1].append(x)
         top = max(seen, default=0)
-        size = top if n is None else int(n)
+        size = top if n is None else _int(n)
         if n is not None and size != n:  # an integral float such as 2.0 passes
             raise ValueError(f"n must be an integer, got {n!r}")
         if size < top:
@@ -154,17 +162,17 @@ def heap_product(s: CyclePermutation, t: CyclePermutation) -> LinearCombination:
     shifted = shift(s, n).cycles  # heads strictly decreasing
     check_budget((n + 1) ** len(shifted), "heap product")
     targets = [x for cycle in t.cycles for x in cycle] + [0]
-    counts: dict[CyclePermutation, int] = {}
+    counts = {}
     for assignment in itertools.product(targets, repeat=len(shifted)):
-        after: dict[int, list[int]] = {}  # letter -> the strings stacked after it, joined
-        cycles: list = []  # the standalone strings, then the grown cycles of t
+        after = {}  # letter -> the strings stacked after it, joined
+        cycles = []  # the standalone strings, then the grown cycles of t
         for string, letter in zip(shifted, assignment):
             if letter:
                 after.setdefault(letter, []).extend(string)
             else:
                 cycles.append(string)
         for cycle in t.cycles:
-            grown: list[int] = []
+            grown = []
             for letter in cycle:
                 grown.append(letter)
                 grown += after.get(letter, ())
@@ -212,7 +220,7 @@ def permutation_to_tree(p: CyclePermutation) -> Tree:
 
 
 def _subtree_to_string(t: Tree) -> tuple[int, ...]:
-    out: list[int] = [t.label]
+    out = [t.label]
     for child in sorted(t.children, key=lambda c: -c.label):
         out.extend(_subtree_to_string(child))
     return tuple(out)

@@ -43,10 +43,18 @@ def _over_limit(exponent: int) -> str:
     return f"exponent {exponent} is above the limit of {MAX_EXPONENT}"
 
 
+def _int(x) -> int | None:
+    """``int(x)``, or ``None`` where ``int`` fails on a value: an infinity, a NaN, a non-numeric string."""
+    try:
+        return int(x)
+    except (OverflowError, ValueError):
+        return None
+
+
 def _pack(exponents: Iterable, n: int) -> int:
     """The key of an exponent vector of length ``n``; ``ValueError`` if it is not one."""
     given = tuple(exponents)
-    exps = tuple(map(int, given))
+    exps = tuple(map(_int, given))
     if exps != given:  # an integral float such as 2.0 passes
         raise ValueError(f"exponents must be integers, got {given}")
     if len(exps) != n or min(exps, default=0) < 0:
@@ -77,9 +85,11 @@ class Polynomial(LinearCombination):
     __slots__ = ("num_vars",)
 
     def __init__(self, num_vars: int, terms: Mapping | Iterable = ()):
-        n = int(num_vars)
+        n = _int(num_vars)
         if n != num_vars:
             raise ValueError(f"the variable count must be an integer, got {num_vars!r}")
+        if n < 0:
+            raise ValueError(f"the variable count must not be negative, got {n}")
         self.num_vars = n
         items = terms.items() if isinstance(terms, Mapping) else terms
         LinearCombination.__init__(self, [(_pack(exponents, n), coeff) for exponents, coeff in items])

@@ -19,7 +19,8 @@ reading that the sweep's integer tables replace; ``verify_morphism`` checks a
 map between two algebras over two such tables.  Trees act on polynomials
 here through the two textbook definitions the library replaces by one
 contraction: the flat sum over all index assignments of a tree's nodes, and
-the recursive m-th covariant differentials of a connection.
+the recursive m-th covariant differentials of a connection; the module law
+sums its coproduct's pieces as trees acting one at a time.
 The trees the oracles build are put in canonical form by the ``Tree``
 constructor itself; ``tests/test_trees.py`` checks that constructor against
 the text oracle ``_encode_shape``.
@@ -40,6 +41,7 @@ from hopftrees import (
     LinearCombination,
     Polynomial,
     Tree,
+    apply_connection_operator,
     labeled_algebra,
     parse_tree,
 )
@@ -668,6 +670,18 @@ def connection_action_by_recursion(tree: Tree, env, conn, f: Polynomial) -> Poly
     differential of ``f`` on its children's folded derivations, in order."""
     fields = [subtree_derivation_by_recursion(s, env, conn) for s in tree.children]
     return covariant_differential_by_recursion(f, fields, conn)
+
+
+def module_law_by_coproduct(tree: Tree, env, conn, a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Both sides of the module law ``t . (a b) = sum (t' . a)(t'' . b)`` from the
+    public API alone: each piece of the ordered labeled coproduct is a pair of
+    trees, each tree acts through ``apply_connection_operator``, and the products
+    are summed as polynomials."""
+    rhs = Polynomial.zero(a.num_vars)
+    for pair, coeff in labeled_algebra(env.symbols, ordered=True).coproduct(tree):
+        left = apply_connection_operator(pair.left, env, conn, a)
+        rhs = rhs + coeff * (left * apply_connection_operator(pair.right, env, conn, b))
+    return apply_connection_operator(tree, env, conn, a * b), rhs
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hopftrees import (
     LinearCombination,
@@ -119,21 +119,25 @@ symbols = st.sampled_from([A, B, C])
 combos = st.lists(st.tuples(symbols, coeffs), max_size=6).map(LinearCombination)
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(combos, combos)
 def test_addition_commutes(x, y):
     assert x + y == y + x
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(combos, combos, combos)
 def test_addition_associates(x, y, z):
     assert (x + y) + z == x + (y + z)
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(coeffs, combos, combos)
 def test_scaling_distributes(c, x, y):
     assert c * (x + y) == c * x + c * y
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(coeffs, coeffs, combos)
 def test_scaling_composes(c, d, x):
     assert c * (d * x) == (c * d) * x

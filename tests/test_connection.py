@@ -12,26 +12,34 @@ from hopftrees import (
     Connection,
     Derivation,
     DerivationEnv,
+    LinearCombination,
     Polynomial,
+    TensorPair,
+    Tree,
     apply_connection_operator,
     check_module_law,
     covariant_derivative,
     covariant_differential,
+    labeled_algebra,
     ordered_labeled_trees,
+    ordered_trees,
     parse_polynomial,
     parse_tree,
     subtree_derivation,
     vector_covariant_differential,
     verify_composition,
 )
-from hopftrees.grossman_larson import TreeHopfAlgebra
+from hopftrees.algebra import splits
+from hopftrees.grossman_larson import ORDERED, TreeHopfAlgebra
 from helpers import (
     christoffel,
     connection_action_by_recursion,
     count_calls,
+    coproduct_by_masks,
     covariant_derivative_by_formula,
     covariant_differential_by_recursion,
     is_flat,
+    module_law_by_coproduct,
     ot,
     random_polynomial,
     subtree_derivation_by_recursion,
@@ -304,6 +312,36 @@ def test_module_law_evaluates_each_distinct_subtree_once(monkeypatch):
         # one contraction per distinct subtree, then one at the root of t and of each piece
         assert len(calls) == len(subtrees(tree)) + 1 + 2 * len(alg.coproduct(tree)), tree.encode()
     assert len(calls) == 2 + 1 + 2 * 6
+
+
+# equal siblings, whose runs split C(k, j) ways; and two splits that give one pair, (E1 E2) (x) (E1 E2)
+EQUAL_SIBLINGS, TWO_WAYS = ot("(;(E1;(E2))(E1;(E2))(E2))"), ot("(;(E1)(E2)(E1)(E2))")
+
+
+def test_the_module_law_kernel_matches_the_coproduct_oracle():
+    from hopftrees import diff_ops
+
+    pair = TensorPair(ot("(;(E1)(E2))"), ot("(;(E1)(E2))"))
+    assert labeled_algebra(ENV2.symbols, ordered=True).coproduct(TWO_WAYS).coefficient(pair) == 2
+    rng = random.Random(43)
+    trees = [tree for degree in range(4) for tree in ordered_labeled_trees(degree, ENV2.symbols)]
+    for tree in trees + [EQUAL_SIBLINGS, TWO_WAYS]:
+        for conn in (CURVED2, HALF_CURVED2):
+            a, b = random_polynomial(rng, 2, 2), random_polynomial(rng, 2, 2)
+            lhs, rhs = diff_ops._module_law(tree, ENV2, conn._steps, a, b, a * b)
+            want_lhs, want_rhs = module_law_by_coproduct(tree, ENV2, conn, a, b)
+            assert (lhs, rhs) == (want_lhs._terms, want_rhs._terms), tree.encode()
+            assert all(rhs.values()), "a zero coefficient survived"
+
+
+def test_the_root_splits_weighted_by_ways_are_the_ordered_coproduct():
+    labeled = labeled_algebra(ENV2.symbols, ordered=True)
+    cases = [(ORDERED, tree) for degree in range(6) for tree in ordered_trees(degree)]
+    cases += [(labeled, tree) for degree in range(5) for tree in ordered_labeled_trees(degree, ENV2.symbols)]
+    for alg, tree in cases + [(labeled, EQUAL_SIBLINGS), (labeled, TWO_WAYS)]:
+        built = LinearCombination((TensorPair(Tree(None, kept, True), Tree(None, rest, True)), ways)
+                                  for kept, rest, ways in splits(tree.children, "root split"))
+        assert built == alg.coproduct(tree) == coproduct_by_masks(alg, tree), tree.encode()
 
 
 def test_the_memo_does_not_outlive_the_call(monkeypatch):

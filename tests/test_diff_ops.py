@@ -211,6 +211,23 @@ def test_non_integral_exponents_and_variable_counts_are_refused_not_truncated():
         Polynomial(2.7, {(1, 1): 1})
     # integral floats stay accepted, as for permutation entries
     assert Polynomial(2.0, {(2.0, 1): 3}) == parse_polynomial("3*x1^2*x2", 2)
+    assert Polynomial(0, {(): 3}).render() == "3"  # no variables, and no negative count: a constant
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Polynomial(-1), r"^the variable count must not be negative, got -1$"),
+        (lambda: Polynomial(float("inf")), r"^the variable count must be an integer, got inf$"),
+        (lambda: Polynomial(float("nan")), r"^the variable count must be an integer, got nan$"),
+        (lambda: Polynomial(2, {(1, float("inf")): 1}), r"^exponents must be integers, got \(1, inf\)$"),
+        (lambda: Polynomial(1, {(float("-inf"),): 1}), r"^exponents must be integers, got \(-inf,\)$"),
+    ],
+    ids=["negative-count", "infinite-count", "nan-count", "infinite-exponent", "minus-infinite-exponent"],
+)
+def test_a_negative_or_infinite_count_and_an_infinite_exponent_are_value_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 TOO_HIGH = f"exponent {2**32} is above the limit of {MAX_EXPONENT}"

@@ -71,6 +71,18 @@ def test_a_non_integral_size_is_refused_not_truncated():
     assert CyclePermutation.identity(2.0) == parse_permutation("(2)(1)")
 
 
+def test_an_infinite_entry_or_size_is_refused_as_a_non_integral_one():
+    for entry in (float("inf"), float("nan")):
+        with pytest.raises(ParseError, match=rf"^entries must be integers, got {entry}$") as caught:
+            CyclePermutation.from_cycles([(1, 2), (entry,)])
+        assert caught.value.position == 2
+    for build in (lambda: CyclePermutation.from_cycles([(1, 2)], n=float("inf")),
+                  lambda: CyclePermutation.identity(float("inf"))):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got inf$") as caught:
+            build()
+        assert not isinstance(caught.value, ParseError)
+
+
 def test_shift_examples():
     assert shift(parse_permutation("(1 2)"), 1).encode() == "(2 3)"
     assert shift(parse_permutation("(1)"), 1).encode() == "(2)"

@@ -5,7 +5,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hopftrees import (
     EMPTY_WORD,
@@ -89,11 +89,13 @@ def test_antipode_axiom_up_to_length_four():
 words = st.lists(st.sampled_from(["x1", "x2"]), max_size=3).map(lambda ls: Word(tuple(ls)))
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(words, words)
 def test_product_commutes(u, v):
     assert shuffle_product(u, v) == shuffle_product(v, u)
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(words, words, words)
 def test_product_associates(u, v, w):
     left = extend_linear(lambda s: shuffle_product(s, w), shuffle_product(u, v))

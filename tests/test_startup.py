@@ -186,6 +186,26 @@ def test_psi_apply_runs_diff_ops(tmp_path):
     assert not found["dataclasses"]
 
 
+@pytest.mark.parametrize(
+    "operation, out",
+    [
+        (["apply", "E1", "E2"], "(2*x1^2 + x1^3)*D1\n"),
+        (["check-module", "--max-degree", "2"], "module law: ok (11 trees)\n"),
+    ],
+    ids=["apply", "check-module"],
+)
+def test_conn_runs_no_grossman_larson(tmp_path, operation, out):
+    # the module law splits the root's children itself, so no tree algebra is needed
+    env, conn = tmp_path / "env.json", tmp_path / "conn.json"
+    env.write_text(json.dumps({"n": 1, "E1": ["x1"], "E2": ["x1^2"]}))
+    conn.write_text(json.dumps({"n": 1, "gamma": {"1,1,1": "1"}}))
+    argv = ["conn", *operation, "--connection", str(conn), "--env", str(env)]
+    found = run_python(LOADED.format(argv=argv))
+    assert (found["code"], found["out"]) == (0, out)
+    assert found["ran"] == [f"hopftrees.{m}" for m in ("algebra", "cli", "connection", "diff_ops", "polynomials", "trees")]
+    assert not found["dataclasses"]
+
+
 def test_no_library_module_imports_dataclasses():
     found = run_python(
         """

@@ -316,7 +316,7 @@ def test_the_node_count_read_from_the_encoding_matches_a_recursive_count():
 NODE_LABELS = st.one_of(st.none(), st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True), st.integers())
 
 
-@settings(derandomize=True, max_examples=200)
+@settings(derandomize=True, max_examples=200, deadline=2000)
 @given(st.booleans(), st.recursive(
     st.tuples(NODE_LABELS, st.just(())),
     lambda kids: st.tuples(NODE_LABELS, st.lists(kids, max_size=4).map(tuple)),
@@ -565,6 +565,7 @@ def _reversed_copy(tree: Tree) -> Tree:
     return Tree(tree.label, tuple(_reversed_copy(c) for c in reversed(tree.children)), tree.ordered)
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(random_trees(False), random_trees(False))
 def test_equal_trees_hash_equal(a, b):
     if a == b:
@@ -575,6 +576,7 @@ def test_equal_trees_hash_equal(a, b):
     assert (mirror == a) == (mirror.encode() == a.encode())
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(random_trees(False))
 def test_canonicalize_is_idempotent_and_marks_its_result(tree):
     fixed = canonicalize(tree)
@@ -598,6 +600,7 @@ def _tree_from_shape(shape, ordered: bool = False, reverse: bool = False) -> Tre
     return Tree(label, kids[::-1] if reverse else kids, ordered)
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(SHAPES)
 def test_the_constructor_puts_children_in_the_text_oracle_order(shape):
     drawn, mirrored = _tree_from_shape(shape), _tree_from_shape(shape, reverse=True)
@@ -608,6 +611,7 @@ def test_the_constructor_puts_children_in_the_text_oracle_order(shape):
     assert [c.label for c in planar.children] == [label for label, _ in shape[1]]
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(random_trees(False))
 def test_parse_encode_round_trip_unordered(tree):
     fixed = canonicalize(tree)
@@ -615,6 +619,7 @@ def test_parse_encode_round_trip_unordered(tree):
     assert parse_tree(tree.encode()) == fixed
 
 
+@settings(derandomize=True, max_examples=100, deadline=2000)
 @given(random_trees(True))
 def test_parse_encode_round_trip_ordered(tree):
     assert parse_tree(tree.encode(), ordered=True) == tree
