@@ -38,7 +38,7 @@ _EXPORTS = {
                  "apply_tree_operator", "expand_operator", "parse_word_polynomial",
                  "verify_composition", "word_to_trees"),
     "grossman_larson": ("HEAP_ORDERED", "ORDERED", "ROOTED", "TreeHopfAlgebra",
-                        "labeled_algebra"),
+                        "labeled_algebra", "shift_labels"),
     "permutations": ("HEAP_PRODUCT_ALGEBRA", "CyclePermutation", "cycle_coproduct",
                      "heap_product", "parse_permutation", "permutation_to_tree", "relabel",
                      "shift", "symmetric_group", "tree_to_permutation"),
@@ -47,8 +47,7 @@ _EXPORTS = {
                 "shuffle_antipode", "shuffle_product", "word_count"),
     "trees": ("Forest", "Tree", "add_root", "attach_all", "canonicalize", "heap_ordered_trees",
               "is_standard_heap_tree", "labeled_trees", "ordered_labeled_trees",
-              "ordered_trees", "parse_forest", "parse_tree", "rooted_trees", "shift_labels",
-              "strip_root"),
+              "ordered_trees", "parse_forest", "parse_tree", "rooted_trees", "strip_root"),
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

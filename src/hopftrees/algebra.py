@@ -47,6 +47,14 @@ def check_budget(count: int, what: str) -> None:
         raise ValueError(f"{what} would enumerate {shown} terms, more than the limit of {MAX_TERMS}")
 
 
+def _int(x) -> int | None:
+    """``int(x)``, or ``None`` where ``int`` fails on a value: an infinity, a NaN, a non-numeric string."""
+    try:
+        return int(x)
+    except (OverflowError, ValueError):
+        return None
+
+
 def check_degree(degree: int) -> None:
     """Raise ``ValueError`` if ``degree`` is negative; every algebra's basis listing checks here."""
     if degree < 0:

@@ -35,10 +35,32 @@ from .trees import (
     ordered_labeled_trees,
     ordered_trees,
     rooted_trees,
-    shift_labels,
-    standard_root,
     strip_root,
 )
+
+
+def _map_integer_labels(t: Tree, new_label) -> Tree:
+    """``t`` with each integer label ``x`` replaced by ``new_label(x)``."""
+    label = new_label(t.label) if isinstance(t.label, int) else t.label
+    return Tree(label, [_map_integer_labels(c, new_label) for c in t.children], t.ordered)
+
+
+def standard_root(subtrees) -> Tree:
+    """``subtrees`` under an unlabeled unordered root, their integer labels ranked
+    order-isomorphically to ``1..k`` as the tree is built.  A subtree whose labels
+    keep their ranks is reused."""
+    found = [s.labels() for s in subtrees]
+    present = sorted([x for ls in found for x in ls if isinstance(x, int)])
+    rank = {old: new for new, old in enumerate(present, start=1)}
+    return Tree(None, [
+        s if all(rank.get(x, x) == x for x in ls) else _map_integer_labels(s, rank.get)
+        for s, ls in zip(subtrees, found)
+    ])
+
+
+def shift_labels(t: Tree, offset: int) -> Tree:
+    """Add ``offset`` to every integer label."""
+    return _map_integer_labels(t, offset.__add__)
 
 
 class TreeHopfAlgebra(GradedHopfAlgebra):

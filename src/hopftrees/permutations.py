@@ -26,16 +26,8 @@ import math
 import re
 
 from .algebra import (_PLAIN, GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _collect,
-                      _set, check_budget, check_degree, pieces, splits)
+                      _int, _set, check_budget, check_degree, pieces, splits)
 from .trees import HEAP_DEGREE_CAP, Tree, _check_degree, is_standard_heap_tree
-
-
-def _int(x) -> int | None:
-    """``int(x)``, or ``None`` where ``int`` fails on a value: an infinity, a NaN, a non-numeric string."""
-    try:
-        return int(x)
-    except (OverflowError, ValueError):
-        return None
 
 
 class CyclePermutation(Immutable):
@@ -139,7 +131,7 @@ def relabel(cycles) -> CyclePermutation:
     """Relabel the entries of disjoint cycles order-isomorphically to ``1..k``."""
     cycles = [tuple(c) for c in cycles]
     entries = sorted(itertools.chain.from_iterable(cycles))
-    if list(map(int, entries)) != entries:
+    if list(map(_int, entries)) != entries:
         raise ValueError("cycle entries must be integers")
     if len(entries) != len(set(entries)):
         raise ValueError("cycles are not disjoint")

@@ -28,7 +28,7 @@ import struct
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .algebra import LinearCombination, ParseError, Scalar, _nonzero, format_fraction, pieces
+from .algebra import LinearCombination, ParseError, Scalar, _int, _nonzero, format_fraction, pieces
 
 
 MAX_EXPONENT = 2**32 - 1
@@ -41,14 +41,6 @@ _OVER = _FIELD ^ MAX_EXPONENT  # the bits of a field that only an exponent above
 
 def _over_limit(exponent: int) -> str:
     return f"exponent {exponent} is above the limit of {MAX_EXPONENT}"
-
-
-def _int(x) -> int | None:
-    """``int(x)``, or ``None`` where ``int`` fails on a value: an infinity, a NaN, a non-numeric string."""
-    try:
-        return int(x)
-    except (OverflowError, ValueError):
-        return None
 
 
 def _pack(exponents: Iterable, n: int) -> int:

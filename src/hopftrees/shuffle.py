@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .algebra import (_PLAIN, GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _set,
-                      check_budget, check_degree, identifiers)
+from .algebra import (_PLAIN, GradedHopfAlgebra, Immutable, LinearCombination, ParseError, TensorPair, _int,
+                      _set, check_budget, check_degree, identifiers)
 
 
 class Word(Immutable):
@@ -90,18 +90,21 @@ def word_count(alphabet, total_degree: int) -> int:
     integer degrees.
     """
     given = [d for _, d in alphabet]
-    degrees = list(map(int, given))
+    degrees = list(map(_int, given))
     if degrees != given:
         raise ValueError("letter degrees must be integers")
     if any(d <= 0 for d in degrees):
         raise ValueError("letter degrees must be positive")
-    if total_degree < 0:
+    total = _int(total_degree)
+    if total != total_degree:
+        raise ValueError("total degree must be an integer")
+    if total < 0:
         raise ValueError("total degree must be >= 0")
-    counts = [0] * (total_degree + 1)
+    counts = [0] * (total + 1)
     counts[0] = 1
-    for n in range(1, total_degree + 1):
+    for n in range(1, total + 1):
         counts[n] = sum(counts[n - d] for d in degrees if d <= n)
-    return counts[total_degree]
+    return counts[total]
 
 
 class ShuffleHopfAlgebra(GradedHopfAlgebra):

@@ -8,10 +8,12 @@ the constructor is the one place that decides its representative: it sorts
 the children by their canonical encoding, so every tree is canonical from
 construction and no caller canonicalizes.
 
-One recursion enumerates the rooted, labeled, ordered and ordered-labeled
+Grafting one tree below each node is one recursion over distinct siblings;
+a forest of two or more is placed run by run (:func:`attach_all`).  One
+recursion enumerates the rooted, labeled, ordered and ordered-labeled
 families: each tree is built once from a forest of smaller subtrees, a
 multiset of them for an unordered tree and a sequence for a planar one.
-Heap-ordered trees are grown by grafting.
+Heap-ordered trees are grown by grafting one leaf at a time.
 
 The canonical text grammar is ``tree := '(' label? (';' tree*)? ')'``; the
 single-node tree is ``()``, a two-node chain is ``(;())`` and a labeled leaf
@@ -191,8 +193,7 @@ def _rebuild(nodes, kids, paths, pairs, runs, ordered, built):
     Only the paths down to the receiving nodes are rebuilt; every other subtree
     is reused.  A rebuilt node is looked up in ``built`` by its preorder index
     and the ``id``s of its new children, and the root child is also stored
-    there under ``pairs``; with no table (``built`` is ``None``) every node is
-    built directly.
+    there under ``pairs``.
     """
     blocks = {}
     touched = set()
@@ -202,17 +203,13 @@ def _rebuild(nodes, kids, paths, pairs, runs, ordered, built):
     rebuilt = {}
     for i in sorted(touched, reverse=True):  # children before their parents, the root last
         if not i:
-            if built is not None:
-                built[pairs] = node
+            built[pairs] = node
             return node
         children = blocks.get(i, []) + [rebuilt.get(c, nodes[c]) for c in kids[i]]
-        if built is None:
-            node = Tree(nodes[i].label, children, ordered)
-        else:
-            key = (i, *map(id, children))
-            node = built.get(key)
-            if node is None:
-                node = built[key] = Tree(nodes[i].label, children, ordered)
+        key = (i, *map(id, children))
+        node = built.get(key)
+        if node is None:
+            node = built[key] = Tree(nodes[i].label, children, ordered)
         rebuilt[i] = node
 
 
@@ -224,6 +221,25 @@ def _multinomial(combo: tuple[int, ...]) -> int:
     return weight
 
 
+def _below_each(m: Tree, node: Tree) -> list[tuple[Tree, int]]:
+    """``node`` with ``m`` made the first child of each of its nodes, in preorder,
+    each with the number of nodes that give it: a run of equal siblings of an
+    unordered node gives equal trees, so its first copy is visited, weighted by
+    the run's length.  The trees are distinct, as a node that receives ``m``
+    gains a child and two grown children differ in place or in size."""
+    kids, ordered = node.children, node.ordered
+    out = [(Tree(node.label, (m, *kids), ordered), 1)]
+    i = 0
+    while i < len(kids):
+        child, j = kids[i], i + 1
+        while not ordered and j < len(kids) and kids[j]._code == child._code:
+            j += 1
+        for grown, ways in _below_each(m, child):
+            out.append((Tree(node.label, (*kids[:i], grown, *kids[i + 1:]), ordered), ways * (j - i)))
+        i = j
+    return out
+
+
 def attach_all(f: Forest, t: Tree) -> LinearCombination:
     """Sum over all ways of attaching each forest member below a node of ``t``.
 
@@ -231,41 +247,34 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
     sum has ``(n+1)^r`` summands counted with multiplicity.  For ordered trees
     a member becomes the leftmost child of its node; members sharing a node
     form a block in forest order.  (Per-slot insertion would break
-    associativity of the grafting product.)
+    associativity of the grafting product.)  Terms come in the order of their
+    first placement; one member goes below each node by :func:`_below_each`.
 
-    Equal members that stand next to each other (in an unordered forest, which
-    is sorted, all equal members do) form a run and are placed together: a run
+    Two or more members are placed run by run: equal adjacent members (in an
+    unordered forest, which is sorted, all equal members) form a run, and a run
     of ``k`` copies goes to a multiset of ``k`` nodes, weighted by the
-    multinomial ``k!/prod(m_i!)`` over the copies ``m_i`` each node gets.  That
-    enumerates ``prod C(n+k, k)`` placements instead of ``(n+1)^r``.  Placements
-    merge by the root's encoding, a string that hashes once in C; terms come in
-    placement order (one member: by its node, in preorder).
-
-    Placements are enumerated run by run: for each combination of choices of
-    every run but the last, the root's block, the list of root children, one
-    key per root child and the weight are made once, and then each choice of
-    the last run adds its root block, replaces only the root children it
-    touches and builds the root.  That visits the placements in the order of
-    ``itertools.product`` over all runs' choices, the order of one flat loop,
-    so the terms and their order do not depend on the sharing.  A root child's
-    key is the tuple of ``(node, run)`` pairs placed in it, in run order (its
-    slot is implied by the nodes), and a table made here maps each key to the
-    rebuilt child.  The same table shares every rebuilt non-root node within
-    the call (hash-consing scoped to one product), keyed by its preorder index
-    and the ``id``s of its new children; the ``id``s are safe keys because
-    each names a member of ``f``, a node of ``t`` or a value of the table, all
-    alive until the call returns, and the table dies with the call.  A single
-    member touches one path per placement, so no key could repeat and no table
-    is made.
+    multinomial ``k!/prod(m_i!)`` over the copies ``m_i`` each node gets, so
+    ``prod C(n+k, k)`` placements are enumerated instead of ``(n+1)^r``.  For
+    each choice of every run but the last, the root's block, its children, one
+    key per root child and the weight are made once; each choice of the last
+    run then replaces only the root children it touches and builds the root.
+    That is the order of ``itertools.product`` over all runs' choices, so the
+    terms and their order do not depend on the sharing; they merge by the
+    root's encoding.  A root child's key is the tuple of ``(node, run)`` pairs
+    placed in it, and a table made here maps it to the rebuilt child.  The
+    table also shares each rebuilt non-root node within the call, keyed by its
+    preorder index and the ``id``s of its new children: each names a member of
+    ``f``, a node of ``t`` or a value of the table, all alive until the table
+    dies with the call.
     """
     if any(s.ordered != t.ordered for s in f.trees):
         raise ValueError("forest and target tree have different ordered/unordered flavor")
-    if not f.trees:
-        return _PLAIN._new({t: 1})
-    nodes, kids, paths = _preorder(t)
     runs = [(m, len(list(g))) for m, g in itertools.groupby(f.trees)]
-    size = len(nodes)
+    size = t.node_count()
     check_budget(math.prod(math.comb(size + k - 1, k) for _, k in runs), "grafting product")
+    if len(f.trees) < 2:
+        return _PLAIN._new(dict(_below_each(f.trees[0], t)) if f.trees else {t: 1})
+    nodes, kids, paths = _preorder(t)
     position = {c: s for s, c in enumerate(kids[0], -len(kids[0]))}  # negative: counted from the row's end
     slot = [0] + [position[p[1]] for p in paths[1:]]  # the position of each node's root child
     choices = []
@@ -281,8 +290,7 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
                     parts[slot[i]] = parts.get(slot[i], ()) + ((i, r),)
             options.append(([member] * combo.count(0), list(parts.items()), _multinomial(combo)))
         choices.append(options)
-    found, weights = {}, {}
-    built = {} if len(f.trees) > 1 else None
+    found, weights, built = {}, {}, {}
     for prefix in itertools.product(*choices[:-1]):
         head, keys, weight = [], {}, 1
         for block, parts, ways in prefix:
@@ -291,46 +299,17 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
             for s, pairs in parts:
                 keys[s] = keys.get(s, ()) + pairs
         children = list(t.children)
-        # ``built`` is None (one member), empty or missing the key: rebuild
         for s, key in keys.items():
-            children[s] = built and built.get(key) or _rebuild(nodes, kids, paths, key, runs, t.ordered, built)
+            children[s] = built.get(key) or _rebuild(nodes, kids, paths, key, runs, t.ordered, built)
         for block, parts, ways in choices[-1]:
             row = head + block + children
             for s, pairs in parts:  # the root children this choice touches
                 key = keys.get(s, ()) + pairs
-                row[s] = built and built.get(key) or _rebuild(nodes, kids, paths, key, runs, t.ordered, built)
+                row[s] = built.get(key) or _rebuild(nodes, kids, paths, key, runs, t.ordered, built)
             tree = Tree(t.label, row, t.ordered)
             found.setdefault(tree._code, tree)
             weights[tree._code] = weights.get(tree._code, 0) + weight * ways
     return _PLAIN._new(dict(zip(found.values(), weights.values())))
-
-
-def _map_integer_labels(t: Tree, new_label) -> Tree:
-    """``t`` with each integer label ``x`` replaced by ``new_label(x)``."""
-
-    def walk(node: Tree) -> Tree:
-        lab = new_label(node.label) if isinstance(node.label, int) else node.label
-        return Tree(lab, [walk(c) for c in node.children], node.ordered)
-
-    return walk(t)
-
-
-def standard_root(subtrees) -> Tree:
-    """``subtrees`` under an unlabeled unordered root, their integer labels ranked
-    order-isomorphically to ``1..k`` as the tree is built.  A subtree whose labels
-    keep their ranks is reused."""
-    found = [s.labels() for s in subtrees]
-    present = sorted([x for ls in found for x in ls if isinstance(x, int)])
-    rank = {old: new for new, old in enumerate(present, start=1)}
-    return Tree(None, [
-        s if all(rank.get(x, x) == x for x in ls) else _map_integer_labels(s, rank.get)
-        for s, ls in zip(subtrees, found)
-    ])
-
-
-def shift_labels(t: Tree, offset: int) -> Tree:
-    """Add ``offset`` to every integer label."""
-    return _map_integer_labels(t, offset.__add__)
 
 
 def is_standard_heap_tree(t: Tree) -> bool:

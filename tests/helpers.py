@@ -16,7 +16,8 @@ through plane-representation counting, cuts through edge-subset filtering,
 words as products in the labeled grafting algebra, and
 the Hopf axioms as identities between ``LinearCombination``s of elements, the
 reading that the sweep's integer tables replace; ``verify_morphism`` checks a
-map between two algebras over two such tables.  Trees act on polynomials
+map between two algebras over two such tables, such as the forgetful map that
+rebuilds a tree without its order and labels.  Trees act on polynomials
 here through the two textbook definitions the library replaces by one
 contraction: the flat sum over all index assignments of a tree's nodes, and
 the recursive m-th covariant differentials of a connection; the module law
@@ -189,9 +190,15 @@ def attach_all_by_placements(f: Forest, t: Tree) -> LinearCombination:
     return LinearCombination(out)
 
 
+def forget_order_and_labels(t: Tree) -> Tree:
+    """``t`` as an unordered unlabeled tree, rebuilt node by node: the forgetful
+    map from the ordered, heap-ordered and labeled algebras to the rooted one."""
+    return Tree(None, [forget_order_and_labels(c) for c in t.children])
+
+
 def relabel_standard(t: Tree) -> Tree:
     """``t`` with its integer labels ranked order-isomorphically to ``1..k``, the
-    whole tree rebuilt: the oracle of ``trees.standard_root``."""
+    whole tree rebuilt: the oracle of ``grossman_larson.standard_root``."""
     present = sorted(x for x in t.labels() if isinstance(x, int))
     rank = {old: new for new, old in enumerate(present, start=1)}
 

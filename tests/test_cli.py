@@ -332,6 +332,13 @@ def test_too_deep_chain_is_a_parse_error(depth):
     assert f"nested deeper than {MAX_TREE_DEPTH} levels at position {position}" in result.stderr
 
 
+def test_grafting_a_leaf_onto_the_deepest_accepted_chain():
+    # one term per node: the one-member graft recurses one level per level
+    result = run_module("gl", "mul", "--format", "json", "(;())", chain(MAX_TREE_DEPTH))
+    assert result.returncode == 0, result.stderr
+    assert len(json.loads(result.stdout)["terms"]) == MAX_TREE_DEPTH + 1
+
+
 def test_cut_coproduct_of_the_deepest_accepted_chain():
     # 301 admissible cuts (the empty cut and one per edge) plus t (x) 1
     result = run_module("ck", "coprod", "--format", "json", "-", stdin=chain(MAX_TREE_DEPTH))

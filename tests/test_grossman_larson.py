@@ -35,7 +35,7 @@ from hopftrees import (
 )
 from hopftrees.algebra import MAX_TERMS, check_budget, splits
 from hopftrees.axioms import ANTIPODE_CACHE_SIZE
-from helpers import coproduct_by_masks, lc, ot, relabel_standard, swap, t
+from helpers import coproduct_by_masks, forget_order_and_labels, lc, ot, relabel_standard, swap, t, verify_morphism
 
 
 LEAF = t("()")
@@ -299,6 +299,21 @@ def test_axiom_sweeps_all_flavors():
     for algebra in (ROOTED, ORDERED, labeled_algebra(("E1", "E2")), HEAP_ORDERED):
         report = algebra.verify(3)
         assert report.passed, report.render()
+
+
+# forgetting the order or the labels sends grafting to grafting and root
+# splits to root splits, a second oracle for each flavor besides the
+# placement models of ``attach_all_by_assignments`` and ``attach_all_by_placements``
+@pytest.mark.parametrize("source, degree, checked", [
+    (ORDERED, 4, [("unit", 1), ("product", 67), ("coproduct", 23), ("counit", 23), ("antipode", 23)]),
+    (HEAP_ORDERED, 4, [("unit", 1), ("product", 93), ("coproduct", 34), ("counit", 34), ("antipode", 34)]),
+    (labeled_algebra(("E1", "E2")), 3,
+     [("unit", 1), ("product", 185), ("coproduct", 36), ("counit", 36), ("antipode", 36)]),
+], ids=["ordered", "heap-ordered", "labeled"])
+def test_forgetting_order_and_labels_is_a_morphism_to_the_rooted_algebra(source, degree, checked):
+    report = verify_morphism(forget_order_and_labels, source, ROOTED, degree)
+    assert report.passed, report.render()
+    assert [(c.name, c.checked) for c in report.checks] == checked
 
 
 def test_graded_dimension_duality_with_words():

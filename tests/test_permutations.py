@@ -134,6 +134,12 @@ def test_relabel_refuses_a_non_integral_entry_instead_of_truncating_it():
     assert relabel([(2.0, 5)]) == parse_permutation("(1 2)")
 
 
+@pytest.mark.parametrize("entry", [float("inf"), float("nan")])
+def test_relabel_refuses_an_infinite_or_nan_entry(entry):
+    with pytest.raises(ValueError, match=r"^cycle entries must be integers$"):
+        relabel([(1, entry)])
+
+
 def test_coproduct_examples():
     assert cycle_coproduct(ID0) == lc((TensorPair(ID0, ID0), 1))
     transposition = parse_permutation("(1 2)")

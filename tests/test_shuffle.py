@@ -119,6 +119,19 @@ def test_word_count_refuses_a_non_integral_letter_degree_instead_of_truncating_i
     assert word_count([("a", 1.0)], 2) == 1
 
 
+@pytest.mark.parametrize("degree", [float("inf"), float("-inf"), float("nan")])
+def test_word_count_refuses_an_infinite_or_nan_letter_degree(degree):
+    with pytest.raises(ValueError, match=r"^letter degrees must be integers$"):
+        word_count([("a", 1), ("b", degree)], 3)
+
+
+@pytest.mark.parametrize("total", [2.5, float("inf"), float("-inf"), float("nan"), "3"])
+def test_word_count_refuses_a_total_degree_that_is_not_an_integer(total):
+    with pytest.raises(ValueError, match=r"^total degree must be an integer$"):
+        word_count([("a", 1)], total)
+    assert word_count([("a", 1), ("b", 2)], 4.0) == word_count([("a", 1), ("b", 2)], 4) == 5
+
+
 def test_word_count_against_one_child_tree_alphabet():
     alphabet = [
         (tree.encode(), degree)

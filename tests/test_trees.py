@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import re
+import time
 import weakref
 
 import pytest
@@ -36,6 +37,7 @@ from helpers import (
     _encode_shape,
     attach_all_by_assignments,
     attach_all_by_placements,
+    count_calls,
     is_standard_heap_tree_by_sort,
     label_in_preorder,
     planar_trees_by_compositions,
@@ -543,6 +545,74 @@ def test_attach_all_reuses_untouched_subtrees():
     untouched = set(map(id, target.children))
     for tree, _ in result:
         assert any(id(c) in untouched for c in tree.children)
+
+
+# one member goes below each node by the recursion over distinct siblings:
+# corollas and twins with runs of equal siblings, planar trees whose equal
+# siblings give distinct terms, and (first in each basis) the single node
+ONE_MEMBER_TARGETS = {
+    "rooted": [t("(;()()()())"), t("(;(;())(;())()())"), t("(;(;()())(;()())(;()()))")],
+    "ordered": [ot("(;()()())"), ot("(;(;())()(;()))"), ot("(;(;()())(;()()))")],
+    "labeled": [t("(;(E1)(E1)(E2)(E2)(E2))"), t("(;(E1;(E2))(E1;(E2))(E1))")],
+    "ordered-labeled": [ot("(;(E1)(E1)(E2))"), ot("(;(E1;(E2))(E1;(E2))(E1))")],
+    "heap": [t("(;(1)(2)(3)(4))")],
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(GRAFT_BASES))
+def test_one_member_grafts_match_both_oracles_term_for_term(flavor):
+    basis = GRAFT_BASES[flavor]
+    assert basis[0].node_count() == 1
+    members = sorted(subtrees(*basis), key=Tree.encode)
+    for target in basis + TWIN_TARGETS.get(flavor, []) + ONE_MEMBER_TARGETS[flavor]:
+        for member in members:
+            if flavor == "heap":
+                member = shift_labels(member, target.degree())
+            forest = Forest((member,))
+            result = list(attach_all(forest, target))
+            assert result == list(attach_all_by_placements(forest, target)), (member, target)
+            assert result == list(attach_all_by_assignments(forest, target)), (member, target)
+            assert sum(c for _, c in result) == target.node_count()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_one_member_on_a_corolla_of_equal_leaves_builds_two_results(monkeypatch, k):
+    corolla, member = Tree(None, [LEAF] * k), t("(E1)")
+    calls = count_calls(monkeypatch, trees_module, "Tree")
+    result = [(tree.encode(), c) for tree, c in attach_all(Forest((member,)), corolla)]
+    monkeypatch.undo()
+    assert result == [("(;" + "()" * k + "(E1))", 1), ("(;" + "()" * (k - 1) + "(;(E1)))", k)]
+    # the grown leaf and the two results; a placement below each of the k + 1
+    # nodes would build each leaf's copy and its root, 2k + 1 trees
+    assert len(calls) == 3
+
+
+def _timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - start, result
+
+
+def test_one_member_grafts_onto_a_tree_600_levels_deep():
+    # the recursion takes one frame per level: a chain 600 edges deep, the
+    # deepest term of the product of two chains of the parser's greatest depth
+    levels = 2 * MAX_TREE_DEPTH
+    chain = deepest = Tree()
+    for depth in range(1, levels + 1):
+        deepest = Tree(None, (deepest,))
+        if depth == MAX_TREE_DEPTH:
+            chain = deepest
+    assert deepest in dict(ROOTED.product(chain, chain))
+    # the leaf goes below each node, in preorder, and once each; the node at
+    # depth p keeps its chain of levels - p - 1 edges below the new leaf
+    below = ["(;()" + "(;" * (levels - p - 1) + "()" + ")" * (levels - p - 1) + ")" for p in range(levels)]
+    expected = [("(;" * p + grown + ")" * p, 1) for p, grown in enumerate(below + ["(;())"])]
+    elapsed, result = _timed(lambda: ROOTED.product(CHAIN2, deepest))
+    assert [(tree.encode(), c) for tree, c in result] == expected
+    del result  # each term keeps its own rebuilt path: about 250 MB in all
+    if elapsed >= 1.0:  # one more try, as the speed of a loaded two-core host varies
+        elapsed = _timed(lambda: ROOTED.product(CHAIN2, deepest))[0]
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------
