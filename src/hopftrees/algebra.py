@@ -65,7 +65,9 @@ def splits(items: tuple, what: str) -> Iterator[tuple[tuple, tuple, int]]:
     """Every distinct split of ``items`` into ``(kept, rest, ways)``, both in order: a run of ``k`` equal
     adjacent items keeps ``j`` of them in ``C(k, j)`` ways, and ``ways`` is the product over the runs.
     Runs count like mask bits, the first fastest, so distinct items come by mask ``0 .. 2^r - 1`` (bit
-    ``i`` keeps ``items[i]``) with ``ways`` 1; the ``prod (k + 1)`` splits of ``what`` are budgeted."""
+    ``i`` keeps ``items[i]``) with ``ways`` 1; the ``prod (k + 1)`` splits of ``what`` are budgeted.
+    The root-split and cycle coproducts split with it, and so does grafting, the root split's dual:
+    each node of the target keeps a split of the forest members it receives."""
     runs = [(x, len(list(group))) for x, group in itertools.groupby(items)]
     check_budget(math.prod([k + 1 for _, k in runs]), what)
     # each run's choices, last run first: ``product`` turns its last factor fastest

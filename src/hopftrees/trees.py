@@ -9,7 +9,9 @@ the children by their canonical encoding, so every tree is canonical from
 construction and no caller canonicalizes.
 
 Grafting one tree below each node is one recursion over distinct siblings;
-a forest of two or more is placed run by run (:func:`attach_all`).  One
+a forest of two or more is placed by one recursion in which each node keeps a
+split of the members it receives and passes the rest to its children, the
+dual of the coproduct's root split (:func:`attach_all`).  One
 recursion enumerates the rooted, labeled, ordered and ordered-labeled
 families: each tree is built once from a forest of smaller subtrees, a
 multiset of them for an unordered tree and a sequence for a planar one.
@@ -26,7 +28,7 @@ import itertools
 import math
 from operator import attrgetter
 
-from .algebra import _PLAIN, Immutable, LinearCombination, ParseError, Value, _set, check_budget, check_degree, pieces
+from .algebra import _PLAIN, Immutable, LinearCombination, ParseError, Value, _set, check_budget, check_degree, pieces, splits
 
 Label = str | int | None
 
@@ -186,41 +188,6 @@ def _preorder(t: Tree) -> tuple[list[Tree], list[list[int]], list[tuple[int, ...
     return nodes, kids, paths
 
 
-def _rebuild(nodes, kids, paths, pairs, runs, ordered, built):
-    """The root child of ``nodes`` that receives ``pairs``: each ``(node, run)``
-    prepends the member of ``runs[run]`` to the children of preorder node ``node``.
-
-    Only the paths down to the receiving nodes are rebuilt; every other subtree
-    is reused.  A rebuilt node is looked up in ``built`` by its preorder index
-    and the ``id``s of its new children, and the root child is also stored
-    there under ``pairs``.
-    """
-    blocks = {}
-    touched = set()
-    for i, r in pairs:
-        blocks.setdefault(i, []).append(runs[r][0])
-        touched.update(paths[i])
-    rebuilt = {}
-    for i in sorted(touched, reverse=True):  # children before their parents, the root last
-        if not i:
-            built[pairs] = node
-            return node
-        children = blocks.get(i, []) + [rebuilt.get(c, nodes[c]) for c in kids[i]]
-        key = (i, *map(id, children))
-        node = built.get(key)
-        if node is None:
-            node = built[key] = Tree(nodes[i].label, children, ordered)
-        rebuilt[i] = node
-
-
-def _multinomial(combo: tuple[int, ...]) -> int:
-    """Ways to deal ``len(combo)`` equal members onto the sorted nodes ``combo``."""
-    weight = math.factorial(len(combo))
-    for _, group in itertools.groupby(combo):
-        weight //= math.factorial(len(list(group)))
-    return weight
-
-
 def _below_each(m: Tree, node: Tree) -> list[tuple[Tree, int]]:
     """``node`` with ``m`` made the first child of each of its nodes, in preorder,
     each with the number of nodes that give it: a run of equal siblings of an
@@ -240,6 +207,48 @@ def _below_each(m: Tree, node: Tree) -> list[tuple[Tree, int]]:
     return out
 
 
+def _split(left: tuple, call: dict) -> list[tuple[tuple, tuple, int]]:
+    """The splits of ``left`` (:func:`~hopftrees.algebra.splits`), most kept first, listed once per ``call``."""
+    found = call.get(left)
+    if found is None:
+        found = call[left] = list(splits(left, "grafting split"))[::-1]
+    return found
+
+
+def _placed(left: tuple, node: Tree, call: dict) -> list[tuple[Tree, int]]:
+    """``node`` with the members ``left`` placed below its nodes: each distinct
+    tree, in the order of its first placement, with its number of placements.
+
+    The node keeps each split of ``left`` as the block in front of its children,
+    and its children take the rest one after another, each a split of what the
+    children before it left, the last child all of it.  ``call``, made for one
+    product, holds each ``(encoding, left)``'s result, so equal subtrees that
+    receive equal members are placed, and their trees built, once."""
+    key = (node._code, left)
+    if key in call:
+        return call[key]
+    kids, ordered = node.children, node.ordered
+    if not kids:
+        out = call[key] = [(Tree(node.label, left, ordered), 1)]
+        return out
+    found, weights = {}, {}
+    for kept, rest, ways in _split(left, call):
+        rows = [(kept, rest, ways)]
+        for i, child in enumerate(kids):
+            grown = []
+            for row, more, w in rows:
+                for sub, later, v in _split(more, call)[:1] if i == len(kids) - 1 else _split(more, call):
+                    for tree, u in _placed(sub, child, call) if sub else ((child, 1),):
+                        grown.append((row + (tree,), later, w * v * u))
+            rows = grown
+        for row, _, w in rows:
+            tree = Tree(node.label, row, ordered)
+            found.setdefault(tree._code, tree)
+            weights[tree._code] = weights.get(tree._code, 0) + w
+    out = call[key] = list(zip(found.values(), weights.values()))
+    return out
+
+
 def attach_all(f: Forest, t: Tree) -> LinearCombination:
     """Sum over all ways of attaching each forest member below a node of ``t``.
 
@@ -250,22 +259,13 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
     associativity of the grafting product.)  Terms come in the order of their
     first placement; one member goes below each node by :func:`_below_each`.
 
-    Two or more members are placed run by run: equal adjacent members (in an
-    unordered forest, which is sorted, all equal members) form a run, and a run
-    of ``k`` copies goes to a multiset of ``k`` nodes, weighted by the
-    multinomial ``k!/prod(m_i!)`` over the copies ``m_i`` each node gets, so
-    ``prod C(n+k, k)`` placements are enumerated instead of ``(n+1)^r``.  For
-    each choice of every run but the last, the root's block, its children, one
-    key per root child and the weight are made once; each choice of the last
-    run then replaces only the root children it touches and builds the root.
-    That is the order of ``itertools.product`` over all runs' choices, so the
-    terms and their order do not depend on the sharing; they merge by the
-    root's encoding.  A root child's key is the tuple of ``(node, run)`` pairs
-    placed in it, and a table made here maps it to the rebuilt child.  The
-    table also shares each rebuilt non-root node within the call, keyed by its
-    preorder index and the ``id``s of its new children: each names a member of
-    ``f``, a node of ``t`` or a value of the table, all alive until the table
-    dies with the call.
+    Two or more members are placed by :func:`_placed`, the dual of the root
+    split that the coproduct makes: each node keeps a split of the members it
+    receives (:func:`~hopftrees.algebra.splits`, so ``k`` equal adjacent members
+    keep ``j`` in ``C(k, j)`` ways) and passes the rest to its children.  A table
+    made here places each subtree encoding with each sequence of members once,
+    so equal rebuilt subtrees are one object across the terms; it dies with the
+    call.
     """
     if any(s.ordered != t.ordered for s in f.trees):
         raise ValueError("forest and target tree have different ordered/unordered flavor")
@@ -274,42 +274,7 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
     check_budget(math.prod(math.comb(size + k - 1, k) for _, k in runs), "grafting product")
     if len(f.trees) < 2:
         return _PLAIN._new(dict(_below_each(f.trees[0], t)) if f.trees else {t: 1})
-    nodes, kids, paths = _preorder(t)
-    position = {c: s for s, c in enumerate(kids[0], -len(kids[0]))}  # negative: counted from the row's end
-    slot = [0] + [position[p[1]] for p in paths[1:]]  # the position of each node's root child
-    choices = []
-    for r, (member, k) in enumerate(runs):
-        if k == 1:  # one copy: a choice per node, with no multiset to deal
-            choices.append([([member], [], 1)] + [([], [(slot[i], ((i, r),))], 1) for i in range(1, size)])
-            continue
-        options = []
-        for combo in itertools.combinations_with_replacement(range(size), k):
-            parts = {}
-            for i in combo:
-                if i:
-                    parts[slot[i]] = parts.get(slot[i], ()) + ((i, r),)
-            options.append(([member] * combo.count(0), list(parts.items()), _multinomial(combo)))
-        choices.append(options)
-    found, weights, built = {}, {}, {}
-    for prefix in itertools.product(*choices[:-1]):
-        head, keys, weight = [], {}, 1
-        for block, parts, ways in prefix:
-            head += block
-            weight *= ways
-            for s, pairs in parts:
-                keys[s] = keys.get(s, ()) + pairs
-        children = list(t.children)
-        for s, key in keys.items():
-            children[s] = built.get(key) or _rebuild(nodes, kids, paths, key, runs, t.ordered, built)
-        for block, parts, ways in choices[-1]:
-            row = head + block + children
-            for s, pairs in parts:  # the root children this choice touches
-                key = keys.get(s, ()) + pairs
-                row[s] = built.get(key) or _rebuild(nodes, kids, paths, key, runs, t.ordered, built)
-            tree = Tree(t.label, row, t.ordered)
-            found.setdefault(tree._code, tree)
-            weights[tree._code] = weights.get(tree._code, 0) + weight * ways
-    return _PLAIN._new(dict(zip(found.values(), weights.values())))
+    return _PLAIN._new(dict(_placed(f.trees, t, {})))
 
 
 def is_standard_heap_tree(t: Tree) -> bool:

@@ -6,7 +6,7 @@ monomials) are found through parent arrays and nested tuples, planar labelings
 by writing labels into a shape's text in preorder, the order of planar trees
 by the root's child sizes in composition order, grafting products through
 every one of the (n+1)^r assignments (and, for the order of terms, through the
-library's placement loop with every placement rebuilt from scratch), heap
+library's recursion over root splits with every placement rebuilt from scratch), heap
 labels ranked to ``1..k`` by rebuilding the whole tree, shuffles
 through their defining recursion, heap products as maps with spliced cycles,
 symmetric groups by walking the cycles of every image tuple, the tree of a
@@ -47,8 +47,7 @@ from hopftrees import (
     parse_tree,
 )
 from hopftrees import axioms
-from hopftrees.algebra import TensorPair, Value, _collect, _sum_scaled, extend_bilinear, extend_linear, tensor
-from hopftrees.trees import _multinomial, _preorder
+from hopftrees.algebra import TensorPair, Value, _collect, _sum_scaled, extend_bilinear, extend_linear, splits, tensor
 
 
 def t(text: str) -> Tree:
@@ -163,31 +162,29 @@ def attach_all_by_assignments(forest: Forest, target: Tree) -> LinearCombination
 
 
 def attach_all_by_placements(f: Forest, t: Tree) -> LinearCombination:
-    """The placement loop of ``attach_all`` without its shared subtrees: runs of
-    equal adjacent members go to multisets of nodes, and every placement
-    rebuilds each node on its touched paths.  Terms come in the same order."""
-    nodes, kids, paths = _preorder(t)
-    choices = [
-        [(member, combo, _multinomial(combo))
-         for combo in itertools.combinations_with_replacement(range(len(nodes)), k)]
-        for member, k in ((m, len(list(g))) for m, g in itertools.groupby(f.trees))
-    ]
+    """The recursion ``attach_all`` uses for two or more members, without its table:
+    each node keeps a split of the members it receives, most kept first, and its
+    children take the rest one after another.  Every placement rebuilds each node
+    it touches, nothing merges below the root, and terms come in the order of
+    their first placement."""
     out: dict[Tree, int] = {}
-    for placement in itertools.product(*choices):
-        blocks: dict[int, list[Tree]] = {}
-        weight = 1
-        for member, combo, ways in placement:
-            weight *= ways
-            for i in combo:
-                blocks.setdefault(i, []).append(member)
-        touched = {j for i in blocks for j in paths[i]}
-        rebuilt: dict[int, Tree] = {}
-        for i in sorted(touched, reverse=True):
-            children = blocks.get(i, []) + [rebuilt.get(c, nodes[c]) for c in kids[i]]
-            rebuilt[i] = Tree(nodes[i].label, children, t.ordered)
-        key = rebuilt.get(0, nodes[0])
-        out[key] = out.get(key, 0) + weight
+    for tree, weight in _placements(f.trees, t):
+        out[tree] = out.get(tree, 0) + weight
     return LinearCombination(out)
+
+
+def _placements(left: tuple, node: Tree) -> list[tuple[Tree, int]]:
+    """Each placement of the members ``left`` below the nodes of ``node``, as a rebuilt tree and its weight."""
+    out = []
+    for kept, rest, ways in list(splits(left, "split"))[::-1]:
+        rows = [(kept, rest, ways)]
+        for child in node.children:
+            rows = [(row + (tree,), later, w * v * u)
+                    for row, more, w in rows
+                    for sub, later, v in list(splits(more, "split"))[::-1]
+                    for tree, u in (_placements(sub, child) if sub else [(child, 1)])]
+        out += [(Tree(node.label, row, node.ordered), w) for row, more, w in rows if not more]
+    return out
 
 
 def forget_order_and_labels(t: Tree) -> Tree:

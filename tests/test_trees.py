@@ -587,6 +587,18 @@ def test_one_member_on_a_corolla_of_equal_leaves_builds_two_results(monkeypatch,
     assert len(calls) == 3
 
 
+def test_two_leaves_onto_twin_cherries_place_each_subtree_once(monkeypatch):
+    target = t("(;(;()())(;()()))")
+    calls = count_calls(monkeypatch, trees_module, "Tree")
+    result = attach_all(Forest((LEAF, LEAF)), target)
+    monkeypatch.undo()
+    assert (len(result), result.total_multiplicity()) == (10, 49)
+    # the cherry takes one leaf once for both twins (the grown leaf, then 3
+    # cherries) and two leaves once (the leaf with two, then 6 cherries); the
+    # root's three splits build 1 + 4 + 12 roots over those cherries
+    assert len(calls) == 28
+
+
 def _timed(fn):
     start = time.perf_counter()
     result = fn()
