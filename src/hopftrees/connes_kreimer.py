@@ -15,11 +15,15 @@ containing the root, and the coproduct of a tree is
 the empty cut contributing ``1 (x) t``.  One recursion gives both: a tree falls
 whole or is cut, so its cuts multiply its children's splits, and a monomial's
 coproduct its trees' splits (``Delta B+ = B+ (x) 1 + (id (x) B+) Delta``,
-Connes-Kreimer 1998).  The pairing against the grafting tree
-algebra is diagonal on isomorphism classes of forests, weighted by the order
-of the forest's automorphism group; that normalization is what makes
-``<pairing(t1 t2), a> = (pairing(t1) (x) pairing(t2))(Delta a)`` hold.
+Connes-Kreimer 1998).  The pairing against the grafting tree algebra is
+diagonal, ``<B+(m), m'> = [m = m'] |Aut m|`` with ``|Aut m|`` the order of
+the forest's automorphism group (Panaite 2000; Hoffman 2003), so the duality
+``<t1 t2, a> = (<t1, .> (x) <t2, .>)(Delta a)`` is one identity between the
+grafting and the coproduct tables,
 
+    g(m1, m2; a) |Aut a| = Delta(a)[m1 (x) m2] |Aut m1| |Aut m2|,
+
+with ``g(m1, m2; a)`` the coefficient of ``B+(a)`` in ``B+(m1) B+(m2)``.
 :func:`verify_forest_algebra` checks that identity and the bialgebra axioms.
 It reads the forest algebra as a graded bialgebra over monomials (degree the
 node count) and runs the shared checks of :mod:`hopftrees.axioms` on it.
@@ -27,13 +31,12 @@ node count) and runs the shared checks of :mod:`hopftrees.axioms` on it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
 from .algebra import _PLAIN, GradedHopfAlgebra, LinearCombination, TensorPair, _collect, check_budget
 from . import axioms
-from .trees import Forest, Tree, add_root, rooted_trees, strip_root
+from .trees import Forest, Tree, add_root, attach_all, rooted_trees, strip_root
 
 
 def admissible_cuts(t: Tree) -> list[tuple[Forest, Tree]]:
@@ -116,11 +119,6 @@ def dual_pairing(t: Tree, a: Forest) -> int:
     if t.ordered:
         raise ValueError("the pairing is defined on unordered trees")
     _check_unlabeled((t,) + a.trees)
-    return _pairing(t, a)
-
-
-def _pairing(t: Tree, a: Forest) -> int:
-    """:func:`dual_pairing` of an unordered unlabeled tree and monomial, unchecked."""
     return forest_symmetry_factor(a) if strip_root(t) == a else 0
 
 
@@ -157,31 +155,31 @@ class _ForestAlgebra(GradedHopfAlgebra):
 
 def verify_forest_algebra(max_degree: int) -> axioms.VerificationReport:
     """Sweep: commutativity/associativity/unit of the monomial product,
-    coassociativity and counit of the cut coproduct, and the duality identity
-    against the grafting product on trees.
+    coassociativity and counit of the cut coproduct, and the duality against
+    the grafting product on trees.
 
     The product checks run on monomials (the empty one included) whose node
     counts sum to at most ``max_degree``, coassociativity on the single trees
     with at most ``max_degree + 1`` nodes, all read from the integer tables of
-    one :class:`~hopftrees.axioms._SweepMemo`.  Each product, coproduct,
-    grafting product and pairing is computed once per call."""
-    from .grossman_larson import ROOTED
-
+    one :class:`~hopftrees.axioms._SweepMemo`.  The duality is the module's
+    identity between two tables: the grafting products ``m1`` onto ``B+(m2)``
+    and the memo's coproducts, each weighted by automorphism counts, as the
+    pairing is diagonal.  Each table entry is computed once per call."""
     memo = axioms._SweepMemo(_ForestAlgebra())
-    graft, pairing = functools.cache(ROOTED._product), functools.cache(_pairing)  # the sweep's own trees
     # each degree is listed once: its trees are its monomials under a root, in rooted_trees order;
     # the duality check grafts two single nodes even when max_degree < 0
     by_degree = [list(map(memo.number, memo.alg.basis(d))) for d in range(max(max_degree, 0) + 1)]
+    aut = list(map(forest_symmetry_factor, memo.elems))  # by index, as the monomials are all numbered
     monomials = list(axioms.graded_tuples(by_degree, 1, 0, max_degree))
     trees = [(memo.number(Forest((add_root(memo.elems[m]),))),) for (m,) in monomials]
+    small = [m for level in by_degree[:max(0, max_degree // 2) + 1] for m in level]
+    graft = {(m1, m2): attach_all(memo.elems[m1], add_root(memo.elems[m2])) for m1 in small for m2 in small}
 
     def dual(memo, m1: int, m2: int, a: int) -> bool:
-        # of the grafted trees only add_root(a) pairs with a, so one coefficient is read
-        t1, t2, elems, s = add_root(memo.elems[m1]), add_root(memo.elems[m2]), memo.elems, add_root(memo.elems[a])
-        return graft(t1, t2).coefficient(s) * pairing(s, elems[a]) == sum(
-            c * pairing(t1, elems[l]) * pairing(t2, elems[r]) for (l, r), c in memo.coproduct(a).items())
+        # B+(m1) B+(m2) pairs with a only through its term B+(a), and Delta(a) only through m1 (x) m2
+        return (graft[m1, m2].coefficient(add_root(memo.elems[a])) * aut[a]
+                == memo.coproduct(a).get((m1, m2), 0) * aut[m1] * aut[m2])
 
-    small = [m for level in by_degree[:max(0, max_degree // 2) + 1] for m in level]
     return axioms.sweep(memo, memo.alg.describe(), (
         ("commutativity", axioms.graded_tuples(by_degree, 2, 0, max_degree),
          lambda memo, a, b: memo.product(a, b) == memo.product(b, a)),

@@ -30,11 +30,12 @@ from typing import Iterable, Mapping, Sequence
 from .algebra import (_PLAIN, Immutable, LinearCombination, ParseError, Record, Scalar, _collect, _nonzero, _set,
                       _sum_scaled, check_budget, format_fraction, pieces, splits)
 from .polynomials import Polynomial, _derive_into, _mul_into, _signed_terms, parse_polynomial
-from .trees import Forest, Tree, _preorder, _symbols, attach_all
+from .trees import Forest, Tree, _symbols, attach_all
 
 
-class Derivation(Immutable):
-    """A first-order operator ``sum_mu a^mu d/dx_mu`` with polynomial coefficients; immutable."""
+class Derivation(Immutable, Record):
+    """A first-order operator ``sum_mu a^mu d/dx_mu`` with polynomial coefficients;
+    an immutable, unhashable record, equal to a derivation with the same coefficients."""
 
     __slots__ = ("coeffs",)
 
@@ -46,9 +47,6 @@ class Derivation(Immutable):
         if any(p.num_vars != n for p in coeffs) or len(coeffs) != n:
             raise ValueError("coefficient count must equal the variable count")
         _set(self, "coeffs", coeffs)
-
-    def __reduce__(self):
-        return Derivation, (self.coeffs,)
 
     def _checked(self) -> "Derivation":
         """``self``, or ``ValueError`` if a coefficient has an exponent above the limit."""
@@ -82,11 +80,6 @@ class Derivation(Immutable):
         if isinstance(other, (int, Fraction, Polynomial)):
             return Derivation(other * p for p in self.coeffs)
         return NotImplemented
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     def render(self) -> str:
         parts = [f"({p.render()})*D{mu}" for mu, p in enumerate(self.coeffs, start=1) if p]
@@ -154,17 +147,23 @@ def apply_tree_operator(t: Tree, env: DerivationEnv, f: Polynomial) -> Polynomia
 
 
 def _check_tree(t: Tree, env: DerivationEnv, f: Polynomial) -> None:
-    """Refuse a labeled root, a variable count not ``env``'s, or a label not in ``env``."""
+    """Refuse a labeled root, a variable count not ``env``'s, or a label not in ``env``.
+    One walk checks each node after its children, so the first unknown label in
+    postorder is reported, by the node's preorder number."""
     if t.label is not None:
         raise ValueError("the root of an operator tree must be unlabeled")
     if f.num_vars != env.num_vars:
         raise ValueError("variable counts differ")
-    nodes, _, paths = _preorder(t)  # a node's number is its preorder index
-    unknown = [j for j, node in enumerate(nodes)
-               if j and (not isinstance(node.label, str) or node.label not in env)]
-    if unknown:  # report the first in postorder: node j is at j + size - 1 - depth there
-        j = min(unknown, key=lambda j: j + nodes[j].node_count() - len(paths[j]))
-        raise KeyError(f"unknown derivation symbol {nodes[j].label!r} at node {j}")
+
+    def walk(node: Tree, j: int) -> int:  # checks the subtree of preorder node j, returns the number after it
+        k = j + 1
+        for child in node.children:
+            k = walk(child, k)
+        if j and (not isinstance(node.label, str) or node.label not in env):
+            raise KeyError(f"unknown derivation symbol {node.label!r} at node {j}")
+        return k
+
+    walk(t, 0)
 
 
 def _tree_action(t: Tree, env: DerivationEnv, steps: Sequence, f: Polynomial, memo: dict) -> Polynomial:
@@ -304,12 +303,18 @@ class OperatorExpansion(Record):
 
 
 def _tree_factors(t: Tree) -> tuple[str, ...]:
-    nodes, kids, _ = _preorder(t)  # node i^j is preorder node j
+    """One factor per node, last in preorder first; node ``i^j`` is preorder node ``j``."""
     factors = []
-    for j in range(len(nodes) - 1, -1, -1):
-        ds = "".join(f"D_i{c} " for c in kids[j])
-        factors.append(f"({ds}a_{nodes[j].label}^i{j})" if j else f"({ds}f)")
-    return tuple(factors)
+
+    def number(node: Tree) -> int:
+        j = len(factors)
+        factors.append(None)  # the node's place, filled once its children are numbered
+        ds = "".join(f"D_i{number(c)} " for c in node.children)
+        factors[j] = f"({ds}a_{node.label}^i{j})" if j else f"({ds}f)"
+        return j
+
+    number(t)
+    return tuple(reversed(factors))
 
 
 def expand_operator(word_terms: Sequence[tuple[Scalar, Sequence[str]]],

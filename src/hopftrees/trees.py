@@ -40,6 +40,11 @@ HEAP_DEGREE_CAP = 6
 # 330 deep already ends in RecursionError.
 MAX_TREE_DEPTH = 300
 
+# Deepest target grafting accepts: it recurses once per level, and under
+# Python's default limit of 1000 frames a call from a pytest test grafts onto
+# chains up to 954 deep; the rest is a margin for deeper callers.
+_MAX_GRAFT_DEPTH = 900
+
 
 class Tree(Immutable):
     """A finite rooted tree, immutable and canonical from construction.
@@ -168,26 +173,6 @@ def add_root(f: Forest, ordered: bool = False) -> Tree:
     return Tree(None, f.trees, ordered)
 
 
-def _preorder(t: Tree) -> tuple[list[Tree], list[list[int]], list[tuple[int, ...]]]:
-    """The nodes of ``t`` in preorder, the indices of each node's children, and
-    each node's path of indices from the root (itself last)."""
-    nodes: list[Tree] = []
-    kids: list[list[int]] = []
-    paths: list[tuple[int, ...]] = []
-    stack: list[tuple[Tree, tuple[int, ...]]] = [(t, ())]
-    while stack:
-        node, above = stack.pop()
-        path = above + (len(nodes),)
-        if above:
-            kids[above[-1]].append(path[-1])
-        nodes.append(node)
-        kids.append([])
-        paths.append(path)
-        for c in reversed(node.children):  # a loop: a generator here doubles the cost
-            stack.append((c, path))
-    return nodes, kids, paths
-
-
 def _below_each(m: Tree, node: Tree) -> list[tuple[Tree, int]]:
     """``node`` with ``m`` made the first child of each of its nodes, in preorder,
     each with the number of nodes that give it: a run of equal siblings of an
@@ -265,12 +250,18 @@ def attach_all(f: Forest, t: Tree) -> LinearCombination:
     keep ``j`` in ``C(k, j)`` ways) and passes the rest to its children.  A table
     made here places each subtree encoding with each sequence of members once,
     so equal rebuilt subtrees are one object across the terms; it dies with the
-    call.
+    call.  A target deeper than the recursion allows is refused by name.
     """
     if any(s.ordered != t.ordered for s in f.trees):
         raise ValueError("forest and target tree have different ordered/unordered flavor")
     runs = [(m, len(list(g))) for m, g in itertools.groupby(f.trees)]
     size = t.node_count()
+    if f.trees and size > _MAX_GRAFT_DEPTH:  # only a target this large can be too deep: count its levels
+        level, depth = t.children, 0
+        while level:
+            level, depth = [c for node in level for c in node.children], depth + 1
+        if depth > _MAX_GRAFT_DEPTH:
+            raise ValueError(f"grafting target deeper than {_MAX_GRAFT_DEPTH} levels")
     check_budget(math.prod(math.comb(size + k - 1, k) for _, k in runs), "grafting product")
     if len(f.trees) < 2:
         return _PLAIN._new(dict(_below_each(f.trees[0], t)) if f.trees else {t: 1})

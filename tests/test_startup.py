@@ -160,6 +160,12 @@ print(json.dumps({{
          ["algebra", "cli", "shuffle", "trees"]),
         (["perm", "mul", "(1)", "(1)"], "(1 2) + (2)(1)\n",
          ["algebra", "cli", "permutations", "trees"]),
+        # the forest sweep grafts with trees.attach_all and needs no tree algebra
+        (["verify", "--algebra", "ck", "--max-degree", "2"],
+         "verification of forest algebra with cut coproduct:\n  commutativity: ok (8 checks)\n"
+         "  associativity: ok (13 checks)\n  unit: ok (4 checks)\n  coassociativity: ok (4 checks)\n"
+         "  counit: ok (4 checks)\n  grafting-duality: ok (5 checks)\nresult: PASS\n",
+         ["algebra", "axioms", "cli", "connes_kreimer", "trees"]),
     ],
 )
 def test_a_subcommand_runs_only_the_modules_it_uses(argv, out, ran):

@@ -4,7 +4,6 @@ import gc
 import itertools
 import math
 import re
-import time
 import weakref
 
 import pytest
@@ -599,13 +598,7 @@ def test_two_leaves_onto_twin_cherries_place_each_subtree_once(monkeypatch):
     assert len(calls) == 28
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
-
-
-def test_one_member_grafts_onto_a_tree_600_levels_deep():
+def test_one_member_grafts_onto_a_tree_600_levels_deep(monkeypatch):
     # the recursion takes one frame per level: a chain 600 edges deep, the
     # deepest term of the product of two chains of the parser's greatest depth
     levels = 2 * MAX_TREE_DEPTH
@@ -619,12 +612,30 @@ def test_one_member_grafts_onto_a_tree_600_levels_deep():
     # depth p keeps its chain of levels - p - 1 edges below the new leaf
     below = ["(;()" + "(;" * (levels - p - 1) + "()" + ")" * (levels - p - 1) + ")" for p in range(levels)]
     expected = [("(;" * p + grown + ")" * p, 1) for p, grown in enumerate(below + ["(;())"])]
-    elapsed, result = _timed(lambda: ROOTED.product(CHAIN2, deepest))
+    calls = count_calls(monkeypatch, trees_module, "Tree")
+    result = ROOTED.product(CHAIN2, deepest)
+    monkeypatch.undo()
     assert [(tree.encode(), c) for tree, c in result] == expected
-    del result  # each term keeps its own rebuilt path: about 250 MB in all
-    if elapsed >= 1.0:  # one more try, as the speed of a loaded two-core host varies
-        elapsed = _timed(lambda: ROOTED.product(CHAIN2, deepest))[0]
-    assert elapsed < 1.0
+    # the work, not the time, is pinned: the node at depth p builds its own
+    # copy with the leaf and one copy above each of the levels - p trees grown
+    # below it, 1 + 2 + .. + (levels + 1) trees in all
+    assert len(calls) == (levels + 1) * (levels + 2) // 2 == 180_901
+
+
+@pytest.mark.parametrize("members, levels", [(1, 2000), (1, 901), (2, 901)])
+def test_a_graft_onto_a_target_deeper_than_the_recursion_allows_is_refused(members, levels):
+    target = Tree()
+    for _ in range(levels):
+        target = Tree(None, (target,))
+    with pytest.raises(ValueError, match=r"^grafting target deeper than 900 levels$"):
+        attach_all(Forest((LEAF,) * members), target)
+    assert dict(attach_all(Forest(), target)) == {target: 1}  # nothing to place, no recursion
+
+
+def test_a_large_shallow_target_is_not_refused():
+    corolla = Tree(None, [LEAF] * 1000)  # more nodes than the depth limit, one level deep
+    grown = [(tree.encode(), c) for tree, c in attach_all(Forest((LEAF,)), corolla)]
+    assert grown == [("(;" + "()" * 1001 + ")", 1), ("(;" + "()" * 999 + "(;()))", 1000)]
 
 
 # ---------------------------------------------------------------------------
