@@ -7,6 +7,12 @@ Every subcommand takes ``--format text|json``; element arguments accept ``-``
 to read the element from stdin.
 
 Exit codes: 0 on success, 1 on malformed input, 2 on verification failure.
+
+Each ``_cmd_<subcommand>`` returns its result and prints nothing: a
+``LinearCombination``, a ``VerificationReport`` or a ``(text, payload)`` pair.
+``main`` turns it into text and a JSON payload with ``_payload``, prints one of
+the two as ``--format`` says, and exits 2 exactly when the payload's ``ok`` or
+``passed`` is false.  (``-h`` shows this docstring up to this paragraph.)
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _read_element(value: str) -> str:
+def _read_element(value: str | None) -> str | None:
     return sys.stdin.read().strip() if value == "-" else value
 
 
@@ -57,113 +63,69 @@ def _algebra_for(flavor: str, symbols) -> gl.TreeHopfAlgebra:
     return {"rooted": gl.ROOTED, "ordered": gl.ORDERED, "hot": gl.HEAP_ORDERED}[flavor]
 
 
-def _combination_payload(combo: LinearCombination) -> dict:
-    terms = []
-    for basis, coeff in combo.terms():
-        if isinstance(basis, TensorPair):
-            encoded: object = [basis.left.encode(), basis.right.encode()]
-        else:
-            encoded = basis.encode()
-        terms.append({"coeff": format_fraction(coeff), "basis": encoded})
-    return {"terms": terms}
-
-
-def _emit(args, text: str, payload: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print(text)
-
-
-def _emit_combination(args, combo: LinearCombination) -> None:
-    _emit(args, combo.render(), _combination_payload(combo))
-
-
-def _report_exit(args, report: axioms.VerificationReport) -> int:
-    payload = {
-        "algebra": report.algebra,
-        "passed": report.passed,
-        "axioms": [
-            {
-                "name": c.name,
-                "checked": c.checked,
-                "passed": c.passed,
-                "counterexample": c.counterexample,
-            }
-            for c in report.checks
-        ],
-    }
-    _emit(args, report.render(), payload)
-    return 0 if report.passed else 2
+def _payload(result) -> tuple[str, dict]:
+    """The text and the JSON payload of a handler's result."""
+    # a report is tested last: naming ``axioms.VerificationReport`` runs ``axioms``
+    if isinstance(result, tuple):
+        return result
+    if isinstance(result, LinearCombination):
+        terms = [
+            {"coeff": format_fraction(coeff),
+             "basis": [basis.left.encode(), basis.right.encode()] if isinstance(basis, TensorPair) else basis.encode()}
+            for basis, coeff in result.terms()
+        ]
+        return result.render(), {"terms": terms}
+    checks = [
+        {"name": c.name, "checked": c.checked, "passed": c.passed, "counterexample": c.counterexample}
+        for c in result.checks
+    ]
+    return result.render(), {"algebra": result.algebra, "passed": result.passed, "axioms": checks}
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _cmd_gl(args) -> int:
+def _cmd_gl(args):
     ordered = args.flavor in ("ordered", "ordered-labeled")
-    elements = [parse_tree(_read_element(e), ordered=ordered) for e in args.elements]
+    elements = [parse_tree(e, ordered=ordered) for e in args.elements]
     symbols = identifiers(args.symbols, ",", "symbol") if args.symbols is not None else sorted(
         {lab for t in elements for lab in t.labels() if isinstance(lab, str)}
     )
     alg = _algebra_for(args.flavor, symbols)
-    if args.operation == "mul":
-        _emit_combination(args, alg.product(elements[0], elements[1]))
-    elif args.operation == "coprod":
-        _emit_combination(args, alg.coproduct(elements[0]))
-    else:
-        _emit_combination(args, alg.antipode(elements[0]))
-    return 0
+    return {"mul": alg.product, "coprod": alg.coproduct, "antipode": alg.antipode}[args.operation](*elements)
 
 
-def _cmd_ck(args) -> int:
+def _cmd_ck(args):
     if args.operation == "coprod":
-        monomial = parse_forest(_read_element(args.elements[0]))
-        _emit_combination(args, ck.forest_coproduct(monomial))
-        return 0
-    tree = parse_tree(_read_element(args.elements[0]))
-    monomial = parse_forest(_read_element(args.elements[1]))
-    value = ck.dual_pairing(tree, monomial)
-    _emit(args, format_fraction(value), {"value": format_fraction(value)})
-    return 0
+        return ck.forest_coproduct(parse_forest(args.elements[0]))
+    value = format_fraction(ck.dual_pairing(parse_tree(args.elements[0]), parse_forest(args.elements[1])))
+    return value, {"value": value}
 
 
-def _cmd_shuffle(args) -> int:
-    words = [sh.parse_word(_read_element(w)) for w in args.elements]
-    if args.operation == "mul":
-        _emit_combination(args, sh.shuffle_product(words[0], words[1]))
-    else:
-        _emit_combination(args, sh.deconcatenation(words[0]))
-    return 0
+def _cmd_shuffle(args):
+    words = [sh.parse_word(w) for w in args.elements]
+    return {"mul": sh.shuffle_product, "coprod": sh.deconcatenation}[args.operation](*words)
 
 
-def _cmd_perm(args) -> int:
+def _cmd_perm(args):
     if args.operation == "from-tree":
-        tree = parse_tree(_read_element(args.elements[0]))
-        result = perm.tree_to_permutation(tree)
-        _emit(args, result.encode(), {"permutation": result.encode()})
-        return 0
-    parsed = [perm.parse_permutation(_read_element(p), n=args.n) for p in args.elements]
-    if args.operation == "mul":
-        _emit_combination(args, perm.heap_product(parsed[0], parsed[1]))
-    elif args.operation == "coprod":
-        _emit_combination(args, perm.cycle_coproduct(parsed[0]))
-    else:  # to-tree
-        tree = perm.permutation_to_tree(parsed[0])
-        _emit(args, tree.encode(), {"tree": tree.encode()})
-    return 0
+        code = perm.tree_to_permutation(parse_tree(args.elements[0])).encode()
+        return code, {"permutation": code}
+    parsed = [perm.parse_permutation(p, n=args.n) for p in args.elements]
+    if args.operation == "to-tree":
+        code = perm.permutation_to_tree(parsed[0]).encode()
+        return code, {"tree": code}
+    return {"mul": perm.heap_product, "coprod": perm.cycle_coproduct}[args.operation](*parsed)
 
 
-def _cmd_trees(args) -> int:
+def _cmd_trees(args):
     symbols = identifiers(args.symbols, ",", "symbol") if args.family == "labeled" else ()
     members = _algebra_for(args.family, symbols).basis(args.degree, args.cap)
     if args.operation == "count":
-        _emit(args, str(len(members)), {"count": len(members)})
-    else:
-        text = "\n".join(t.encode() for t in members)
-        _emit(args, text, {"trees": [t.encode() for t in members]})
-    return 0
+        return str(len(members)), {"count": len(members)}
+    codes = [t.encode() for t in members]
+    return "\n".join(codes), {"trees": codes}
 
 
 def _load(path: str, spec_type):
@@ -172,60 +134,35 @@ def _load(path: str, spec_type):
         return spec_type.from_dict(json.load(handle))
 
 
-def _cmd_psi(args) -> int:
+def _cmd_psi(args):
     env = _load(args.env, diff_ops.DerivationEnv)
     if args.operation == "apply":
-        tree = parse_tree(_read_element(args.tree))
-        f = diff_ops.parse_polynomial(args.f, env.num_vars)
-        result = diff_ops.apply_tree_operator(tree, env, f)
-        _emit(args, result.render(), {"polynomial": result.render()})
-        return 0
+        tree = parse_tree(args.tree)
+        result = diff_ops.apply_tree_operator(tree, env, diff_ops.parse_polynomial(args.f, env.num_vars)).render()
+        return result, {"polynomial": result}
     if args.operation == "expand":
-        word_terms = diff_ops.parse_word_polynomial(args.word)
-        expansion = diff_ops.expand_operator(word_terms, env.symbols)
-        payload = {
-            "raw_trees": expansion.raw_tree_count,
-            "cancelled": expansion.cancelled_count,
-            "surviving": expansion.surviving_count,
-            "terms": [
-                {
-                    "coeff": format_fraction(term.coeff),
-                    "tree": term.tree.encode(),
-                    "factors": list(term.factors),
-                }
-                for term in expansion.terms
-            ],
-        }
-        if args.report:
-            _emit(args, expansion.report(), payload)
-        else:
-            lines = [expansion.report()] + [
-                f"{format_fraction(c)}*{t.encode()}" for t, c in expansion.surviving.terms()
-            ]
-            _emit(args, "\n".join(lines), payload)
-        return 0
+        expansion = diff_ops.expand_operator(diff_ops.parse_word_polynomial(args.word), env.symbols)
+        terms = [{"coeff": format_fraction(term.coeff), "tree": term.tree.encode(), "factors": list(term.factors)}
+                 for term in expansion.terms]
+        payload = {"raw_trees": expansion.raw_tree_count, "cancelled": expansion.cancelled_count,
+                   "surviving": expansion.surviving_count, "terms": terms}
+        lines = [expansion.report()]
+        if not args.report:
+            lines += [f"{format_fraction(c)}*{t.encode()}" for t, c in expansion.surviving.terms()]
+        return "\n".join(lines), payload
     # check-diagram
     word = identifiers(args.word, ",", "symbol")
-    f = diff_ops.parse_polynomial(args.f, env.num_vars)
-    check = diff_ops.verify_composition(word, env, f)
-    payload = {
-        "ok": check.ok,
-        "tree_side": check.tree_side.render(),
-        "nested_side": check.nested_side.render(),
-    }
-    _emit(args, check.render(), payload)
-    return 0 if check.ok else 2
+    check = diff_ops.verify_composition(word, env, diff_ops.parse_polynomial(args.f, env.num_vars))
+    payload = {"ok": check.ok, "tree_side": check.tree_side.render(), "nested_side": check.nested_side.render()}
+    return check.render(), payload
 
 
-def _cmd_conn(args) -> int:
+def _cmd_conn(args):
     conn = _load(args.connection, connection.Connection)
     env = _load(args.env, diff_ops.DerivationEnv)
     if args.operation == "apply":
-        lower = env[args.fields[0]]
-        upper = env[args.fields[1]]
-        result = connection.covariant_derivative(conn, lower, upper)
-        _emit(args, result.render(), {"derivation": result.render()})
-        return 0
+        result = connection.covariant_derivative(conn, env[args.fields[0]], env[args.fields[1]]).render()
+        return result, {"derivation": result}
     # check-module: sweep all ordered labeled trees up to --max-degree with seeded random
     # polynomial pairs, listing every degree first, largest first, so an over-budget one fails at once
     rng = random.Random(args.seed)
@@ -240,12 +177,9 @@ def _cmd_conn(args) -> int:
             if not connection.check_module_law(tree, env, conn, a, b):
                 failures.append(tree.encode())
     ok = not failures
-    text = (
-        f"module law: {'ok' if ok else 'FAIL'} ({checked} trees)"
-        + ("" if ok else f" first counterexample: {failures[0]}")
-    )
-    _emit(args, text, {"ok": ok, "checked": checked, "failures": failures})
-    return 0 if ok else 2
+    text = f"module law: {'ok' if ok else 'FAIL'} ({checked} trees)"
+    text += "" if ok else f" first counterexample: {failures[0]}"
+    return text, {"ok": ok, "checked": checked, "failures": failures}
 
 
 def _random_polynomial(rng: random.Random, num_vars: int, max_degree: int) -> diff_ops.Polynomial:
@@ -258,7 +192,7 @@ def _random_polynomial(rng: random.Random, num_vars: int, max_degree: int) -> di
     return diff_ops.Polynomial(num_vars, terms)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     degree = args.max_degree
     if args.algebra == "gl":
         flavors = [args.flavor] if args.flavor else ["rooted", "ordered", "labeled", "hot"]
@@ -272,13 +206,13 @@ def _cmd_verify(args) -> int:
             for check in report.checks:
                 check.name = f"{flavor}/{check.name}"
                 combined.checks.append(check)
-        return _report_exit(args, combined)
+        return combined
     if args.algebra == "ck":
-        return _report_exit(args, ck.verify_forest_algebra(degree))
+        return ck.verify_forest_algebra(degree)
     if args.algebra == "shuffle":
         letters = identifiers("x1,x2" if args.symbols is None else args.symbols, ",", "symbol")
-        return _report_exit(args, sh.ShuffleHopfAlgebra(letters).verify(degree))
-    return _report_exit(args, perm.HEAP_PRODUCT_ALGEBRA.verify(degree))
+        return sh.ShuffleHopfAlgebra(letters).verify(degree)
+    return perm.HEAP_PRODUCT_ALGEBRA.verify(degree)
 
 
 # ---------------------------------------------------------------------------
@@ -286,67 +220,53 @@ def _cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-
-    parser = _Parser(prog="hopftrees", description=__doc__)
+    parser = _Parser(prog="hopftrees", description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    glp = sub.add_parser("gl", parents=[common], help="grafting algebra of trees")
-    glp.add_argument("operation", choices=tuple(_ARITY["gl"]))
-    glp.add_argument("elements", nargs="+", help="trees like '(;())' ('-' reads stdin)")
+    def command(name, help, operations=(), elements=None):
+        """The subparser ``name`` with ``--format``, an ``operation`` if it has any (an
+        algebra's are ``_ARITY``'s) and, where ``elements`` is their help, ``elements``."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        if operations := tuple(_ARITY.get(name, operations)):
+            p.add_argument("operation", choices=operations)
+        if elements:
+            p.add_argument("elements", nargs="+", help=elements)
+        return p
+
+    glp = command("gl", "grafting algebra of trees", elements="trees like '(;())' ('-' reads stdin)")
     glp.add_argument("--flavor", choices=FLAVORS, default="rooted")
     glp.add_argument("--symbols", help="comma-separated labels for labeled flavors")
-    glp.set_defaults(handler=_cmd_gl)
-
-    ckp = sub.add_parser("ck", parents=[common], help="forest algebra with cut coproduct")
-    ckp.add_argument("operation", choices=tuple(_ARITY["ck"]))
-    ckp.add_argument("elements", nargs="+", help="monomial '()*(;())' or tree + monomial")
-    ckp.set_defaults(handler=_cmd_ck)
-
-    shp = sub.add_parser("shuffle", parents=[common], help="shuffle algebra of words")
-    shp.add_argument("operation", choices=tuple(_ARITY["shuffle"]))
-    shp.add_argument("elements", nargs="+", help="words like 'x1.x2' ('1' = empty)")
-    shp.set_defaults(handler=_cmd_shuffle)
-
-    pp = sub.add_parser("perm", parents=[common], help="heap product algebra of permutations")
-    pp.add_argument("operation", choices=tuple(_ARITY["perm"]))
-    pp.add_argument("elements", nargs="+", help="permutations like '(1 3)(2)'")
+    command("ck", "forest algebra with cut coproduct", elements="monomial '()*(;())' or tree + monomial")
+    command("shuffle", "shuffle algebra of words", elements="words like 'x1.x2' ('1' = empty)")
+    pp = command("perm", "heap product algebra of permutations", elements="permutations like '(1 3)(2)'")
     pp.add_argument("--n", type=int, help="ambient symmetric group size")
-    pp.set_defaults(handler=_cmd_perm)
 
-    tp = sub.add_parser("trees", parents=[common], help="enumerate tree families")
-    tp.add_argument("operation", choices=("enum", "count"))
+    tp = command("trees", "enumerate tree families", ("enum", "count"))
     tp.add_argument("--family", choices=("rooted", "ordered", "hot", "labeled"), required=True)
     tp.add_argument("--degree", type=int, required=True)
     tp.add_argument("--symbols", default="E1,E2", help="labels for the labeled family (default %(default)s)")
     tp.add_argument("--cap", type=int, help=f"enumeration cap (defaults {DEFAULT_DEGREE_CAP}, hot {HEAP_DEGREE_CAP})")
-    tp.set_defaults(handler=_cmd_trees)
 
-    psip = sub.add_parser("psi", parents=[common], help="labeled trees as differential operators")
-    psip.add_argument("operation", choices=("apply", "expand", "check-diagram"))
+    psip = command("psi", "labeled trees as differential operators", ("apply", "expand", "check-diagram"))
     psip.add_argument("--env", required=True, help="derivation spec JSON file")
     psip.add_argument("--tree", help="operator tree for 'apply'")
     psip.add_argument("--word", help="word(s) in derivation symbols, e.g. 'E1,E2 - E2,E1'")
     psip.add_argument("--f", help="polynomial argument")
     psip.add_argument("--report", action="store_true", help="print only the cancellation summary")
-    psip.set_defaults(handler=_cmd_psi)
 
-    cp = sub.add_parser("conn", parents=[common], help="connection action of ordered labeled trees")
-    cp.add_argument("operation", choices=("apply", "check-module"))
+    cp = command("conn", "connection action of ordered labeled trees", ("apply", "check-module"))
     cp.add_argument("fields", nargs="*", help="two derivation symbols for 'apply'")
     cp.add_argument("--connection", required=True, help="Christoffel spec JSON file")
     cp.add_argument("--env", required=True, help="derivation spec JSON file")
     cp.add_argument("--max-degree", type=int, default=2)
     cp.add_argument("--seed", type=int, default=2024)
-    cp.set_defaults(handler=_cmd_conn)
 
-    vp = sub.add_parser("verify", parents=[common], help="run axiom sweeps")
+    vp = command("verify", "run axiom sweeps")
     vp.add_argument("--algebra", choices=("gl", "ck", "shuffle", "perm"), required=True)
     vp.add_argument("--flavor", choices=FLAVORS)
     vp.add_argument("--symbols")
     vp.add_argument("--max-degree", type=int, default=3)
-    vp.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -376,7 +296,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _validate(args)
-        return args.handler(args)
+        # each '-' element, and psi's '--tree -', is read from stdin in turn
+        args.elements = [_read_element(e) for e in getattr(args, "elements", ())]
+        args.tree = _read_element(getattr(args, "tree", None))
+        text, payload = _payload(globals()[f"_cmd_{args.command}"](args))
+        print(json.dumps(payload) if args.format == "json" else text)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -389,6 +313,7 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 1
+    return 2 if False in (payload.get("ok"), payload.get("passed")) else 0
 
 
 if __name__ == "__main__":

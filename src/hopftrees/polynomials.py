@@ -212,9 +212,9 @@ def parse_polynomial(text: str, num_vars: int) -> Polynomial:
 def _parse_monomial(coeff: Scalar, term: str, num_vars: int, full: str, offset: int) -> tuple:
     """``coeff`` times the monomial ``term`` as (exponent vector, coefficient)."""
     exps = [0] * num_vars
-    for _, piece in pieces(term, "*"):
+    for column, piece in pieces(term, "*", offset):
         if not piece:
-            raise ParseError("empty factor", full, offset)
+            raise ParseError("empty factor", full, column)
         if piece[0] == "x":
             name, hat, power = piece.partition("^")
             if not name[1:].isdecimal():

@@ -12,7 +12,9 @@ import pytest
 from hopftrees import grossman_larson as gl
 from hopftrees import permutations as perm
 from hopftrees.algebra import MAX_TERMS
+from hopftrees.axioms import AxiomCheck, VerificationReport
 from hopftrees.cli import main
+from hopftrees.diff_ops import CompositionCheck, parse_polynomial
 from hopftrees.trees import MAX_TREE_DEPTH
 from helpers import count_calls
 
@@ -238,16 +240,36 @@ def test_verify_perm_refuses_an_over_cap_degree_before_any_product(capsys, monke
     assert products == []
 
 
-def test_verify_failure_maps_to_exit_two(capsys):
-    from hopftrees.axioms import AxiomCheck, VerificationReport
-    from hopftrees.cli import _report_exit
+# each check that can fail, with its library call patched to fail: (where, the
+# call's name, its stand-in, the arguments after the subcommand, text, JSON)
+FAILED_CHECKS = {
+    "verify": ("hopftrees.connes_kreimer", "verify_forest_algebra",
+               lambda degree: VerificationReport("stub", [AxiomCheck("unit", 3, False, "(;())")]),
+               ["--algebra", "ck", "--max-degree", "2"],
+               "verification of stub:\n  unit: FAIL (3 checks) first counterexample: (;())\nresult: FAIL",
+               {"algebra": "stub", "passed": False,
+                "axioms": [{"name": "unit", "checked": 3, "passed": False, "counterexample": "(;())"}]}),
+    "psi": ("hopftrees.diff_ops", "verify_composition",
+            lambda word, env, f: CompositionCheck(False, f, parse_polynomial("2*x1", 1)),
+            ["check-diagram", "--env", "{env}", "--word", "E1,E2", "--f", "x1"],
+            "MISMATCH\n  tree expansion:     x1\n  nested application: 2*x1",
+            {"ok": False, "tree_side": "x1", "nested_side": "2*x1"}),
+    "conn": ("hopftrees.connection", "check_module_law", lambda *args: False,
+             ["check-module", "--connection", "{conn}", "--env", "{env}", "--max-degree", "1"],
+             "module law: FAIL (4 trees) first counterexample: ()",
+             {"ok": False, "checked": 4, "failures": ["()", "(;(E1))", "(;(E2))", "(;(E3))"]}),
+}
 
-    class Args:
-        format = "text"
 
-    failing = VerificationReport("stub", [AxiomCheck("unit", 1, False, "x")])
-    assert _report_exit(Args, failing) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("command", sorted(FAILED_CHECKS))
+def test_a_failed_check_exits_two(capsys, monkeypatch, env_file, conn_file, command, form):
+    module, name, stand_in, argv, text, payload = FAILED_CHECKS[command]
+    monkeypatch.setattr(f"{module}.{name}", stand_in)
+    argv = [a.format(env=env_file, conn=conn_file) for a in argv]
+    code, out, err = run(capsys, command, *argv, "--format", form)
+    assert (code, err) == (2, "")
+    assert json.loads(out) == payload if form == "json" else out == text
 
 
 def test_parse_error_exit_one(capsys):
@@ -725,3 +747,161 @@ COMMAND_CHOICES = "(choose from 'gl', 'ck', 'shuffle', 'perm', 'trees', 'psi', '
 )
 def test_the_main_usage_line_names_every_subcommand(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", (MAIN_USAGE + err).strip())
+
+
+# The -h output of the parser and of each subcommand, 80 columns wide.
+HELP = {
+    "": """\
+usage: hopftrees [-h] {gl,ck,shuffle,perm,trees,psi,conn,verify} ...
+
+Command-line front end. One binary with subcommands mirroring the library:
+``gl`` (tree algebra), ``ck`` (forest algebra), ``shuffle``, ``perm``,
+``trees`` (enumeration), ``psi`` (derivation operators), ``conn``
+(connections) and ``verify``. Every subcommand takes ``--format text|json``;
+element arguments accept ``-`` to read the element from stdin. Exit codes: 0
+on success, 1 on malformed input, 2 on verification failure.
+
+positional arguments:
+  {gl,ck,shuffle,perm,trees,psi,conn,verify}
+    gl                  grafting algebra of trees
+    ck                  forest algebra with cut coproduct
+    shuffle             shuffle algebra of words
+    perm                heap product algebra of permutations
+    trees               enumerate tree families
+    psi                 labeled trees as differential operators
+    conn                connection action of ordered labeled trees
+    verify              run axiom sweeps
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "gl": """\
+usage: hopftrees gl [-h] [--format {text,json}]
+                    [--flavor {rooted,ordered,labeled,ordered-labeled,hot}]
+                    [--symbols SYMBOLS]
+                    {mul,coprod,antipode} elements [elements ...]
+
+positional arguments:
+  {mul,coprod,antipode}
+  elements              trees like '(;())' ('-' reads stdin)
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --flavor {rooted,ordered,labeled,ordered-labeled,hot}
+  --symbols SYMBOLS     comma-separated labels for labeled flavors
+""",
+    "ck": """\
+usage: hopftrees ck [-h] [--format {text,json}]
+                    {coprod,pair} elements [elements ...]
+
+positional arguments:
+  {coprod,pair}
+  elements              monomial '()*(;())' or tree + monomial
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+""",
+    "shuffle": """\
+usage: hopftrees shuffle [-h] [--format {text,json}]
+                         {mul,coprod} elements [elements ...]
+
+positional arguments:
+  {mul,coprod}
+  elements              words like 'x1.x2' ('1' = empty)
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+""",
+    "perm": """\
+usage: hopftrees perm [-h] [--format {text,json}] [--n N]
+                      {mul,coprod,to-tree,from-tree} elements [elements ...]
+
+positional arguments:
+  {mul,coprod,to-tree,from-tree}
+  elements              permutations like '(1 3)(2)'
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --n N                 ambient symmetric group size
+""",
+    "trees": """\
+usage: hopftrees trees [-h] [--format {text,json}] --family
+                       {rooted,ordered,hot,labeled} --degree DEGREE
+                       [--symbols SYMBOLS] [--cap CAP]
+                       {enum,count}
+
+positional arguments:
+  {enum,count}
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --family {rooted,ordered,hot,labeled}
+  --degree DEGREE
+  --symbols SYMBOLS     labels for the labeled family (default E1,E2)
+  --cap CAP             enumeration cap (defaults 8, hot 6)
+""",
+    "psi": """\
+usage: hopftrees psi [-h] [--format {text,json}] --env ENV [--tree TREE]
+                     [--word WORD] [--f F] [--report]
+                     {apply,expand,check-diagram}
+
+positional arguments:
+  {apply,expand,check-diagram}
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --env ENV             derivation spec JSON file
+  --tree TREE           operator tree for 'apply'
+  --word WORD           word(s) in derivation symbols, e.g. 'E1,E2 - E2,E1'
+  --f F                 polynomial argument
+  --report              print only the cancellation summary
+""",
+    "conn": """\
+usage: hopftrees conn [-h] [--format {text,json}] --connection CONNECTION
+                      --env ENV [--max-degree MAX_DEGREE] [--seed SEED]
+                      {apply,check-module} [fields ...]
+
+positional arguments:
+  {apply,check-module}
+  fields                two derivation symbols for 'apply'
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --connection CONNECTION
+                        Christoffel spec JSON file
+  --env ENV             derivation spec JSON file
+  --max-degree MAX_DEGREE
+  --seed SEED
+""",
+    "verify": """\
+usage: hopftrees verify [-h] [--format {text,json}] --algebra
+                        {gl,ck,shuffle,perm}
+                        [--flavor {rooted,ordered,labeled,ordered-labeled,hot}]
+                        [--symbols SYMBOLS] [--max-degree MAX_DEGREE]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --algebra {gl,ck,shuffle,perm}
+  --flavor {rooted,ordered,labeled,ordered-labeled,hot}
+  --symbols SYMBOLS
+  --max-degree MAX_DEGREE
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP), ids=lambda c: c or "hopftrees")
+def test_the_help_text_is_pinned(capsys, monkeypatch, command):
+    # argparse wraps help to the COLUMNS of the environment, less two
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main([command, "-h"] if command else ["-h"])
+    assert exited.value.code == 0
+    assert capsys.readouterr() == (HELP[command], "")

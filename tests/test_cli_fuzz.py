@@ -1,16 +1,17 @@
-"""Fuzzing the ``perm`` and ``gl`` subcommands of the command line, in-process.
+"""Fuzzing the ``perm``, ``gl``, ``ck`` and ``shuffle`` subcommands of the command line, in-process.
 
 ``perm`` arguments are built from cycle notation (entries split by spaces or
 commas, cycles rotated and listed in any order, the trees of ``perm
 from-tree`` from the tree bijection), with ``--n`` values that may be
 negative.  ``gl`` arguments are small trees of each of the five flavors (at
 times of another flavor than ``--flavor`` names), with ``--symbols`` lists
-that may be malformed.  Either may read an element from stdin as ``-``; a few
-single-character mutations go on top.  Every call must end cleanly: exit 0
-with nothing on stderr, or exit 1 with one ``error:`` message at the end of
-stderr whose caret, if it has one, lies in the argument it echoes (or just
-past its end, where the input stopped early).  ``--format json`` and the text
-output give the same terms.
+that may be malformed.  ``ck`` arguments are small forest monomials and trees,
+at times labeled; ``shuffle`` arguments are short words.  Any of
+them may read an element from stdin as ``-``; a few single-character mutations
+go on top.  Every call must end cleanly: exit 0 with nothing on stderr, or
+exit 1 with one ``error:`` message at the end of stderr whose caret, if it has
+one, lies in the argument it echoes (or just past its end, where the input
+stopped early).  ``--format json`` and the text output give the same terms.
 """
 
 import contextlib
@@ -21,8 +22,8 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from hopftrees import (CyclePermutation, heap_ordered_trees, labeled_trees, ordered_labeled_trees, ordered_trees,
-                       permutation_to_tree, rooted_trees)
+from hopftrees import (CyclePermutation, forest_monomials, heap_ordered_trees, labeled_trees, ordered_labeled_trees,
+                       ordered_trees, permutation_to_tree, rooted_trees)
 from hopftrees.cli import main
 from helpers import cycles_by_walk
 
@@ -95,10 +96,11 @@ def run(argv, stdin: str = "") -> tuple[int, str, str]:
 
 
 def _text_terms(text: str) -> list[tuple[str, object]]:
-    """The ``(coeff, basis)`` terms of a rendered combination: ``a - 2*b`` gives ``("1", a), ("-2", b)``."""
+    """The ``(coeff, basis)`` terms of a rendered combination: ``a - 2*b`` gives ``("1", a), ("-2", b)``.
+    Only a leading number is a coefficient, so a forest such as ``()*()`` keeps its ``*``."""
     terms = []
     for part in re.split(r" (?=[+-] )", text) if text != "0" else []:
-        coeff, _, basis = part.lstrip("+- ").rpartition("*")
+        coeff, basis = re.fullmatch(r"(?:(\d+(?:/\d+)?)\*)?(.*)", part.lstrip("+- ")).groups()
         pair = basis.split(" (x) ")
         terms.append(("-" * part.startswith("-") + (coeff or "1"), pair if len(pair) == 2 else basis))
     return terms
@@ -191,3 +193,61 @@ def _check_call(argv, stdin: str, typed: list[str]) -> None:
         assert [(t["coeff"], t["basis"]) for t in payload["terms"]] == _text_terms(text)
     else:
         assert list(payload.values()) == [text]
+
+
+def _with_stdin(draw, argv: list[str], count: int) -> tuple[list[str], str]:
+    """``argv`` with one of its ``count`` elements, drawn or none, read from stdin instead."""
+    if not draw(st.booleans()):
+        return argv, ""
+    slot = 2 + draw(st.integers(0, count - 1))
+    stdin, argv[slot] = argv[slot] + draw(st.sampled_from(["", "\n"])), "-"
+    return argv, stdin
+
+
+# ---------------------------------------------------------------------------
+# ck: forest monomials and trees, at times labeled, mutated
+
+FORESTS = [f.encode() for d in range(5) for f in forest_monomials(d)]
+CK_TREES = [t.encode() for d in range(5) for t in rooted_trees(d)]
+OTHER_TREES = ["(E1)", "(;(E1))", "(1;(2))"]  # labeled: the forest algebra refuses them
+FOREST_ALPHABET = "();*1E ,x-²"
+
+
+@st.composite
+def ck_calls(draw):
+    """``(argv, stdin, typed)`` as for ``perm_calls``, for ``ck coprod`` and ``ck pair``."""
+    operation = draw(st.sampled_from(["coprod", "pair"]))
+    pool = FORESTS if draw(st.integers(0, 3)) else FORESTS + OTHER_TREES
+    elements = [draw(mutated(st.sampled_from(pool), FOREST_ALPHABET))]
+    if operation == "pair":
+        elements.insert(0, draw(mutated(st.sampled_from(CK_TREES + OTHER_TREES), FOREST_ALPHABET)))
+    argv, stdin = _with_stdin(draw, ["ck", operation, *elements], len(elements))
+    return argv, stdin, elements + [e.strip() for e in elements]
+
+
+@settings(derandomize=True, max_examples=150, deadline=2000)
+@given(ck_calls())
+def test_ck_calls_exit_cleanly_and_both_formats_agree(call):
+    _check_call(*call)
+
+
+# ---------------------------------------------------------------------------
+# shuffle: short words, mutated
+
+WORDS = ["1", "x1", "x2", "x1.x2", "x2.x1", "x1.x1", "a.x1.b", " x1 . x2 ", "x1.x2.x1"]
+WORD_ALPHABET = "x12ab. ,;1-()²"
+
+
+@st.composite
+def shuffle_calls(draw):
+    """``(argv, stdin, typed)`` as for ``perm_calls``, for ``shuffle mul`` and ``shuffle coprod``."""
+    operation = draw(st.sampled_from(["mul", "coprod"]))
+    elements = [draw(mutated(st.sampled_from(WORDS), WORD_ALPHABET)) for _ in range(2 if operation == "mul" else 1)]
+    argv, stdin = _with_stdin(draw, ["shuffle", operation, *elements], len(elements))
+    return argv, stdin, elements + [e.strip() for e in elements]
+
+
+@settings(derandomize=True, max_examples=150, deadline=2000)
+@given(shuffle_calls())
+def test_shuffle_calls_exit_cleanly_and_both_formats_agree(call):
+    _check_call(*call)

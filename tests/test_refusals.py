@@ -70,7 +70,7 @@ REFUSALS = [
     ("derivative-index", lambda: parse_polynomial("x1*x2", 2).derivative(3),
      ValueError, "variable index 3 out of range 1..2"),
     ("polynomial-empty-factor", lambda: parse_polynomial("3**x1", 1),
-     ParseError, "empty factor at position 0\n  3**x1\n  ^"),
+     ParseError, "empty factor at position 2\n  3**x1\n    ^"),
     ("word-count-letter-degree", lambda: word_count([("a", 0)], 2),
      ValueError, "letter degrees must be positive"),
     ("word-count-total-degree", lambda: word_count([("a", 1)], -1),
