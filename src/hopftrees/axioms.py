@@ -178,20 +178,12 @@ def graded_tuples(basis, arity: int, lowest: int, cap: int):
     """Tuples of ``arity`` basis elements, each of degree at least ``lowest``,
     with degrees summing to at most ``cap``; ``basis[d]`` lists degree ``d``.
 
-    The tuples come grouped by their degrees, in increasing order, and within
-    a group in basis order.
+    The tuples come grouped by their degree tuples, in lexicographic order,
+    and within a group in basis order.
     """
-
-    def degrees(slots: int, remaining: int):
-        if slots == 0:
-            yield ()
-            return
-        for d in range(lowest, remaining - lowest * (slots - 1) + 1):
-            for rest in degrees(slots - 1, remaining - d):
-                yield (d,) + rest
-
-    for combo in degrees(arity, cap):
-        yield from itertools.product(*(basis[d] for d in combo))
+    for combo in itertools.product(range(lowest, cap + 1), repeat=arity):
+        if sum(combo) <= cap:
+            yield from itertools.product(*(basis[d] for d in combo))
 
 
 def unital(memo: _SweepMemo, x: int) -> bool:

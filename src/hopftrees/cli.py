@@ -1,10 +1,10 @@
 """Command-line front end.
 
-One binary with subcommands mirroring the library: ``gl`` (tree algebra),
-``ck`` (forest algebra), ``shuffle``, ``perm``, ``trees`` (enumeration),
-``psi`` (derivation operators), ``conn`` (connections) and ``verify``.
-Every subcommand takes ``--format text|json``; element arguments accept ``-``
-to read the element from stdin.
+One binary with subcommands mirroring the library: gl (tree algebra),
+ck (forest algebra), shuffle, perm, trees (enumeration), psi (derivation
+operators), conn (connections) and verify.  Every subcommand takes
+--format text|json; element arguments accept '-' to read the element from
+stdin.
 
 Exit codes: 0 on success, 1 on malformed input, 2 on verification failure.
 
@@ -12,7 +12,8 @@ Each ``_cmd_<subcommand>`` returns its result and prints nothing: a
 ``LinearCombination``, a ``VerificationReport`` or a ``(text, payload)`` pair.
 ``main`` turns it into text and a JSON payload with ``_payload``, prints one of
 the two as ``--format`` says, and exits 2 exactly when the payload's ``ok`` or
-``passed`` is false.  (``-h`` shows this docstring up to this paragraph.)
+``passed`` is false.  (``-h`` shows this docstring up to this paragraph, so
+the paragraphs above it are plain text, not markup.)
 """
 
 from __future__ import annotations

@@ -38,7 +38,8 @@ class Connection:
 
     def __init__(self, num_vars: int, gamma: Mapping[tuple[int, int, int], Polynomial] | None = None):
         self.num_vars = int(num_vars)
-        data = {}  # (i, j, k) -> a nonzero entry
+        # the form the kernel in diff_ops reads: indices from 0, the stores of each nonzero entry and its negative
+        self._steps = []
         for (i, j, k), poly in (gamma or {}).items():
             for index in (i, j, k):
                 if not 1 <= index <= self.num_vars:
@@ -46,11 +47,7 @@ class Connection:
             if poly.num_vars != self.num_vars:
                 raise ValueError("Christoffel entry has the wrong variable count")
             if poly:
-                data[(i, j, k)] = poly
-        self._gamma = data
-        # the form the kernel in diff_ops reads: indices from 0, the stores of each entry and its negative
-        self._steps = [(i - 1, j - 1, k - 1, p._terms, {e: -c for e, c in p._terms.items()})
-                       for (i, j, k), p in data.items()]
+                self._steps.append((i - 1, j - 1, k - 1, poly._terms, {e: -c for e, c in poly._terms.items()}))
 
     @classmethod
     def flat(cls, num_vars: int) -> "Connection":
@@ -85,7 +82,7 @@ def vector_covariant_differential(field: Derivation, fields: Sequence[Derivation
     if not fields:
         return field
     _check_vars(conn.num_vars, field, *fields)
-    return Derivation(map(field.coeffs[0]._new, _covariant_contraction(field, fields, conn._steps, {})))._checked()
+    return _derivation(_covariant_contraction(field, _stores(fields), conn._steps, {}), conn.num_vars)
 
 
 def subtree_derivation(subtree: Tree, env: DerivationEnv, conn: Connection) -> Derivation:
@@ -96,7 +93,7 @@ def subtree_derivation(subtree: Tree, env: DerivationEnv, conn: Connection) -> D
     _check_vars(env.num_vars, conn)
     if not all(isinstance(label, str) for label in subtree.labels()):
         raise ValueError("every node below the root must carry a derivation symbol")
-    return _subtree_derivation(subtree, env, conn._steps, {})._checked()
+    return _derivation(_subtree_derivation(subtree, env, conn._steps, {}), env.num_vars)
 
 
 def covariant_differential(f: Polynomial, fields: Sequence[Derivation], conn: Connection) -> Polynomial:
@@ -107,7 +104,7 @@ def covariant_differential(f: Polynomial, fields: Sequence[Derivation], conn: Co
     if not fields:
         return f
     _check_vars(f.num_vars, conn, *fields)
-    return f._new(_covariant_contraction(f, fields, conn._steps, {})[0])._checked()
+    return f._new(_covariant_contraction(f, _stores(fields), conn._steps, {})[0])._checked()
 
 
 def apply_connection_operator(t: Tree, env: DerivationEnv, conn: Connection, f: Polynomial) -> Polynomial:
@@ -116,6 +113,17 @@ def apply_connection_operator(t: Tree, env: DerivationEnv, conn: Connection, f: 
     _check_vars(env.num_vars, conn)
     _check_tree(t, env, f)
     return _tree_action(t, env, conn._steps, f, {})._checked()
+
+
+def _stores(fields: Sequence[Derivation]) -> list:
+    """The form of a field inside the kernel: the raw stores of its components."""
+    return [tuple(p._terms for p in field.coeffs) for field in fields]
+
+
+def _derivation(stores: tuple, num_vars: int) -> Derivation:
+    """The derivation with components of the raw ``stores``, each checked against the exponent limit."""
+    zero = Polynomial(num_vars)
+    return Derivation(zero._new(store)._checked() for store in stores)
 
 
 def _check_ordered(t: Tree) -> None:

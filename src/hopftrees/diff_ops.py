@@ -11,7 +11,9 @@ B-series.  One fused kernel serves flat trees here and ordered trees under a
 connection (:mod:`hopftrees.connection`).  A public call validates each tree
 once and keeps one memo, dropped when it returns: the derivation of each
 distinct subtree, and the tower ``nabla^m F`` of each operand F, built once.
-Its result is checked once against the exponent limit.  The module law of
+Inside the call a derivation is the tuple of the raw stores of its
+components; a :class:`Derivation` is built only for a result.  The result is
+checked once against the exponent limit.  The module law of
 :mod:`hopftrees.connection` has a kernel of its own here: its pieces are the
 splits of the root's children, so each is two contractions of one call's
 towers, and their products are summed as raw stores.
@@ -47,12 +49,6 @@ class Derivation(Immutable, Record):
         if any(p.num_vars != n for p in coeffs) or len(coeffs) != n:
             raise ValueError("coefficient count must equal the variable count")
         _set(self, "coeffs", coeffs)
-
-    def _checked(self) -> "Derivation":
-        """``self``, or ``ValueError`` if a coefficient has an exponent above the limit."""
-        for p in self.coeffs:
-            p._checked()
-        return self
 
     def __repr__(self) -> str:
         return f"Derivation({self.coeffs!r})"
@@ -191,20 +187,21 @@ def _module_law(t: Tree, env: DerivationEnv, steps: Sequence, a: Polynomial, b: 
     return lhs, _nonzero(rhs)
 
 
-def _subtree_derivation(node: Tree, env: DerivationEnv, steps: Sequence, memo: dict) -> Derivation:
+def _subtree_derivation(node: Tree, env: DerivationEnv, steps: Sequence, memo: dict) -> tuple:
     """``theta(node) = (nabla^k E)(theta(u_1), .., theta(u_k))`` for a node
-    labeled E with children ``u_i``; a leaf is E itself.  ``memo`` maps the
-    subtrees already evaluated under ``env`` and ``steps`` to their derivations."""
+    labeled E with children ``u_i``, as the raw stores of its components; a leaf
+    is E itself.  ``memo`` maps the subtrees already evaluated under ``env`` and
+    ``steps`` to their stores."""
     if node not in memo:
         fields = [_subtree_derivation(u, env, steps, memo) for u in node.children]
-        field = env[node.label]
-        memo[node] = Derivation(map(field.coeffs[0]._new, _covariant_contraction(field, fields, steps, memo)))
+        memo[node] = _covariant_contraction(env[node.label], fields, steps, memo)
     return memo[node]
 
 
-def _covariant_contraction(operand, fields: Sequence[Derivation], steps: Sequence, memo: dict) -> tuple:
+def _covariant_contraction(operand, fields: Sequence[tuple], steps: Sequence, memo: dict) -> tuple:
     """The raw stores of the components of ``(nabla^m F)(X_1, .., X_m)`` for ``F`` a polynomial or
-    a vector field.  ``steps`` holds the connection as (a, b, c, the stores of
+    a :class:`Derivation`, each field ``X_i`` given by the raw stores of its components.
+    ``steps`` holds the connection as (a, b, c, the stores of
     ``gamma[a,b,c]`` and of its negative), indices from 0 (empty: flat).
     ``memo`` keeps the tower of ``F`` for the call: level j is the tensor
     ``T_j`` of raw stores by index tuple, built once, from ``T_0 = F``, as
@@ -235,7 +232,7 @@ def _covariant_contraction(operand, fields: Sequence[Derivation], steps: Sequenc
     for field in reversed(fields):
         contracted = {}
         for key, p in tensor.items():
-            if q := field.coeffs[key[-1]]._terms:  # a zero component adds nothing
+            if q := field[key[-1]]:  # a zero component adds nothing
                 _mul_into(contracted.setdefault(key[:-1], {}), q, p)
         tensor = contracted
     return tuple(_nonzero(tensor.get((k,), {})) for k in range(len(components)))

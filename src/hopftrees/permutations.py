@@ -175,9 +175,24 @@ def heap_product(s: CyclePermutation, t: CyclePermutation) -> LinearCombination:
 
 
 def cycle_coproduct(p: CyclePermutation) -> LinearCombination:
-    """Split the cycle set over all subsets, relabeling both parts."""
-    return _PLAIN._new(_collect((TensorPair(relabel(kept), relabel(rest)), ways)
-                                for kept, rest, ways in splits(p.cycles, "cycle coproduct")))
+    """Split the cycle set over all subsets, relabeling both parts; the ``2^r`` subsets are budgeted.
+
+    A run of fixed points ``(x)(x-1)..`` is adjacent in standard order, and no other entry lies
+    between its points, so any ``j`` of its ``k`` points relabel alike.  So the run's points share
+    one key, which :func:`~hopftrees.algebra.splits` keeps ``j`` times in ``C(k, j)`` ways, and the
+    ``i``-th copy of a key ``(x)`` stands for the point ``x - i``."""
+    # the subsets, not the fewer splits: each split relabels every entry, so a split count
+    # would admit a long run of fixed points with work quadratic in its length
+    check_budget(2 ** len(p.cycles), "cycle coproduct")
+    keys = list(p.cycles[:1])
+    for before, cycle in zip(p.cycles, p.cycles[1:]):
+        keys.append(keys[-1] if len(cycle) == 1 and before == (cycle[0] + 1,) else cycle)
+
+    def points(part):
+        return [(key[0] - i,) + key[1:] for key, copies in itertools.groupby(part) for i, key in enumerate(copies)]
+
+    return _PLAIN._new(_collect((TensorPair(relabel(points(kept)), relabel(points(rest))), ways)
+                                for kept, rest, ways in splits(tuple(keys), "cycle coproduct")))
 
 
 def symmetric_group(n: int) -> list[CyclePermutation]:

@@ -201,9 +201,10 @@ def parse_polynomial(text: str, num_vars: int) -> Polynomial:
 
     A run of signs multiplies out, as in
     :func:`~hopftrees.diff_ops.parse_word_polynomial`: ``a - -b`` is ``a + b``
-    and ``a - +b`` is ``a - b``.  Spaces are allowed around ``*``, and a
-    malformed term, or one whose exponent of a variable is above
-    :data:`MAX_EXPONENT`, is reported at its column in ``text`` as typed.
+    and ``a - +b`` is ``a - b``.  Spaces are allowed around ``*``.  A
+    malformed factor is reported at its column in ``text`` as typed, and a
+    term whose exponent of a variable is above :data:`MAX_EXPONENT` at the
+    term's column.
     """
     return Polynomial(num_vars, [_parse_monomial(sign, term, num_vars, text, column)
                                  for sign, column, term in _signed_terms(text, "polynomial")])
@@ -218,18 +219,18 @@ def _parse_monomial(coeff: Scalar, term: str, num_vars: int, full: str, offset: 
         if piece[0] == "x":
             name, hat, power = piece.partition("^")
             if not name[1:].isdecimal():
-                raise ParseError(f"invalid variable {name!r}", full, offset)
+                raise ParseError(f"invalid variable {name!r}", full, column)
             idx = int(name[1:])
             if not 1 <= idx <= num_vars:
-                raise ParseError(f"variable x{idx} out of range for n={num_vars}", full, offset)
+                raise ParseError(f"variable x{idx} out of range for n={num_vars}", full, column)
             if hat and not power.strip().isdecimal():
-                raise ParseError(f"invalid exponent {power!r}", full, offset)
+                raise ParseError(f"invalid exponent {power!r}", full, column)
             exps[idx - 1] += int(power) if hat else 1
         else:
             try:
                 value = Fraction(piece)
             except (ValueError, ZeroDivisionError):
-                raise ParseError(f"invalid coefficient {piece!r}", full, offset) from None
+                raise ParseError(f"invalid coefficient {piece!r}", full, column) from None
             coeff *= value.numerator if value.denominator == 1 else value
     if max(exps, default=0) > MAX_EXPONENT:
         raise ParseError(_over_limit(max(exps)), full, offset)

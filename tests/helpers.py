@@ -9,6 +9,7 @@ every one of the (n+1)^r assignments (and, for the order of terms, through the
 library's recursion over root splits with every placement rebuilt from scratch), heap
 labels ranked to ``1..k`` by rebuilding the whole tree, shuffles
 through their defining recursion, heap products as maps with spliced cycles,
+cycle coproducts over every subset of the cycles,
 symmetric groups by walking the cycles of every image tuple, the tree of a
 cycle string by a stack of its smaller left neighbors, standard heap trees
 by sorting their labels and then recursing, automorphism counts
@@ -220,8 +221,8 @@ def coproduct_by_masks(alg, t: Tree) -> LinearCombination:
 
 
 # ---------------------------------------------------------------------------
-# oracle: shuffles by the defining recursion, heap products as maps,
-# symmetric groups by cycle walks, cycle strings as trees by a stack
+# oracle: shuffles by the defining recursion, heap products as maps, cycle
+# coproducts by subsets, symmetric groups by cycle walks, cycle strings as trees by a stack
 
 
 def shuffles_by_recursion(u: tuple, v: tuple) -> dict[tuple, int]:
@@ -293,6 +294,23 @@ def cycles_by_walk(images) -> tuple[tuple[int, ...], ...]:
             nxt = mapping[nxt]
         cycles.append(tuple(cycle))
     return tuple(reversed(cycles))
+
+
+def cycle_coproduct_by_subsets(p: CyclePermutation) -> LinearCombination:
+    """The cycle coproduct by its definition: one term for each of the ``2^r`` subsets of
+    the cycles, fixed points split apart, each part ranked to ``1..k`` afresh."""
+
+    def ranked(cycles):
+        rank = {x: r for r, x in enumerate(sorted(x for c in cycles for x in c), 1)}
+        return CyclePermutation([[rank[x] for x in c] for c in cycles])
+
+    cycles = p.cycles
+    terms = []
+    for mask in range(1 << len(cycles)):
+        kept = [c for i, c in enumerate(cycles) if mask >> i & 1]
+        rest = [c for i, c in enumerate(cycles) if not mask >> i & 1]
+        terms.append((TensorPair(ranked(kept), ranked(rest)), 1))
+    return LinearCombination(terms)
 
 
 def symmetric_group_by_cycle_walk(n: int) -> list[CyclePermutation]:
@@ -614,11 +632,12 @@ def tree_operator_by_index_sum(tree: Tree, env, f: Polynomial) -> Polynomial:
 
 def christoffel(conn, i: int, j: int, k: int) -> Polynomial:
     """The Christoffel entry ``gamma[i, j, k]`` of ``conn``, the zero polynomial where it has none."""
-    return conn._gamma.get((i, j, k), Polynomial.zero(conn.num_vars))
+    entries = {(a + 1, b + 1, c + 1): store for a, b, c, store, _ in conn._steps}
+    return Polynomial.zero(conn.num_vars)._new(dict(entries.get((i, j, k), {})))
 
 
 def is_flat(conn) -> bool:
-    return not conn._gamma
+    return not conn._steps
 
 
 def covariant_derivative_by_formula(conn, lower: Derivation, upper: Derivation) -> Derivation:

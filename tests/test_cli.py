@@ -630,7 +630,7 @@ TEXT_ARGUMENTS = {
     "word": (["shuffle", "mul", "{}", "c"], " a . b ", "a.b", "  a.1b", "1b"),
     "permutation": (["perm", "mul", "{}", "(1)"], " ( 1 , 3 ) (2) ", "(1 3)(2)", "  (1 x)", "x"),
     "polynomial": (["psi", "apply", "--env", "ENV", "--tree", "(;(E1))", "--f", "{}"],
-                   " x1 * x1 - 2 * x1 + 1 ", "x1*x1-2*x1+1", "x1 + 2*x9", "2*x9"),
+                   " x1 * x1 - 2 * x1 + 1 ", "x1*x1-2*x1+1", "x1 + 2*x9", "x9"),
     "word polynomial": (["psi", "expand", "--env", "ENV", "--word", "{}"],
                         " E1 , E2 - 2 * E2 , E1 ", "E1,E2-2*E2,E1", "E1,E2 - 2*E2,1", "E2,1"),
     "--symbols": (["trees", "enum", "--family", "labeled", "--degree", "2", "--symbols", "{}"],
@@ -754,12 +754,12 @@ HELP = {
     "": """\
 usage: hopftrees [-h] {gl,ck,shuffle,perm,trees,psi,conn,verify} ...
 
-Command-line front end. One binary with subcommands mirroring the library:
-``gl`` (tree algebra), ``ck`` (forest algebra), ``shuffle``, ``perm``,
-``trees`` (enumeration), ``psi`` (derivation operators), ``conn``
-(connections) and ``verify``. Every subcommand takes ``--format text|json``;
-element arguments accept ``-`` to read the element from stdin. Exit codes: 0
-on success, 1 on malformed input, 2 on verification failure.
+Command-line front end. One binary with subcommands mirroring the library: gl
+(tree algebra), ck (forest algebra), shuffle, perm, trees (enumeration), psi
+(derivation operators), conn (connections) and verify. Every subcommand takes
+--format text|json; element arguments accept '-' to read the element from
+stdin. Exit codes: 0 on success, 1 on malformed input, 2 on verification
+failure.
 
 positional arguments:
   {gl,ck,shuffle,perm,trees,psi,conn,verify}

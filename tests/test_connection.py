@@ -314,6 +314,21 @@ def test_module_law_evaluates_each_distinct_subtree_once(monkeypatch):
     assert len(calls) == 2 + 1 + 2 * 6
 
 
+def test_the_kernel_builds_a_derivation_only_for_a_result(monkeypatch):
+    # inside a call a field is the tuple of its components' raw stores
+    built = count_calls(monkeypatch, Derivation, "__init__")
+    trees = [tree for degree in range(4) for tree in ordered_labeled_trees(degree, ENV2.symbols)]
+    assert len(trees) == 51
+    for tree in trees:
+        assert check_module_law(tree, ENV2, CURVED2, A2, B2), tree.encode()
+    assert verify_composition(("E1", "E2", "E1"), ENV2, A2)
+    assert len(built) == 0
+    subtree = ot("(E1;(E2)(E1;(E2)))")
+    theta = subtree_derivation(subtree, ENV2, CURVED2)
+    assert len(built) == 1
+    assert theta == subtree_derivation_by_recursion(subtree, ENV2, CURVED2)
+
+
 # equal siblings, whose runs split C(k, j) ways; and two splits that give one pair, (E1 E2) (x) (E1 E2)
 EQUAL_SIBLINGS, TWO_WAYS = ot("(;(E1;(E2))(E1;(E2))(E2))"), ot("(;(E1)(E2)(E1)(E2))")
 

@@ -515,10 +515,11 @@ def test_word_polynomial_errors_point_at_the_bad_term(text, message, position):
     [
         ("x1 + x9", 1, "variable x9 out of range for n=1", 5),
         ("   x1 + x9", 1, "variable x9 out of range for n=1", 8),
-        ("x1 - 2*x9", 1, "variable x9 out of range for n=1", 5),
+        ("x1 - 2*x9", 1, "variable x9 out of range for n=1", 7),
+        ("x1*x9", 2, "variable x9 out of range for n=2", 3),
         ("x9", 1, "variable x9 out of range for n=1", 0),
         ("- x1 -  -y2", 2, "invalid coefficient 'y2'", 9),
-        ("x1^2*x2 + 3*x1^a", 2, "invalid exponent 'a'", 10),
+        ("x1^2*x2 + 3*x1^a", 2, "invalid exponent 'a'", 12),
         (" 1/0*x1", 1, "invalid coefficient '1/0'", 1),
         ("   ", 1, "empty polynomial", 0),
         ("x1 + ", 1, "missing term after sign", 3),

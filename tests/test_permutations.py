@@ -24,8 +24,9 @@ from hopftrees import (
     symmetric_group,
     tree_to_permutation,
 )
-from helpers import (cycles_by_walk, heap_product_by_maps, lc, permutation_as_map, permutation_to_tree_by_stack,
-                     swap, symmetric_group_by_cycle_walk, t, verify_morphism)
+from helpers import (count_calls, cycle_coproduct_by_subsets, cycles_by_walk, heap_product_by_maps, lc,
+                     permutation_as_map, permutation_to_tree_by_stack, swap, symmetric_group_by_cycle_walk, t,
+                     verify_morphism)
 
 
 ID0 = CyclePermutation()
@@ -153,6 +154,24 @@ def test_coproduct_examples():
         (TensorPair(one, one), 2),
         (TensorPair(two, ID0), 1),
     )
+
+
+def test_the_coproduct_is_the_sum_over_every_subset_of_cycles():
+    # and two with gaps: 7 lies between (8) and (6), and 6 between (7) and (5), so neither pair is a run
+    gaps = [CyclePermutation([(9,), (8,), (6,), (5, 7), (4,), (3,), (1,)]),
+            CyclePermutation([(7,), (5,), (4, 6), (2,)])]
+    for p in [p for n in range(7) for p in symmetric_group(n)] + gaps:
+        assert cycle_coproduct(p) == cycle_coproduct_by_subsets(p), p.encode()
+
+
+def test_a_run_of_fixed_points_is_split_once_per_count(monkeypatch):
+    from hopftrees import permutations
+
+    calls = count_calls(monkeypatch, permutations, "relabel")
+    delta = cycle_coproduct(parse_permutation("(16)"))
+    assert len(calls) <= 34  # two per distinct split, where each of the 2^16 subsets took two
+    identity = CyclePermutation.identity
+    assert delta == lc(*[(TensorPair(identity(j), identity(16 - j)), math.comb(16, j)) for j in range(17)])
 
 
 def test_counit_lives_on_the_empty_group():
